@@ -157,15 +157,17 @@ func TestFrameRoundTripPredictResult(t *testing.T) {
 		SimWallTime:    200 * time.Millisecond,
 		TotalCPUTime:   800 * time.Millisecond,
 	}
-	got := frameRoundTrip(t, r, "core.predict/v1").(*core.Result)
+	got := frameRoundTrip(t, r, "core.predict/v2").(*core.Result)
 	if !reflect.DeepEqual(r.Predicted, got.Predicted) {
 		t.Fatalf("Predicted mismatch: %+v vs %+v", r.Predicted, got.Predicted)
 	}
 	if !reflect.DeepEqual(r.Intervals, got.Intervals) {
 		t.Fatalf("Intervals mismatch: %+v vs %+v", r.Intervals, got.Intervals)
 	}
-	if !reflect.DeepEqual(r.Quantized, got.Quantized) {
-		t.Fatal("Quantized mismatch")
+	// The heatmap travels as its own quant/v1 artifact, never inside a
+	// prediction: what a peer fetches has none.
+	if got.Quantized != nil {
+		t.Fatal("Quantized crossed the wire inside a prediction")
 	}
 	if got.K != r.K || len(got.Groups) != len(r.Groups) {
 		t.Fatalf("structure mismatch: K=%d groups=%d", got.K, len(got.Groups))
@@ -192,7 +194,7 @@ func TestFrameRejectsCorruptionPerKind(t *testing.T) {
 		"core.quant/v1": &heatmap.Quantized{
 			Width: 2, Height: 1, Levels: []float64{1, 2}, Index: []int{0, 1},
 		},
-		"core.predict/v1": &core.Result{
+		"core.predict/v2": &core.Result{
 			Predicted: combine.GroupValues{metrics.IPC: 1},
 			K:         2,
 		},

@@ -19,7 +19,7 @@ import (
 // on any layout change so old entries read as unknown-kind misses.
 const (
 	QuantCodecKind   = "core.quant/v1"
-	PredictCodecKind = "core.predict/v1"
+	PredictCodecKind = "core.predict/v2"
 )
 
 func init() {
@@ -103,11 +103,14 @@ func (quantCodec) Decode(data []byte) (any, int64, error) {
 	return q, quantizedSize(q), nil
 }
 
-// predictCodec serializes whole predictions (core.Result) as a versioned
-// JSON mirror: predictions are small (a few KB), so self-describing JSON
-// beats hand-rolled binary here, and the mirror types keep the disk format
-// decoupled from in-memory struct evolution. Metric maps are keyed by the
-// Table I metric names; errors are carried as strings.
+// predictCodec serializes cached predictions (core.Result) as a versioned
+// JSON mirror: the payload is response-sized (about 2.3 KB at the default
+// K, whatever the resolution), so self-describing JSON beats hand-rolled
+// binary here, and the mirror types keep the disk format decoupled from
+// in-memory struct evolution. Metric maps are keyed by the Table I metric
+// names; errors are carried as strings. Result.Quantized is not part of
+// the format: the heatmap is its own quant/v1 artifact, shared by every
+// prediction swept over one profile.
 type predictCodec struct{}
 
 // Kind implements store.Codec.
@@ -155,7 +158,6 @@ type resultJSON struct {
 	Intervals    map[string]intervalJSON `json:"intervals,omitempty"`
 	Groups       []groupRunJSON          `json:"groups"`
 	K            int                     `json:"k"`
-	QuantizedB64 []byte                  `json:"quantized,omitempty"`
 	PreprocessNs int64                   `json:"preprocess_ns"`
 	SimWallNs    int64                   `json:"sim_wall_ns"`
 	TotalCPUNs   int64                   `json:"total_cpu_ns"`
@@ -238,13 +240,6 @@ func (predictCodec) Encode(v any) ([]byte, error) {
 		SimWallNs:    int64(r.SimWallTime),
 		TotalCPUNs:   int64(r.TotalCPUTime),
 	}
-	if r.Quantized != nil {
-		qb, err := (quantCodec{}).Encode(r.Quantized)
-		if err != nil {
-			return nil, err
-		}
-		mirror.QuantizedB64 = qb
-	}
 	for gi, g := range r.Groups {
 		gj := groupRunJSON{
 			Report:     g.Report,
@@ -303,13 +298,6 @@ func (predictCodec) Decode(data []byte) (any, int64, error) {
 		PreprocessTime: time.Duration(mirror.PreprocessNs),
 		SimWallTime:    time.Duration(mirror.SimWallNs),
 		TotalCPUTime:   time.Duration(mirror.TotalCPUNs),
-	}
-	if len(mirror.QuantizedB64) > 0 {
-		qv, _, err := (quantCodec{}).Decode(mirror.QuantizedB64)
-		if err != nil {
-			return nil, 0, err
-		}
-		r.Quantized = qv.(*heatmap.Quantized)
 	}
 	for gi, gj := range mirror.Groups {
 		ivs, err := intervalsFromJSON(gj.Intervals)

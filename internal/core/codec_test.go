@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"zatel/internal/combine"
 	"zatel/internal/heatmap"
 	"zatel/internal/metrics"
+	"zatel/internal/sampling"
 )
 
 func testQuantized() *heatmap.Quantized {
@@ -137,8 +139,17 @@ func TestPredictCodecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(r.Intervals, got.Intervals) {
 		t.Fatalf("Intervals mismatch: %+v vs %+v", r.Intervals, got.Intervals)
 	}
-	if !reflect.DeepEqual(r.Quantized, got.Quantized) {
-		t.Fatalf("Quantized mismatch")
+	// v2 carries no heatmap: a Result out of a cache tier has none, and the
+	// payload must not grow with the frame.
+	if got.Quantized != nil {
+		t.Fatalf("Quantized survived the codec: %+v", got.Quantized)
+	}
+	again, err := c.Encode(got)
+	if err != nil {
+		t.Fatalf("re-Encode: %v", err)
+	}
+	if !bytes.Equal(data, again) {
+		t.Fatalf("re-encoded payload differs: format is not canonical\n%s\n%s", data, again)
 	}
 	if got.K != r.K || got.PreprocessTime != r.PreprocessTime ||
 		got.SimWallTime != r.SimWallTime || got.TotalCPUTime != r.TotalCPUTime {
@@ -184,5 +195,44 @@ func TestPredictCodecRejectsCorruption(t *testing.T) {
 	}
 	if _, _, err := c.Decode([]byte(`not json`)); err == nil {
 		t.Fatal("Decode of garbage succeeded")
+	}
+}
+
+// TestResultSizeTracksEncodedPayload: the bytes the store's LRU is charged
+// for a cached prediction must be of the order of what the prediction
+// holds — within 2× of its encoded payload — for a point estimate and for
+// a replicated result with intervals. The heatmap is not part of either:
+// the store accounts it once, under its own quant/v1 key.
+func TestResultSizeTracksEncodedPayload(t *testing.T) {
+	cases := map[string]sampling.Distribution{
+		"point":      sampling.Uniform,
+		"replicated": sampling.Stratified,
+	}
+	for name, dist := range cases {
+		t.Run(name, func(t *testing.T) {
+			opts := small("SPRNG")
+			opts.Dist = dist
+			res, err := Predict(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Quantized == nil {
+				t.Fatal("PredictContext returned no quantized heatmap")
+			}
+			if (res.Intervals != nil) != dist.Replicated() {
+				t.Fatalf("Intervals = %v for %v", res.Intervals, dist)
+			}
+			data, err := (predictCodec{}).Encode(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			size, payload := ResultSize(res), int64(len(data))
+			if size*2 < payload || size > payload*2 {
+				t.Errorf("ResultSize = %d B, encoded payload = %d B: not within 2x", size, payload)
+			}
+			if cached, _, err := (predictCodec{}).Decode(data); err != nil || ResultSize(cached.(*Result)) != size {
+				t.Errorf("decoded copy sized differently (err %v)", err)
+			}
+		})
 	}
 }

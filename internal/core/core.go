@@ -312,7 +312,11 @@ type Result struct {
 	Groups []GroupRun
 	// K is the downscaling factor used.
 	K int
-	// Quantized is the heatmap the selection was driven by.
+	// Quantized is the heatmap the selection was driven by. PredictContext
+	// always sets it; it is nil on a Result that came out of a cache tier
+	// (memory, disk or peer), because the predict codec and the service's
+	// store entries leave it out: the heatmap is the store's own quant/v1
+	// artifact (QuantizedKey), shared by every prediction over one profile.
 	Quantized *heatmap.Quantized
 	// PreprocessTime covers heatmap generation and quantization.
 	PreprocessTime time.Duration
@@ -772,15 +776,19 @@ func (o Options) CacheKey() store.Digest {
 	return k.Digest()
 }
 
-// ResultSize approximates a Result's resident bytes for prediction-level
-// caching (cmd/zateld): the quantized heatmap it retains dominates, plus
-// the per-group runs and metric maps.
+// ResultSize approximates the resident bytes of a Result as the service
+// caches it, for the store's budget accounting: the per-group runs and
+// the metric and interval maps. Quantized is not counted: a cached Result
+// does not retain it and the store already charges the heatmap once under
+// its own key, however many predictions share it.
 func ResultSize(r *Result) int64 {
-	n := int64(len(r.Groups))*160 + int64(len(r.Predicted))*32 + 256
-	if r.Quantized != nil {
-		n += quantizedSize(r.Quantized)
+	// A GroupRun is 232 B; map entries are charged with their share of
+	// bucket overhead (16 B values in Predicted, 32 B in the interval maps).
+	intervals := len(r.Intervals)
+	for i := range r.Groups {
+		intervals += len(r.Groups[i].Intervals)
 	}
-	return n
+	return int64(len(r.Groups))*240 + int64(len(r.Predicted))*32 + int64(intervals)*64 + 256
 }
 
 // simulateGroup runs one group's simulator instance(s) and produces its

@@ -132,13 +132,3 @@ func TestEventHeapStableUnderInterleaving(t *testing.T) {
 		t.Fatalf("pop = %d", e.cycle)
 	}
 }
-
-func TestContainsLine(t *testing.T) {
-	lines := []uint64{0x100, 0x200}
-	if !containsLine(lines, 0x100) || containsLine(lines, 0x300) {
-		t.Error("containsLine wrong")
-	}
-	if containsLine(nil, 0) {
-		t.Error("empty slice contains something")
-	}
-}

@@ -272,15 +272,3 @@ func (ls *lineSet) add(line uint64) bool {
 		i = (i + 1) & ls.mask
 	}
 }
-
-// containsLine is the pre-lineSet linear dedup scan, kept for the
-// before/after benchmark (BenchmarkLineDedup) and as executable
-// documentation of the replaced behaviour.
-func containsLine(lines []uint64, line uint64) bool {
-	for _, l := range lines {
-		if l == line {
-			return true
-		}
-	}
-	return false
-}

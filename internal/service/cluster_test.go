@@ -97,7 +97,7 @@ func TestClusterPeerFetch(t *testing.T) {
 	body, key := bodyOwnedBy(t, nodes, a, 1)
 
 	// Build on the owner.
-	resp, cold, _ := postPredict(t, a.url, body)
+	resp, cold, rawCold := postPredict(t, a.url, body)
 	if resp.StatusCode != http.StatusOK || cold.Cache != "miss" {
 		t.Fatalf("cold build on owner: status %d cache %q", resp.StatusCode, cold.Cache)
 	}
@@ -109,12 +109,20 @@ func TestClusterPeerFetch(t *testing.T) {
 	}
 
 	// The same request on the non-owner must be served from the peer tier.
-	resp, warm, _ := postPredict(t, b.url, body)
+	resp, warm, rawWarm := postPredict(t, b.url, body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("peer-backed status %d", resp.StatusCode)
 	}
 	if warm.Cache != "peer" {
 		t.Fatalf("cache = %q on the non-owner, want peer", warm.Cache)
+	}
+	// The transfer is response-sized: no heatmap crosses the wire inside a
+	// prediction, and the peer copy renders what the owner's build rendered.
+	if r := cachedResult(t, b.st, key); r.Quantized != nil {
+		t.Error("the peer hit decoded a per-prediction heatmap copy")
+	}
+	if got, want := predictedJSON(t, rawWarm), predictedJSON(t, rawCold); got != want {
+		t.Errorf("peer hit rendered a different predicted object:\n%s\nvs miss:\n%s", got, want)
 	}
 	if got := resp.Header.Get(NodeHeader); got != "node-b" {
 		t.Errorf("%s = %q, want node-b (request must not have been proxied)", NodeHeader, got)

@@ -349,6 +349,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, 0, err
 		}
+		// Cache what a response needs and no more: the heatmap stays the
+		// store's quant/v1 artifact, not a per-prediction copy.
+		res.Quantized = nil
 		return res, core.ResultSize(res), nil
 	})
 	// Whatever happened above, fold the step spans this request recorded

@@ -4,7 +4,8 @@
 # field and /metrics counter), check the observability surface (request ids,
 # ?trace=1, pprof, per-step histograms), SIGTERM-drain, then RESTART the
 # daemon on the same -store-dir and assert the same request is served warm
-# from disk ("cache": "disk") — the cross-restart persistence promise.
+# from disk ("cache": "disk") — the cross-restart persistence promise — out
+# of a prediction entry that stayed response-sized (under 8 KB on disk).
 # Finally boot a TWO-NODE fleet (-peers/-self) and assert an artifact built
 # on the owning node is served by the other as "cache": "peer" with zero
 # local builds — the cluster tier's fetch-not-rebuild promise.
@@ -98,6 +99,17 @@ if ! wait "$PID"; then
 	exit 1
 fi
 PID=""
+
+# The drained daemon persisted the prediction, and the entry is
+# response-sized: the quantized heatmap is its own artifact beside it,
+# never a copy inside each prediction.
+KEY="$(echo "$R1" | sed -n 's/^ *"key": "\([0-9a-f]\{64\}\)".*/\1/p')"
+ART="$TMP/store/$KEY.art"
+[ -n "$KEY" ] && [ -f "$ART" ] \
+	|| { echo "smoke: prediction '$KEY' not persisted under $TMP/store" >&2; ls "$TMP/store" >&2; exit 1; }
+ART_BYTES="$(wc -c <"$ART")"
+[ "$ART_BYTES" -lt 8192 ] \
+	|| { echo "smoke: persisted prediction is $ART_BYTES bytes, want under 8 KB" >&2; exit 1; }
 
 # Restart on the same cache directory: the prediction built before the
 # drain must be served from the disk tier — integrity-verified, no rebuild.
