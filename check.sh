@@ -54,6 +54,15 @@ go test -race -short -timeout 5m \
 	-run 'Ring|Cluster|Peer|Prober|Proxy|Frame|TryGet|SingleNode' \
 	./internal/cluster/ ./internal/store/ ./internal/service/
 
+# Short-mode serve hot path: the response renderer against encoding/json
+# byte for byte, both fuzz targets' committed seed corpora (request decode →
+# key, response render), the digest short form, the memory-only store lookup
+# and the one-log-line and Content-Length promises, under the race detector
+# (see DESIGN.md "Where the time is now").
+go test -race -short -timeout 5m \
+	-run 'TestRender|FuzzPredictRequest|FuzzRenderPredictResponse|Short|Resident|UntracedHit|OneLine|ContentLength|HitAllocs' \
+	./internal/store/ ./internal/service/
+
 # Docs lint: every package documented, every exported metric name present in
 # OPERATIONS.md.
 ./scripts/lint_docs.sh

@@ -164,7 +164,9 @@ func main() {
 		ctx = obs.WithTracer(ctx, tracer)
 	}
 
+	predictStart := time.Now()
 	result, err := core.PredictContext(ctx, opts)
+	measured := time.Since(predictStart)
 	if tracer != nil {
 		if werr := writeTrace(*traceFile, tracer); werr != nil {
 			fatal(werr)
@@ -209,8 +211,13 @@ func main() {
 	if d := result.Degraded; d != nil {
 		fmt.Printf("  %s\n", d)
 	}
-	fmt.Printf("preprocess %s, simulation wall %s (slowest instance), cpu %s (all instances)\n\n",
-		result.PreprocessTime.Round(1e6), result.SimWallTime.Round(1e6),
+	// Two different times. Measured is what this process took for the whole
+	// prediction. Modeled is the paper's accounting, one core per group:
+	// preprocessing plus the slowest instance, whatever this host overlapped.
+	modeled := result.PreprocessTime + result.SimWallTime
+	fmt.Printf("measured wall %s (this run, whole prediction)\n", measured.Round(1e6))
+	fmt.Printf("modeled concurrent %s = preprocess %s + simulation %s (slowest instance); cpu %s (all instances)\n\n",
+		modeled.Round(1e6), result.PreprocessTime.Round(1e6), result.SimWallTime.Round(1e6),
 		result.TotalCPUTime.Round(1e6))
 
 	if !*compare {
@@ -241,9 +248,10 @@ func main() {
 		fmt.Println()
 		printIntervals(result, *confidence)
 	}
-	fmt.Printf("\nMAE %.1f%%   speedup %.1fx (full sim %s vs zatel %s)\n",
-		100*metrics.MAE(errs, metrics.All()), result.Speedup(ref),
-		ref.WallTime.Round(1e6), (result.PreprocessTime + result.SimWallTime).Round(1e6))
+	fmt.Printf("\nMAE %.1f%%   full sim %s: speedup %.1fx modeled concurrent (zatel %s), %.1fx measured wall (zatel %s)\n",
+		100*metrics.MAE(errs, metrics.All()), ref.WallTime.Round(1e6),
+		result.Speedup(ref), modeled.Round(1e6),
+		float64(ref.WallTime)/float64(measured), measured.Round(1e6))
 }
 
 // printIntervals renders the replicated strategies' confidence intervals:

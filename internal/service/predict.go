@@ -9,7 +9,9 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"zatel/internal/cluster"
@@ -256,6 +258,19 @@ func (s *Server) optionsFor(req *PredictRequest) (core.Options, error) {
 	return o, nil
 }
 
+// decodePredict parses and validates a request body. Like optionsFor, every
+// error it returns is a client error (HTTP 400).
+func (s *Server) decodePredict(body []byte) (PredictRequest, core.Options, error) {
+	var req PredictRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, core.Options{}, fmt.Errorf("bad request body: %v", err)
+	}
+	opts, err := s.optionsFor(&req)
+	return req, opts, err
+}
+
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.methodNotAllowed(w, r, "predict", http.MethodPost)
@@ -281,37 +296,45 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
-	var req PredictRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		finish(http.StatusBadRequest)
-		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	opts, err := s.optionsFor(&req)
+	req, opts, err := s.decodePredict(body)
 	if err != nil {
 		finish(http.StatusBadRequest)
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
 
+	key := opts.CacheKey()
+	cl := s.cfg.Cluster
+	var owner string
+	if cl != nil {
+		owner = cl.Owner(key)
+		w.Header().Set(OwnerHeader, owner)
+	}
+
+	// ?trace=1 returns the request's Chrome trace_event export inline, so
+	// that request carries a tracer from the start. Any other request gets
+	// one only if it ends up running the build (below).
+	ctx := r.Context()
+	var tr *obs.Tracer
+	if r.URL.Query().Get("trace") == "1" {
+		tr = obs.NewTracer()
+		tr.SetMeta("request_id", reqID)
+		ctx = obs.WithTracer(ctx, tr)
+	}
+
+	// The steady state of a warm fleet: the prediction is in memory here,
+	// whichever node owns it. Nothing waits, so the hit needs neither the
+	// deadline's timer nor a tracer of its own.
+	if v, ok := s.st.Resident(ctx, key); ok {
+		s.writePredictOK(w, r, &opts, key, store.Hit, v.(*core.Result), reqStart, tr, finish)
+		return
+	}
+
 	// The request deadline governs everything below: admission wait, a
 	// coalesced wait on someone else's build, and every pipeline stage of
 	// a build this request runs itself.
-	ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(req.TimeoutMs))
+	ctx, cancel := context.WithTimeout(ctx, s.deadlineFor(req.TimeoutMs))
 	defer cancel()
-
-	// Every predict request carries a tracer. If this request ends up
-	// running the build, the tracer captures the seven step spans (feeding
-	// the per-step histograms); a hit or coalesced wait records only its
-	// store span. ?trace=1 returns the Chrome trace_event export inline.
-	wantTrace := r.URL.Query().Get("trace") == "1"
-	tr := obs.NewTracer()
-	tr.SetMeta("request_id", reqID)
-	ctx = obs.WithTracer(ctx, tr)
-
-	key := opts.CacheKey()
 
 	// Cluster routing: on a non-owner, anything the fleet already has —
 	// local memory/disk, an in-flight local build, or the owner's copy via
@@ -319,23 +342,22 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// request to the owner so every key is built where it lives. A request
 	// already forwarded once is served here unconditionally (no loops), and
 	// an unreachable owner degrades to a local build, never an error.
-	if cl := s.cfg.Cluster; cl != nil {
-		owner := cl.Owner(key)
-		w.Header().Set(OwnerHeader, owner)
-		if owner != cl.Self() && r.Header.Get(cluster.ForwardedHeader) == "" {
-			if v, outcome, ok := s.st.TryGet(ctx, key); ok {
-				s.writePredictOK(w, r, opts, key, outcome.String(), v.(*core.Result), reqStart, tr, wantTrace, finish)
-				return
-			}
-			if cl.Healthy(owner) && s.proxyToOwner(w, r, cl, owner, body, finish) {
-				return
-			}
-			cl.CountLocalFallback()
-			slog.Warn("cluster: owner unavailable, building locally",
-				"request_id", reqID, "key", key.Short(), "owner", owner)
+	if cl != nil && owner != cl.Self() && r.Header.Get(cluster.ForwardedHeader) == "" {
+		if v, outcome, ok := s.st.TryGet(ctx, key); ok {
+			s.writePredictOK(w, r, &opts, key, outcome, v.(*core.Result), reqStart, tr, finish)
+			return
 		}
+		if cl.Healthy(owner) && s.proxyToOwner(w, r, cl, owner, body, finish) {
+			return
+		}
+		cl.CountLocalFallback()
+		slog.Warn("cluster: owner unavailable, building locally",
+			"request_id", reqID, "key", key.Short(), "owner", owner)
 	}
 
+	// stepTracer is the tracer whose step spans feed the per-step latency
+	// histograms: the request's own, or one made for the build it runs.
+	stepTracer := tr
 	v, outcome, err := s.st.GetOrBuild(ctx, key, func(ctx context.Context) (any, int64, error) {
 		// Admission control bounds cold builds only — hits and coalesced
 		// waiters cost no slot.
@@ -343,6 +365,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			return nil, 0, err
 		}
 		defer s.release()
+		if stepTracer == nil {
+			stepTracer = obs.NewTracer()
+			ctx = obs.WithTracer(ctx, stepTracer)
+		}
 		buildStart := time.Now()
 		res, err := core.PredictContext(ctx, opts)
 		s.histBuild.Observe(time.Since(buildStart))
@@ -354,12 +380,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		res.Quantized = nil
 		return res, core.ResultSize(res), nil
 	})
-	// Whatever happened above, fold the step spans this request recorded
-	// (only a build records any) into the per-step latency histograms.
-	durations := tr.Durations()
-	for _, name := range core.StepSpanNames {
-		if d, ok := durations[name]; ok {
-			s.histStep[name].Observe(d)
+	// Only a build records step spans, whether or not it succeeded.
+	if outcome == store.Miss {
+		durations := stepTracer.Durations()
+		for _, name := range core.StepSpanNames {
+			if d, ok := durations[name]; ok {
+				s.histStep[name].Observe(d)
+			}
 		}
 	}
 	if err != nil {
@@ -377,7 +404,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, code, err.Error())
 		return
 	}
-	s.writePredictOK(w, r, opts, key, outcome.String(), v.(*core.Result), reqStart, tr, wantTrace, finish)
+	s.writePredictOK(w, r, &opts, key, outcome, v.(*core.Result), reqStart, tr, finish)
 }
 
 // proxyToOwner forwards the predict request to the owning peer and relays
@@ -385,50 +412,46 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 // set). Returns false when the forward failed — the caller then builds
 // locally, honouring the never-an-error contract.
 func (s *Server) proxyToOwner(w http.ResponseWriter, r *http.Request, cl *cluster.Cluster, owner string, body []byte, finish func(int)) bool {
-	reqID := obs.RequestID(r.Context())
 	resp, err := cl.ProxyPredict(r.Context(), owner, r.URL.RawQuery, r.Header, body)
 	if err != nil {
 		slog.Warn("cluster: forward to owner failed",
-			"request_id", reqID, "owner", owner, "err", err)
+			"request_id", obs.RequestID(r.Context()), "owner", owner, "err", err)
 		return false
 	}
 	defer resp.Body.Close()
-	for _, h := range []string{"Content-Type", "X-Zatel-Cache", "X-Zatel-Key"} {
+	for _, h := range []string{"Content-Type", "Content-Length", "X-Zatel-Cache", "X-Zatel-Key"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
 	}
+	logAttrs(w, slog.String("owner", owner), slog.String("cache", resp.Header.Get("X-Zatel-Cache")))
 	finish(resp.StatusCode)
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
-	slog.Info("predict forwarded to owner",
-		"request_id", reqID,
-		"owner", owner,
-		"status", resp.StatusCode,
-		"cache", resp.Header.Get("X-Zatel-Cache"),
-	)
 	return true
 }
 
-// writePredictOK renders the successful prediction response; both the
-// build path and the cluster TryGet fast path end here.
-func (s *Server) writePredictOK(w http.ResponseWriter, r *http.Request, opts core.Options, key store.Digest, cache string, res *core.Result, reqStart time.Time, tr *obs.Tracer, wantTrace bool, finish func(int)) {
-	reqID := obs.RequestID(r.Context())
+// renderPool recycles response buffers between requests.
+var renderPool = sync.Pool{New: func() any { return new(jsonw) }}
+
+// writePredictOK renders the successful prediction response; every way a
+// prediction is served ends here. tr is non-nil for a ?trace=1 request.
+func (s *Server) writePredictOK(w http.ResponseWriter, r *http.Request, opts *core.Options, key store.Digest, outcome store.Outcome, res *core.Result, reqStart time.Time, tr *obs.Tracer, finish func(int)) {
 	resp := PredictResponse{
 		Scene:        opts.Scene,
 		Config:       opts.Config.Name,
 		K:            res.K,
 		Key:          key.String(),
-		Cache:        cache,
+		Cache:        outcome.String(),
 		Predicted:    make(map[string]float64, len(res.Predicted)),
 		Groups:       make([]GroupInfo, len(res.Groups)),
 		PreprocessMs: durMs(res.PreprocessTime),
 		SimWallMs:    durMs(res.SimWallTime),
 		TotalCPUMs:   durMs(res.TotalCPUTime),
 		ElapsedMs:    durMs(time.Since(reqStart)),
-		RequestID:    reqID,
+		RequestID:    obs.RequestID(r.Context()),
 	}
-	if wantTrace {
+	if tr != nil {
 		var buf bytes.Buffer
 		if err := tr.WriteChromeTrace(&buf); err == nil {
 			resp.Trace = json.RawMessage(buf.Bytes())
@@ -474,19 +497,27 @@ func (s *Server) writePredictOK(w http.ResponseWriter, r *http.Request, opts cor
 			Detail:       d.String(),
 		}
 	}
-	w.Header().Set("X-Zatel-Cache", resp.Cache)
-	w.Header().Set("X-Zatel-Key", key.Short())
+
+	out := renderPool.Get().(*jsonw)
+	defer renderPool.Put(out)
+	out.b, out.err = out.b[:0], nil
+	out.predictResponse(&resp)
+	if out.err != nil {
+		finish(http.StatusInternalServerError)
+		writeError(w, r, http.StatusInternalServerError, out.err.Error())
+		return
+	}
+	short := key.Short()
+	logAttrs(w, slog.String("scene", resp.Scene), slog.String("config", resp.Config),
+		slog.String("cache", resp.Cache), slog.String("key", short), slog.Bool("degraded", resp.Degraded != nil))
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(out.b)))
+	h.Set("X-Zatel-Cache", resp.Cache)
+	h.Set("X-Zatel-Key", short)
 	finish(http.StatusOK)
-	slog.Info("predict served",
-		"request_id", reqID,
-		"scene", opts.Scene,
-		"config", opts.Config.Name,
-		"cache", resp.Cache,
-		"key", key.Short(),
-		"degraded", resp.Degraded != nil,
-		"elapsed_ms", resp.ElapsedMs,
-	)
-	writeJSON(w, http.StatusOK, resp)
+	w.WriteHeader(http.StatusOK)
+	w.Write(out.b)
 }
 
 func durMs(d time.Duration) float64 { return float64(d) / 1e6 }

@@ -182,14 +182,14 @@ func (s *Server) Handler() http.Handler {
 		if r.URL.Path == "/v1/predict" {
 			lvl = slog.LevelInfo
 		}
-		slog.Default().Log(r.Context(), lvl, "request",
-			"request_id", id,
-			"node", s.cfg.NodeName,
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", sw.code,
-			"elapsed_ms", float64(time.Since(start))/1e6,
-		)
+		slog.Default().LogAttrs(r.Context(), lvl, "request", append([]slog.Attr{
+			slog.String("request_id", id),
+			slog.String("node", s.cfg.NodeName),
+			slog.String("method", r.Method),
+			slog.String("path", r.URL.Path),
+			slog.Int("status", sw.code),
+			slog.Float64("elapsed_ms", float64(time.Since(start))/1e6),
+		}, sw.attrs...)...)
 	})
 }
 
@@ -207,10 +207,21 @@ const (
 	OwnerHeader = "X-Zatel-Owner"
 )
 
-// statusWriter captures the response code for the request log line.
+// statusWriter captures the response code for the request log line, and
+// what the handler has to say on that line (logAttrs).
 type statusWriter struct {
 	http.ResponseWriter
-	code int
+	code  int
+	attrs []slog.Attr
+}
+
+// logAttrs adds attributes to the request's one log line: /v1/predict
+// reports scene, config, cache, key and degraded there, a forwarded request
+// its owner and the owner's cache outcome.
+func logAttrs(w http.ResponseWriter, attrs ...slog.Attr) {
+	if sw, ok := w.(*statusWriter); ok {
+		sw.attrs = append(sw.attrs, attrs...)
+	}
 }
 
 // WriteHeader records the status before delegating.

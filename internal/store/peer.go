@@ -3,8 +3,6 @@ package store
 import (
 	"context"
 	"fmt"
-
-	"zatel/internal/obs"
 )
 
 // PeerCounters is a point-in-time snapshot of the peer tier's observability
@@ -115,10 +113,7 @@ func (s *Store) TryGet(ctx context.Context, key Digest) (any, Outcome, bool) {
 		ctx = context.Background()
 	}
 	s.mu.Lock()
-	if el, ok := s.items[key]; ok {
-		s.ll.MoveToFront(el)
-		s.hits++
-		v := el.Value.(*entry).value
+	if v, ok := s.hitLocked(key); ok {
 		s.mu.Unlock()
 		return v, Hit, true
 	}
@@ -146,8 +141,7 @@ func (s *Store) TryGet(ctx context.Context, key Digest) (any, Outcome, bool) {
 		}
 	}
 	if v, size, ok := s.fetchPeer(ctx, key); ok {
-		_, sp := obs.StartSpan(ctx, "store.peerhit")
-		sp.SetAttr("key", key.Short())
+		_, sp := keySpan(ctx, "store.peerhit", key)
 		sp.End()
 		s.promotePeerHit(key, v, size)
 		return v, PeerHit, true

@@ -168,21 +168,16 @@ func (s *Store) GetOrBuild(ctx context.Context, key Digest, build func(ctx conte
 		ctx = context.Background()
 	}
 	s.mu.Lock()
-	if el, ok := s.items[key]; ok {
-		s.ll.MoveToFront(el)
-		s.hits++
-		v := el.Value.(*entry).value
+	if v, ok := s.hitLocked(key); ok {
 		s.mu.Unlock()
-		_, sp := obs.StartSpan(ctx, "store.hit")
-		sp.SetAttr("key", key.Short())
+		_, sp := keySpan(ctx, "store.hit", key)
 		sp.End()
 		return v, Hit, nil
 	}
 	if f, ok := s.inflight[key]; ok {
 		s.coalesced++
 		s.mu.Unlock()
-		_, sp := obs.StartSpan(ctx, "store.coalesce")
-		sp.SetAttr("key", key.Short())
+		_, sp := keySpan(ctx, "store.coalesce", key)
 		defer sp.End()
 		select {
 		case <-f.done:
@@ -209,8 +204,7 @@ func (s *Store) GetOrBuild(ctx context.Context, key Digest, build func(ctx conte
 			s.mu.Unlock()
 			f.value = v
 			close(f.done)
-			_, sp := obs.StartSpan(ctx, "store.diskhit")
-			sp.SetAttr("key", key.Short())
+			_, sp := keySpan(ctx, "store.diskhit", key)
 			sp.End()
 			return v, DiskHit, nil
 		}
@@ -227,8 +221,7 @@ func (s *Store) GetOrBuild(ctx context.Context, key Digest, build func(ctx conte
 		s.mu.Unlock()
 		f.value = v
 		close(f.done)
-		_, sp := obs.StartSpan(ctx, "store.peerhit")
-		sp.SetAttr("key", key.Short())
+		_, sp := keySpan(ctx, "store.peerhit", key)
 		sp.End()
 		if d := s.disk.Load(); d != nil {
 			d.Put(key, v)
@@ -241,8 +234,7 @@ func (s *Store) GetOrBuild(ctx context.Context, key Digest, build func(ctx conte
 	s.builds++
 	s.mu.Unlock()
 
-	bctx, sp := obs.StartSpan(ctx, "store.build")
-	sp.SetAttr("key", key.Short())
+	bctx, sp := keySpan(ctx, "store.build", key)
 	v, size, err := runBuild(bctx, build)
 	if err != nil {
 		sp.SetAttr("error", err)
@@ -276,6 +268,42 @@ func (s *Store) GetOrBuild(ctx context.Context, key Digest, build func(ctx conte
 		d.Put(key, v)
 	}
 	return v, Miss, nil
+}
+
+// hitLocked is the resident lookup every entry point starts with: a hit is
+// counted and moved to the front of the LRU.
+func (s *Store) hitLocked(key Digest) (any, bool) {
+	el, ok := s.items[key]
+	if !ok {
+		return nil, false
+	}
+	s.ll.MoveToFront(el)
+	s.hits++
+	return el.Value.(*entry).value, true
+}
+
+// keySpan opens a store span annotated with the key. An untraced context
+// gets the nil span without the digest ever being hex-encoded.
+func keySpan(ctx context.Context, name string, key Digest) (context.Context, *obs.Span) {
+	ctx, sp := obs.StartSpan(ctx, name)
+	if sp != nil {
+		sp.SetAttr("key", key.Short())
+	}
+	return ctx, sp
+}
+
+// Resident is GetOrBuild's memory hit on its own: it never waits, reads a
+// lower tier or builds. A caller that falls back to GetOrBuild on false keeps
+// what those need (a deadline, a tracer) off its hit path.
+func (s *Store) Resident(ctx context.Context, key Digest) (any, bool) {
+	s.mu.Lock()
+	v, ok := s.hitLocked(key)
+	s.mu.Unlock()
+	if ok {
+		_, sp := keySpan(ctx, "store.hit", key)
+		sp.End()
+	}
+	return v, ok
 }
 
 // AttachDisk installs d as the store's persistent second tier: memory

@@ -1,11 +1,12 @@
 #!/bin/sh
 # zateld smoke test: boot the daemon with a disk tier, serve a cold
 # prediction, assert the identical repeat is served as a store hit (response
-# field and /metrics counter), check the observability surface (request ids,
-# ?trace=1, pprof, per-step histograms), SIGTERM-drain, then RESTART the
-# daemon on the same -store-dir and assert the same request is served warm
-# from disk ("cache": "disk") — the cross-restart persistence promise — out
-# of a prediction entry that stayed response-sized (under 8 KB on disk).
+# field and /metrics counter, with a Content-Length), check the observability
+# surface (request ids, one log line per request, ?trace=1, pprof, per-step
+# histograms), SIGTERM-drain, then RESTART the daemon on the same -store-dir
+# and assert the same request is served warm from disk ("cache": "disk") —
+# the cross-restart persistence promise — out of a prediction entry that
+# stayed response-sized (under 8 KB on disk).
 # Finally boot a TWO-NODE fleet (-peers/-self) and assert an artifact built
 # on the owning node is served by the other as "cache": "peer" with zero
 # local builds — the cluster tier's fetch-not-rebuild promise.
@@ -77,8 +78,16 @@ curl -fsS "http://$DEBUG_ADDR/debug/pprof/" | grep -q goroutine \
 curl -fsS "http://$DEBUG_ADDR/debug/pprof/goroutine?debug=1" | grep -q goroutine \
 	|| { echo "smoke: goroutine profile not served" >&2; exit 1; }
 
-R2="$(curl -fsS -X POST -d "$BODY" "http://$ADDR/v1/predict")"
+# One structured log line per request: the cold predict's id appears on
+# exactly one line of the daemon log, and that line says how it was served.
+COLD_LINES="$(grep -c 'request_id=smoke-cold-1' "$TMP/zateld.log" || true)"
+[ "$COLD_LINES" -eq 1 ] && grep 'request_id=smoke-cold-1' "$TMP/zateld.log" | grep -q 'cache=miss' \
+	|| { echo "smoke: want exactly one log line for smoke-cold-1, carrying cache=miss; got $COLD_LINES" >&2; cat "$TMP/zateld.log" >&2; exit 1; }
+
+R2="$(curl -fsS -D "$TMP/headers2" -X POST -d "$BODY" "http://$ADDR/v1/predict")"
 echo "$R2" | grep -q '"cache": "hit"' || { echo "smoke: second predict not a hit: $R2" >&2; exit 1; }
+grep -iq '^content-length: [1-9]' "$TMP/headers2" \
+	|| { echo "smoke: repeat predict response has no Content-Length" >&2; cat "$TMP/headers2" >&2; exit 1; }
 
 METRICS="$(curl -fsS "http://$ADDR/metrics")"
 echo "$METRICS" | grep -Eq '^zatel_store_hits_total [1-9]' \
