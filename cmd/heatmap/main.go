@@ -10,67 +10,51 @@ package main
 
 import (
 	"bufio"
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
+	"zatel/internal/cli"
 	"zatel/internal/heatmap"
-	"zatel/internal/obs"
 	"zatel/internal/partition"
 	"zatel/internal/rt"
 	"zatel/internal/sampling"
-	"zatel/internal/scene"
 	"zatel/internal/vecmath"
 )
 
 func main() {
+	fs := flag.CommandLine
+	frame := cli.FrameFlags(fs, cli.Frame{Scene: "PARK", Res: 128, SPP: 1})
+	app := cli.New(fs, "heatmap")
 	var (
-		sceneName = flag.String("scene", "PARK", "scene name ("+strings.Join(scene.Names(), ", ")+")")
-		res       = flag.Int("res", 128, "square frame resolution")
-		spp       = flag.Int("spp", 1, "samples per pixel for profiling")
-		quantize  = flag.Int("quantize", 0, "K-means palette size (0 = raw heatmap)")
-		selectPct = flag.Float64("select", 0, "if >0, render the representative-pixel subset (Fig. 8): selected pixels keep their colour, the rest darken")
-		dist      = flag.String("dist", "uniform", "distribution for -select: uniform, lintmp or exptmp")
-		outPath   = flag.String("o", "", "output PPM path (default <scene>.ppm)")
-		seed      = flag.Uint64("seed", 1, "quantization seed")
-		logLevel  = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
+		quantize  = fs.Int("quantize", 0, "K-means palette size (0 = raw heatmap)")
+		selectPct = fs.Float64("select", 0, "if >0, render the representative-pixel subset (Fig. 8): selected pixels keep their colour, the rest darken")
+		dist      = fs.String("dist", "uniform", "distribution for -select: uniform, lintmp or exptmp")
+		outPath   = fs.String("o", "", "output PPM path (default <scene>.ppm)")
+		seed      = fs.Uint64("seed", 1, "quantization seed")
 	)
 	flag.Parse()
 
-	if _, err := obs.SetupLogger(os.Stderr, *logLevel, false); err != nil {
-		fatal(err)
-	}
-
 	// SIGINT/SIGTERM cancel the path trace between rows; no partial image
 	// is written and we exit 130 like the other CLIs.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	wl, err := rt.CachedWorkloadContext(ctx, *sceneName, *res, *res, *spp)
+	ctx := app.Start()
+	wl, err := rt.CachedWorkloadContext(ctx, frame.Scene, frame.Res, frame.Res, frame.SPP)
 	if err != nil {
-		if ctx.Err() != nil || errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "heatmap: interrupted")
-			os.Exit(130)
-		}
-		fatal(err)
+		app.Finish(err)
 	}
 	hm, err := heatmap.FromCost(wl.Cost, wl.Width, wl.Height)
 	if err != nil {
-		fatal(err)
+		app.Finish(err)
 	}
 
 	path := *outPath
 	if path == "" {
-		path = strings.ToLower(*sceneName) + ".ppm"
+		path = strings.ToLower(frame.Scene) + ".ppm"
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		fatal(err)
+		app.Finish(err)
 	}
 	defer f.Close()
 	w := bufio.NewWriter(f)
@@ -83,56 +67,45 @@ func main() {
 		}
 		q, err := hm.Quantize(levels, *seed)
 		if err != nil {
-			fatal(err)
+			app.Finish(err)
 		}
-		d, err := distByName(*dist)
+		d, err := sampling.ParseDistribution(strings.ToLower(*dist))
+		if err == nil && d.Replicated() {
+			err = fmt.Errorf("-dist %s draws replicates; -select renders one selection (want uniform, lintmp or exptmp)", d)
+		}
 		if err != nil {
-			fatal(err)
+			app.Finish(err)
 		}
 		groups, err := partition.Coarse(wl.Width, wl.Height, 1, 32, 2)
 		if err != nil {
-			fatal(err)
+			app.Finish(err)
 		}
 		sel, err := sampling.Select(q, &groups[0], *selectPct, d, vecmath.NewRNG(*seed))
 		if err != nil {
-			fatal(err)
+			app.Finish(err)
 		}
 		if err := writeSelectionPPM(w, q, sel); err != nil {
-			fatal(err)
+			app.Finish(err)
 		}
 		fmt.Printf("wrote selection overlay (%d/%d pixels, %s) to %s\n",
 			len(sel.Pixels), wl.Pixels(), d, path)
 	case *quantize > 0:
 		q, err := hm.Quantize(*quantize, *seed)
 		if err != nil {
-			fatal(err)
+			app.Finish(err)
 		}
 		if err := q.WritePPM(w); err != nil {
-			fatal(err)
+			app.Finish(err)
 		}
 		fmt.Printf("wrote quantized heatmap (%d levels) to %s\n", len(q.Levels), path)
 	default:
 		if err := hm.WritePPM(w); err != nil {
-			fatal(err)
+			app.Finish(err)
 		}
 		fmt.Printf("wrote heatmap to %s\n", path)
 	}
 	if err := w.Flush(); err != nil {
-		fatal(err)
-	}
-}
-
-// distByName resolves the Section III-E distribution names.
-func distByName(name string) (sampling.Distribution, error) {
-	switch strings.ToLower(name) {
-	case "uniform":
-		return sampling.Uniform, nil
-	case "lintmp":
-		return sampling.LinTmp, nil
-	case "exptmp":
-		return sampling.ExpTmp, nil
-	default:
-		return 0, fmt.Errorf("unknown distribution %q", name)
+		app.Finish(err)
 	}
 }
 
@@ -162,9 +135,4 @@ func writeSelectionPPM(w *bufio.Writer, q *heatmap.Quantized, sel sampling.Selec
 		}
 	}
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "heatmap:", err)
-	os.Exit(1)
 }

@@ -8,57 +8,34 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
-	"strings"
-	"syscall"
 
+	"zatel/internal/cli"
 	"zatel/internal/config"
 	"zatel/internal/core"
 	"zatel/internal/metrics"
-	"zatel/internal/obs"
-	"zatel/internal/scene"
 )
 
 func main() {
-	var (
-		sceneName = flag.String("scene", "PARK", "scene name ("+strings.Join(scene.Names(), ", ")+")")
-		cfgName   = flag.String("config", "mobile", "GPU configuration: mobile or rtx2060")
-		res       = flag.Int("res", 128, "square frame resolution")
-		spp       = flag.Int("spp", 2, "samples per pixel")
-		logLevel  = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
-	)
+	frame := cli.FrameFlags(flag.CommandLine, cli.Frame{Scene: "PARK", Config: "mobile", Res: 128, SPP: 2})
+	app := cli.New(flag.CommandLine, "simrt")
 	flag.Parse()
-
-	if _, err := obs.SetupLogger(os.Stderr, *logLevel, false); err != nil {
-		fatal(err)
-	}
-
-	cfg, err := configByName(*cfgName)
-	if err != nil {
-		fatal(err)
-	}
 
 	// SIGINT/SIGTERM cancel the workload build (between rows) and abort
 	// before the cycle-level replay launches; we exit 130 like the other
 	// CLIs.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	rep, err := core.ReferenceContext(ctx, cfg, *sceneName, *res, *res, *spp)
+	ctx := app.Start()
+	cfg, err := config.ByName(frame.Config)
 	if err != nil {
-		if ctx.Err() != nil || errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "simrt: interrupted")
-			os.Exit(130)
-		}
-		fatal(err)
+		app.Finish(err)
+	}
+	rep, err := core.ReferenceContext(ctx, cfg, frame.Scene, frame.Res, frame.Res, frame.SPP)
+	if err != nil {
+		app.Finish(err)
 	}
 
-	fmt.Printf("full simulation: %s on %s (%dx%d, %d spp)\n", *sceneName, cfg.Name, *res, *res, *spp)
+	fmt.Printf("full simulation: %s on %s (%dx%d, %d spp)\n", frame.Scene, cfg.Name, frame.Res, frame.Res, frame.SPP)
 	fmt.Printf("%-22s%16s\n", "Metric", "Value")
 	for _, m := range metrics.All() {
 		fmt.Printf("%-22s%16.4f\n", m, rep.Value(m))
@@ -66,21 +43,4 @@ func main() {
 	fmt.Printf("%-22s%16d\n", "Instructions", rep.Instructions)
 	fmt.Printf("%-22s%16d\n", "Warps", rep.Warps)
 	fmt.Printf("%-22s%16s\n", "Wall time", rep.WallTime.Round(1e6).String())
-}
-
-// configByName resolves the two Table II configurations.
-func configByName(name string) (config.Config, error) {
-	switch strings.ToLower(name) {
-	case "mobile", "mobilesoc", "soc":
-		return config.MobileSoC(), nil
-	case "rtx2060", "rtx", "turing":
-		return config.RTX2060(), nil
-	default:
-		return config.Config{}, fmt.Errorf("unknown config %q (want mobile or rtx2060)", name)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "simrt:", err)
-	os.Exit(1)
 }

@@ -16,175 +16,69 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
+	"zatel/internal/cli"
 	"zatel/internal/config"
-	"zatel/internal/core"
 	"zatel/internal/experiments"
-	"zatel/internal/faults"
-	"zatel/internal/obs"
-	"zatel/internal/sampling"
 	"zatel/internal/scene"
-	"zatel/internal/store"
 )
 
 func main() {
-	var (
-		res        = flag.Int("res", 256, "square frame resolution")
-		spp        = flag.Int("spp", 1, "samples per pixel")
-		cfgName    = flag.String("config", "rtx2060", "config for per-config sweeps (mobile or rtx2060)")
-		reps       = flag.Int("reps", 5, "random-selection repetitions for table3")
-		sampl      = flag.String("sampling", "", "sampling strategy for the grids: uniform, lintmp, exptmp, stratified or rankedset (empty = uniform; stratified/rankedset add ± error bars)")
-		targetCI   = flag.Float64("target-ci", 0, "adaptive sampling: relative CI half-width target (requires -sampling stratified or rankedset)")
-		replicates = flag.Int("replicates", 0, "replicate sub-draws per round for stratified/rankedset (0 = default 5)")
-		confidence = flag.Float64("confidence", 0, "confidence level for intervals: 0.90, 0.95 or 0.99 (0 = 0.95)")
-		maxRounds  = flag.Int("max-rounds", 0, "adaptive re-draw round cap with -target-ci (0 = default 4)")
-		workers    = flag.Int("workers", 0, "experiment-grid worker pool size (0 = one per CPU core, 1 = serial)")
-		storeSize  = flag.String("store-size", "0", "artifact store byte budget, e.g. 256MiB (0 = unbounded)")
-
-		attempts   = flag.Int("attempts", 1, "max attempts per group instance (retries on failure)")
-		backoff    = flag.Duration("retry-backoff", 0, "base backoff between attempts (doubles, seeded jitter)")
-		jobTimeout = flag.Duration("job-timeout", 0, "per-attempt deadline for a group instance (0 = none)")
-		quorum     = flag.Int("quorum", 0, "surviving groups needed for a degraded prediction (0 = ceil(K/2), <0 = all)")
-
-		injErrors   = flag.Float64("inject-errors", 0, "fault injection: per-attempt error probability in [0,1]")
-		injPanics   = flag.Float64("inject-panics", 0, "fault injection: per-attempt panic probability in [0,1]")
-		injStraggle = flag.Float64("inject-straggle", 0, "fault injection: per-attempt straggler probability in [0,1]")
-		injMean     = flag.Duration("inject-straggle-mean", 50*time.Millisecond, "fault injection: mean straggler delay")
-		injSeed     = flag.Uint64("inject-seed", 1, "fault injection: decision seed")
-
-		traceFile  = flag.String("trace", "", "write a Chrome trace_event JSON of the experiment grid to this file")
-		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-		logLevel   = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
-	)
+	fs := flag.CommandLine
+	frame := cli.FrameFlags(fs, cli.Frame{Config: "rtx2060", Res: 256, SPP: 1})
+	smp := cli.SamplingFlags(fs)
+	ft := cli.FaultFlags(fs)
+	app := cli.New(fs, "sweep")
+	app.StoreFlag("0")
+	app.ProfileFlags()
+	reps := fs.Int("reps", 5, "random-selection repetitions for table3")
+	workers := fs.Int("workers", 0, "experiment-grid worker pool size (0 = one per CPU core, 1 = serial)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		usage()
 	}
 
-	if _, err := obs.SetupLogger(os.Stderr, *logLevel, false); err != nil {
-		fatal(err)
-	}
-
-	// Profiles flush on every exit path, interrupt included, like -trace:
-	// fatal() and the explicit exit points below all run stopProfiles.
-	var err error
-	stopProfiles, err = obs.StartProfiles(*cpuProfile, *memProfile)
-	if err != nil {
-		fatal(err)
-	}
-
-	// Workload traces and quantized heatmaps are shared across every grid
-	// point through the process-wide artifact store; -store-size bounds
-	// its memory on hosts that cannot hold every scene's trace at once.
-	budget, err := store.ParseSize(*storeSize)
-	if err != nil {
-		fatal(err)
-	}
-	store.Default().SetMaxBytes(budget)
-
 	// SIGINT/SIGTERM cancel the grids; already-collected cells still render
-	// (cancelled ones as ERR) before we exit 130.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	// (cancelled ones as ERR) before we exit 130. With -trace, every grid
+	// point records a "point[i]" span with the pipeline step spans below.
+	ctx := app.Start()
+	defer app.Finish(nil)
+	app.Tracer.SetMeta("experiment", flag.Arg(0))
 
-	// -trace attaches a tracer to the grid context: one "point[i]" span per
-	// grid point, with the nested pipeline step spans below each. flushTrace
-	// runs on every exit path so an interrupted sweep still leaves a file.
-	flushTrace := func() {}
-	if *traceFile != "" {
-		tracer := obs.NewTracer()
-		tracer.SetMeta("cmd", "sweep")
-		tracer.SetMeta("experiment", flag.Arg(0))
-		ctx = obs.WithTracer(ctx, tracer)
-		flushTrace = func() {
-			f, err := os.Create(*traceFile)
-			if err == nil {
-				err = tracer.WriteChromeTrace(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sweep: writing trace:", err)
-				return
-			}
-			slog.Info("trace written", "file", *traceFile, "spans", len(tracer.Snapshot()))
-		}
+	cfg, err := config.ByName(frame.Config)
+	if err != nil {
+		app.Finish(err)
 	}
-
 	settings := experiments.Settings{
-		Width: *res, Height: *res, SPP: *spp, Workers: *workers,
+		Width: frame.Res, Height: frame.Res, SPP: frame.SPP, Workers: *workers,
 		Ctx:      ctx,
-		TargetCI: *targetCI,
-		Sampling: core.SamplingOptions{
-			Replicates: *replicates,
-			Confidence: *confidence,
-			MaxRounds:  *maxRounds,
-		},
-		FT: core.FaultTolerance{
-			Attempts: *attempts,
-			Backoff:  *backoff,
-			Timeout:  *jobTimeout,
-			Quorum:   *quorum,
-			Inject: faults.Config{
-				ErrorRate:     *injErrors,
-				PanicRate:     *injPanics,
-				StragglerRate: *injStraggle,
-				StragglerMean: *injMean,
-				Seed:          *injSeed,
-			},
-		},
+		FT:       *ft,
+		Sampling: smp.Options,
+		TargetCI: smp.TargetCI,
 	}
-	settings.Dist, err = sampling.ParseDistribution(strings.ToLower(*sampl))
-	if err != nil {
-		fatal(err)
-	}
-	cfg, err := configByName(*cfgName)
-	if err != nil {
-		fatal(err)
+	if settings.Dist, err = smp.Dist(); err != nil {
+		app.Finish(err)
 	}
 
-	which := strings.ToLower(flag.Arg(0))
-	run := func(name string) {
+	names := []string{strings.ToLower(flag.Arg(0))}
+	if names[0] == "all" {
+		names = []string{"fig10", "fig11", "table3", "fig13", "fig14",
+			"fig15", "fig16", "fig17", "fig18", "fig19", "fig20"}
+	}
+	for _, name := range names {
 		if err := runExperiment(name, settings, cfg, *reps); err != nil {
-			flushTrace()
-			fatal(fmt.Errorf("%s: %w", name, err))
+			app.Finish(fmt.Errorf("%s: %w", name, err))
 		}
 		fmt.Println()
 		if ctx.Err() != nil {
-			flushTrace()
-			stopProfiles()
-			fmt.Fprintln(os.Stderr, "sweep: interrupted — partial results above")
-			os.Exit(130)
+			app.Finish(ctx.Err())
 		}
 	}
-	if which == "all" {
-		for _, name := range []string{"fig10", "fig11", "table3", "fig13", "fig14",
-			"fig15", "fig16", "fig17", "fig18", "fig19", "fig20"} {
-			run(name)
-		}
-		flushTrace()
-		stopProfiles()
-		return
-	}
-	run(which)
-	flushTrace()
-	stopProfiles()
 }
-
-// stopProfiles flushes the -cpuprofile/-memprofile outputs; fatal and every
-// explicit exit path call it (idempotently) so profiles survive any exit.
-var stopProfiles = func() {}
 
 // sweepCache shares one percentage sweep across fig13–fig16.
 var sweepCache *experiments.SweepResult
@@ -269,25 +163,8 @@ func runExperiment(name string, s experiments.Settings, cfg config.Config, reps 
 	return nil
 }
 
-func configByName(name string) (config.Config, error) {
-	switch strings.ToLower(name) {
-	case "mobile", "mobilesoc", "soc":
-		return config.MobileSoC(), nil
-	case "rtx2060", "rtx", "turing":
-		return config.RTX2060(), nil
-	default:
-		return config.Config{}, fmt.Errorf("unknown config %q (want mobile or rtx2060)", name)
-	}
-}
-
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: sweep [flags] <fig10|fig11|table3|fig13|fig14|fig15|fig16|fig17|fig18|fig19|fig20|all>")
 	flag.PrintDefaults()
 	os.Exit(2)
-}
-
-func fatal(err error) {
-	stopProfiles()
-	fmt.Fprintln(os.Stderr, "sweep:", err)
-	os.Exit(1)
 }

@@ -11,98 +11,52 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
-	"os"
-	"os/signal"
-	"strings"
-	"syscall"
 	"time"
 
+	"zatel/internal/cli"
 	"zatel/internal/config"
 	"zatel/internal/core"
-	"zatel/internal/faults"
 	"zatel/internal/metrics"
-	"zatel/internal/obs"
-	"zatel/internal/sampling"
-	"zatel/internal/scene"
-	"zatel/internal/store"
 )
 
 func main() {
+	fs := flag.CommandLine
+	frame := cli.FrameFlags(fs, cli.Frame{Scene: "PARK", Config: "mobile", Res: 128, SPP: 2})
+	smp := cli.SamplingFlags(fs)
+	ft := cli.FaultFlags(fs)
+	app := cli.New(fs, "zatel")
+	app.StoreFlag("0")
+	app.ProfileFlags()
 	var (
-		sceneName  = flag.String("scene", "PARK", "scene name ("+strings.Join(scene.Names(), ", ")+")")
-		cfgName    = flag.String("config", "mobile", "GPU configuration: mobile or rtx2060")
-		res        = flag.Int("res", 128, "square frame resolution")
-		spp        = flag.Int("spp", 2, "samples per pixel")
-		division   = flag.String("division", "fine", "image-plane division: fine or coarse")
-		dist       = flag.String("dist", "uniform", "pixel distribution: uniform, lintmp, exptmp, stratified or rankedset")
-		sampl      = flag.String("sampling", "", "sampling strategy, an alias for -dist that reads better for the replicated strategies (stratified, rankedset); overrides -dist when set")
-		targetCI   = flag.Float64("target-ci", 0, "adaptive sampling: relative CI half-width target, e.g. 0.05 for ±5% (requires stratified or rankedset; 0 = one round)")
-		replicates = flag.Int("replicates", 0, "replicate sub-draws per round for stratified/rankedset (0 = default 5)")
-		confidence = flag.Float64("confidence", 0, "confidence level for intervals: 0.90, 0.95 or 0.99 (0 = 0.95)")
-		maxRounds  = flag.Int("max-rounds", 0, "adaptive re-draw round cap with -target-ci (0 = default 4)")
-		percent    = flag.Float64("percent", 0, "fixed traced-pixel fraction in (0,1]; 0 uses Eq. 1")
-		maxPercent = flag.Float64("maxpercent", 0, "cap on the Eq. 1 budget (0 = none)")
-		k          = flag.Int("k", 0, "downscaling factor override (0 = gcd rule)")
-		noDown     = flag.Bool("no-downscale", false, "disable GPU downscaling (K=1)")
-		regression = flag.Bool("regression", false, "use exponential-regression extrapolation (20/30/40% runs)")
-		compare    = flag.Bool("compare", false, "also run the full simulation and report errors and speedup")
-		seed       = flag.Uint64("seed", 1, "selection randomness seed")
-		parallel   = flag.Bool("parallel", false, "run the K group instances on the worker pool")
-		workers    = flag.Int("workers", 0, "pool size with -parallel (0 = one per CPU core)")
-		storeSize  = flag.String("store-size", "0", "artifact store byte budget, e.g. 256MiB (0 = unbounded)")
-
-		attempts   = flag.Int("attempts", 1, "max attempts per group instance (retries on failure)")
-		backoff    = flag.Duration("retry-backoff", 0, "base backoff between attempts (doubles, seeded jitter)")
-		jobTimeout = flag.Duration("job-timeout", 0, "per-attempt deadline for a group instance (0 = none)")
-		quorum     = flag.Int("quorum", 0, "surviving groups needed for a degraded prediction (0 = ceil(K/2), <0 = all)")
-
-		injErrors   = flag.Float64("inject-errors", 0, "fault injection: per-attempt error probability in [0,1]")
-		injPanics   = flag.Float64("inject-panics", 0, "fault injection: per-attempt panic probability in [0,1]")
-		injStraggle = flag.Float64("inject-straggle", 0, "fault injection: per-attempt straggler probability in [0,1]")
-		injMean     = flag.Duration("inject-straggle-mean", 50*time.Millisecond, "fault injection: mean straggler delay")
-		injSeed     = flag.Uint64("inject-seed", 1, "fault injection: decision seed")
-
-		traceFile  = flag.String("trace", "", "write a Chrome trace_event JSON of the pipeline to this file (open in chrome://tracing or Perfetto)")
-		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-		logLevel   = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
+		division   = fs.String("division", "fine", "image-plane division: fine or coarse")
+		percent    = fs.Float64("percent", 0, "fixed traced-pixel fraction in (0,1]; 0 uses Eq. 1")
+		maxPercent = fs.Float64("maxpercent", 0, "cap on the Eq. 1 budget (0 = none)")
+		k          = fs.Int("k", 0, "downscaling factor override (0 = gcd rule)")
+		noDown     = fs.Bool("no-downscale", false, "disable GPU downscaling (K=1)")
+		regression = fs.Bool("regression", false, "use exponential-regression extrapolation (20/30/40% runs)")
+		compare    = fs.Bool("compare", false, "also run the full simulation and report errors and speedup")
+		seed       = fs.Uint64("seed", 1, "selection randomness seed")
+		parallel   = fs.Bool("parallel", false, "run the K group instances on the worker pool")
+		workers    = fs.Int("workers", 0, "pool size with -parallel (0 = one per CPU core)")
 	)
 	flag.Parse()
 
-	if _, err := obs.SetupLogger(os.Stderr, *logLevel, false); err != nil {
-		fatal(err)
-	}
+	// SIGINT/SIGTERM cancel the prediction: the pool drains its running
+	// jobs, unstarted groups are skipped, and we exit 130. With -trace,
+	// every pipeline step, group job and retry attempt records a span.
+	ctx := app.Start()
+	defer app.Finish(nil)
 
-	// Profiles flush on every exit path, interrupt included, like -trace:
-	// fatal() and the interrupt exit below both run stopProfiles.
-	var perr error
-	stopProfiles, perr = obs.StartProfiles(*cpuProfile, *memProfile)
-	if perr != nil {
-		fatal(perr)
-	}
-	defer stopProfiles()
-
-	// The workload trace, quantized heatmap and any repeat predictions all
-	// flow through the process-wide artifact store; -store-size bounds it.
-	budget, err := store.ParseSize(*storeSize)
+	cfg, err := config.ByName(frame.Config)
 	if err != nil {
-		fatal(err)
-	}
-	store.Default().SetMaxBytes(budget)
-
-	cfg, err := configByName(*cfgName)
-	if err != nil {
-		fatal(err)
+		app.Finish(err)
 	}
 	opts := core.Options{
 		Config: cfg,
-		Scene:  *sceneName,
-		Width:  *res, Height: *res, SPP: *spp,
+		Scene:  frame.Scene,
+		Width:  frame.Res, Height: frame.Res, SPP: frame.SPP,
 		K:                 *k,
 		NoDownscale:       *noDown,
 		FixedFraction:     *percent,
@@ -111,79 +65,28 @@ func main() {
 		Seed:              *seed,
 		Parallel:          *parallel,
 		Workers:           *workers,
-		TargetCIHalfWidth: *targetCI,
-		Sampling: core.SamplingOptions{
-			Replicates: *replicates,
-			Confidence: *confidence,
-			MaxRounds:  *maxRounds,
-		},
-		FT: core.FaultTolerance{
-			Attempts: *attempts,
-			Backoff:  *backoff,
-			Timeout:  *jobTimeout,
-			Quorum:   *quorum,
-			Inject: faults.Config{
-				ErrorRate:     *injErrors,
-				PanicRate:     *injPanics,
-				StragglerRate: *injStraggle,
-				StragglerMean: *injMean,
-				Seed:          *injSeed,
-			},
-		},
+		TargetCIHalfWidth: smp.TargetCI,
+		Sampling:          smp.Options,
+		FT:                *ft,
 	}
-	switch strings.ToLower(*division) {
-	case "fine":
-		opts.Division = core.FineGrained
-	case "coarse":
-		opts.Division = core.CoarseGrained
-	default:
-		fatal(fmt.Errorf("unknown division %q", *division))
+	if opts.Division, err = core.ParseDivision(*division); err != nil {
+		app.Finish(err)
 	}
-	distName := *dist
-	if *sampl != "" {
-		distName = *sampl
+	if opts.Dist, err = smp.Dist(); err != nil {
+		app.Finish(err)
 	}
-	opts.Dist, err = sampling.ParseDistribution(strings.ToLower(distName))
-	if err != nil {
-		fatal(err)
-	}
-
-	// SIGINT/SIGTERM cancel the prediction: the pool drains its running
-	// jobs, unstarted groups are skipped, and we exit 130.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	// -trace attaches a tracer to the context; every pipeline step, group
-	// job and retry attempt below records a span into it.
-	var tracer *obs.Tracer
-	if *traceFile != "" {
-		tracer = obs.NewTracer()
-		tracer.SetMeta("cmd", "zatel")
-		tracer.SetMeta("scene", *sceneName)
-		tracer.SetMeta("config", cfg.Name)
-		ctx = obs.WithTracer(ctx, tracer)
-	}
+	app.Tracer.SetMeta("scene", frame.Scene)
+	app.Tracer.SetMeta("config", cfg.Name)
 
 	predictStart := time.Now()
 	result, err := core.PredictContext(ctx, opts)
 	measured := time.Since(predictStart)
-	if tracer != nil {
-		if werr := writeTrace(*traceFile, tracer); werr != nil {
-			fatal(werr)
-		}
-		slog.Info("trace written", "file", *traceFile, "spans", len(tracer.Snapshot()))
-	}
 	if err != nil {
-		if ctx.Err() != nil || errors.Is(err, context.Canceled) {
-			stopProfiles()
-			fmt.Fprintln(os.Stderr, "zatel: interrupted")
-			os.Exit(130)
-		}
-		fatal(err)
+		app.Finish(err)
 	}
 
 	fmt.Printf("zatel: %s on %s (%dx%d, %d spp), K=%d, %s division, %s distribution\n",
-		*sceneName, cfg.Name, *res, *res, *spp, result.K, opts.Division, opts.Dist)
+		frame.Scene, cfg.Name, frame.Res, frame.Res, frame.SPP, result.K, opts.Division, opts.Dist)
 	for gi, g := range result.Groups {
 		if g.Err != nil {
 			fmt.Printf("  group %d: FAILED after %d attempt(s): %v\n", gi, g.Attempts, g.Err)
@@ -196,7 +99,7 @@ func main() {
 		reps := ""
 		if g.Rounds > 0 {
 			met := ""
-			if *targetCI > 0 {
+			if smp.TargetCI > 0 {
 				met = ", target met"
 				if !g.TargetMet {
 					met = ", target unmet"
@@ -222,7 +125,7 @@ func main() {
 
 	if !*compare {
 		if result.Intervals != nil {
-			printIntervals(result, *confidence)
+			printIntervals(result, smp.Options.Confidence)
 			return
 		}
 		fmt.Printf("%-22s%16s\n", "Metric", "Predicted")
@@ -232,9 +135,9 @@ func main() {
 		return
 	}
 
-	ref, err := core.Reference(cfg, *sceneName, *res, *res, *spp)
+	ref, err := core.ReferenceContext(ctx, cfg, frame.Scene, frame.Res, frame.Res, frame.SPP)
 	if err != nil {
-		fatal(err)
+		app.Finish(err)
 	}
 	errs := result.Errors(ref)
 	fmt.Printf("%-22s%16s%16s%12s\n", "Metric", "Predicted", "FullSim", "AbsErr")
@@ -246,7 +149,7 @@ func main() {
 	}
 	if result.Intervals != nil {
 		fmt.Println()
-		printIntervals(result, *confidence)
+		printIntervals(result, smp.Options.Confidence)
 	}
 	fmt.Printf("\nMAE %.1f%%   full sim %s: speedup %.1fx modeled concurrent (zatel %s), %.1fx measured wall (zatel %s)\n",
 		100*metrics.MAE(errs, metrics.All()), ref.WallTime.Round(1e6),
@@ -274,38 +177,4 @@ func printIntervals(result *core.Result, confFlag float64) {
 			m, result.Predicted[m], iv.Low, iv.High, iv.HalfWidth())
 	}
 	fmt.Printf("(%.0f%% confidence from %d replicate sub-draws per group)\n", 100*conf, reps)
-}
-
-// writeTrace exports the tracer's spans as Chrome trace_event JSON.
-func writeTrace(path string, tr *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func configByName(name string) (config.Config, error) {
-	switch strings.ToLower(name) {
-	case "mobile", "mobilesoc", "soc":
-		return config.MobileSoC(), nil
-	case "rtx2060", "rtx", "turing":
-		return config.RTX2060(), nil
-	default:
-		return config.Config{}, fmt.Errorf("unknown config %q (want mobile or rtx2060)", name)
-	}
-}
-
-// stopProfiles flushes the -cpuprofile/-memprofile outputs; fatal and the
-// interrupt exit call it (idempotently) so profiles survive any exit.
-var stopProfiles = func() {}
-
-func fatal(err error) {
-	stopProfiles()
-	fmt.Fprintln(os.Stderr, "zatel:", err)
-	os.Exit(1)
 }

@@ -29,22 +29,21 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/signal"
 	"runtime"
 	"strings"
-	"syscall"
 	"time"
 
+	"zatel/internal/cli"
 	"zatel/internal/cluster"
-	"zatel/internal/obs"
 	"zatel/internal/service"
 	"zatel/internal/store"
 )
 
 func main() {
+	app := cli.New(flag.CommandLine, "zateld")
+	storeSize := app.StoreFlag("512MiB")
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
-		storeSize     = flag.String("store-size", "512MiB", "artifact store byte budget (0 = unbounded)")
 		storeDir      = flag.String("store-dir", "", "directory for the persistent artifact tier (empty = memory-only)")
 		diskSize      = flag.String("disk-size", "2GiB", "disk tier byte budget (0 = unbounded)")
 		maxConcurrent = flag.Int("max-concurrent", 0, "max predictions building at once (0 = one per CPU core)")
@@ -54,7 +53,6 @@ func main() {
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight requests on shutdown")
 		parallel      = flag.Bool("parallel", true, "run each prediction's K group instances on the worker pool")
 		workers       = flag.Int("workers", 0, "group-instance pool size with -parallel (0 = one per CPU core)")
-		logLevel      = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
 		logFormat     = flag.String("log-format", "text", "log output format: text or json")
 		debugAddr     = flag.String("debug-addr", "", "separate listen address for /debug/pprof/ (empty = disabled)")
 		peers         = flag.String("peers", "", "comma-separated base URLs of every fleet member, self included (empty = single node)")
@@ -67,21 +65,21 @@ func main() {
 	switch *logFormat {
 	case "text", "json":
 	default:
-		fatal(fmt.Errorf("unknown -log-format %q (want text or json)", *logFormat))
+		app.Finish(fmt.Errorf("unknown -log-format %q (want text or json)", *logFormat))
 	}
-	if _, err := obs.SetupLogger(os.Stderr, *logLevel, *logFormat == "json"); err != nil {
-		fatal(err)
-	}
+	app.JSONLogs = *logFormat == "json"
 
-	budget, err := store.ParseSize(*storeSize)
-	if err != nil {
-		fatal(err)
-	}
+	// SIGINT/SIGTERM start the drain: health flips to 503 so load
+	// balancers stop routing here, new predictions are refused, and
+	// in-flight requests get drain-timeout to finish.
+	ctx := app.Start()
+	defer app.Finish(nil)
+
 	// One store for everything: workload traces and quantized heatmaps land
 	// in the process-wide default store anyway, so budgeting that same
-	// store puts predictions and their inputs under one LRU.
+	// store (Start applied -store-size) puts predictions and their inputs
+	// under one LRU.
 	st := store.Default()
-	st.SetMaxBytes(budget)
 
 	// The disk tier survives restarts: artifacts built before a deploy or
 	// crash are integrity-verified and served warm afterwards. A failing or
@@ -91,11 +89,11 @@ func main() {
 	if *storeDir != "" {
 		diskBudget, err := store.ParseSize(*diskSize)
 		if err != nil {
-			fatal(err)
+			app.Finish(err)
 		}
 		disk, err = store.OpenDisk(store.DiskConfig{Dir: *storeDir, MaxBytes: diskBudget})
 		if err != nil {
-			fatal(fmt.Errorf("opening -store-dir: %w", err))
+			app.Finish(fmt.Errorf("opening -store-dir: %w", err))
 		}
 		st.AttachDisk(disk)
 		dc := disk.Counters()
@@ -110,8 +108,9 @@ func main() {
 	var cl *cluster.Cluster
 	if *peers != "" {
 		if *selfURL == "" {
-			fatal(errors.New("-peers requires -self (this node's base URL)"))
+			app.Finish(errors.New("-peers requires -self (this node's base URL)"))
 		}
+		var err error
 		cl, err = cluster.New(cluster.Config{
 			Self:         strings.TrimRight(*selfURL, "/"),
 			Name:         *nodeName,
@@ -119,7 +118,7 @@ func main() {
 			FetchTimeout: *peerTimeout,
 		})
 		if err != nil {
-			fatal(err)
+			app.Finish(err)
 		}
 		st.AttachPeers(cl)
 		slog.Info("cluster enabled", "self", cl.Self(), "name", cl.Name(),
@@ -162,12 +161,6 @@ func main() {
 		}()
 	}
 
-	// SIGINT/SIGTERM start the drain: health flips to 503 so load
-	// balancers stop routing here, new predictions are refused, and
-	// in-flight requests get drain-timeout to finish.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	errCh := make(chan error, 1)
 	go func() {
 		slog.Info("listening", "addr", *addr, "store_budget", *storeSize,
@@ -198,14 +191,9 @@ func main() {
 		slog.Info("drained cleanly")
 	case err := <-errCh:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fatal(err)
+			app.Finish(err)
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "zateld:", err)
-	os.Exit(1)
 }
 
 // splitPeers parses the -peers list: comma-separated base URLs, blanks

@@ -7,6 +7,7 @@ package config
 
 import (
 	"fmt"
+	"strings"
 
 	"zatel/internal/store"
 )
@@ -100,6 +101,19 @@ func RTX2060() Config {
 	c.NumMemPartitions = 12
 	c.RegistersPerSM = 65536
 	return c
+}
+
+// ByName resolves the Table II configuration names accepted across the CLIs
+// and the HTTP API; the empty name selects the Mobile SoC.
+func ByName(name string) (Config, error) {
+	switch strings.ToLower(name) {
+	case "", "mobile", "mobilesoc", "soc":
+		return MobileSoC(), nil
+	case "rtx2060", "rtx", "turing":
+		return RTX2060(), nil
+	default:
+		return Config{}, fmt.Errorf("unknown config %q (want mobile or rtx2060)", name)
+	}
 }
 
 // baseline holds the parameters shared by both Table II columns.

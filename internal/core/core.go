@@ -13,6 +13,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"zatel/internal/combine"
@@ -53,6 +54,19 @@ func (d Division) String() string {
 
 // Valid reports whether d names one of the two division methods.
 func (d Division) Valid() bool { return d == FineGrained || d == CoarseGrained }
+
+// ParseDivision resolves the division names accepted across the CLIs and the
+// HTTP API; the empty name selects fine-grained.
+func ParseDivision(name string) (Division, error) {
+	switch strings.ToLower(name) {
+	case "", "fine":
+		return FineGrained, nil
+	case "coarse":
+		return CoarseGrained, nil
+	default:
+		return 0, fmt.Errorf("unknown division %q (want fine or coarse)", name)
+	}
+}
 
 // Options configures a prediction. Zero values select the paper's defaults.
 type Options struct {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"time"
@@ -44,6 +43,8 @@ type DownscalePoint struct {
 	Err error
 	// DegradedGroups counts groups the prediction lost to failures.
 	DegradedGroups int
+	// work is the point's simulated-work ratio (see outcome.work).
+	work float64
 }
 
 // DownscaleResult backs Figs. 17/18 (errors per factor, fine vs coarse) and
@@ -81,62 +82,46 @@ func DownscaleSweep(s Settings, cfg config.Config, scenes []string) (*DownscaleR
 		Factors:  factors,
 		Points:   map[core.Division]map[string][]DownscalePoint{},
 	}
-	// References serially first (their wall time feeds the speedup
-	// column), then the (division × scene × factor) grid on the pool.
-	refs := make(map[string]metrics.Report, len(scenes))
-	for _, sc := range scenes {
-		ref, err := s.reference(cfg, sc)
-		if err != nil {
-			return nil, err
-		}
-		refs[sc] = ref
-	}
-
+	// The (division × scene × factor) grid on the pool, after the
+	// references (the speedup column shows wall time).
 	divs := []core.Division{core.FineGrained, core.CoarseGrained}
-	nsc, nk := len(scenes), len(factors)
-	rs, pool, _ := gridMap(s, len(divs)*nsc*nk, func(ctx context.Context, i int) (DownscalePoint, error) {
-		div := divs[i/(nsc*nk)]
-		sc := scenes[(i/nk)%nsc]
-		k := factors[i%nk]
-		opts := s.baseOptions(cfg, sc)
-		opts.K = k
-		opts.Division = div
-		opts.SingleGroup = true
-		opts.FixedFraction = 1 // trace every pixel of the group
-		opts.FT.Inject = opts.FT.Inject.SplitSeed(uint64(i))
-		res, err := core.PredictContext(ctx, opts)
-		if err != nil {
-			return DownscalePoint{Scene: sc, K: k, Division: div,
-				Err: fmt.Errorf("downscale %s K=%d %s: %w", sc, k, div, err)}, nil
+	var points []core.Options
+	for _, div := range divs {
+		for _, sc := range scenes {
+			for _, k := range factors {
+				opts := s.baseOptions(cfg, sc)
+				opts.K = k
+				opts.Division = div
+				opts.SingleGroup = true
+				opts.FixedFraction = 1 // trace every pixel of the group
+				points = append(points, opts)
+			}
 		}
-		ref := refs[sc]
-		pt := DownscalePoint{
-			Scene:    sc,
-			K:        k,
-			Division: div,
-			Errors:   res.Errors(ref),
-			SimWall:  res.PreprocessTime + res.SimWallTime,
-			RefWall:  ref.WallTime,
-			Speedup:  res.Speedup(ref),
-		}
-		if res.Degraded != nil {
-			pt.DegradedGroups = len(res.Degraded.FailedGroups)
-		}
-		return pt, nil
+	}
+	if err := s.warm(points); err != nil {
+		return nil, err
+	}
+	outs, pool, faults := s.runGrid(points, func(i int) string {
+		o := points[i]
+		return fmt.Sprintf("downscale %s K=%d %s", o.Scene, o.K, o.Division)
 	})
-	out.Pool = pool
-	for di, div := range divs {
+	out.Pool, out.Faults = pool, faults
+	i := 0
+	for _, div := range divs {
 		out.Points[div] = map[string][]DownscalePoint{}
-		for si, sc := range scenes {
-			pts := make([]DownscalePoint, nk)
+		for _, sc := range scenes {
+			pts := make([]DownscalePoint, len(factors))
 			for ki, k := range factors {
-				r := rs[di*nsc*nk+si*nk+ki]
-				pt := r.Value
-				if r.Err != nil && pt.Err == nil {
-					pt = DownscalePoint{Scene: sc, K: k, Division: div, Err: r.Err}
+				o := outs[i]
+				i++
+				pt := DownscalePoint{Scene: sc, K: k, Division: div, Err: o.err, DegradedGroups: o.degraded()}
+				if o.err == nil {
+					pt.Errors = o.res.Errors(o.ref)
+					pt.SimWall = o.res.PreprocessTime + o.res.SimWallTime
+					pt.RefWall = o.ref.WallTime
+					pt.Speedup = o.res.Speedup(o.ref)
+					pt.work = o.work()
 				}
-				out.Faults.noteErr(pt.Err)
-				out.Faults.noteDegraded(pt.DegradedGroups)
 				pts[ki] = pt
 			}
 			out.Points[div][sc] = pts
@@ -194,29 +179,10 @@ func (r *DownscaleResult) RenderErrors(w io.Writer, figure string) {
 func (r *DownscaleResult) RenderSpeedup(w io.Writer) {
 	fmt.Fprintf(w, "Fig. 19 — speedup from GPU downscaling (%s, fine-grained, %dx%d)\n",
 		r.Config, r.Settings.Width, r.Settings.Height)
-	hr(w, 12+12*len(r.Scenes))
-	fmt.Fprintf(w, "%-6s", "K")
-	for _, sc := range r.Scenes {
-		fmt.Fprintf(w, "%12s", sc)
-	}
-	fmt.Fprintln(w)
-	fine := r.Points[core.FineGrained]
-	for ki, k := range r.Factors {
-		fmt.Fprintf(w, "%-6d", k)
-		for _, sc := range r.Scenes {
-			pt := fine[sc][ki]
-			if pt.Err != nil {
-				fmt.Fprintf(w, "%12s", "ERR")
-				continue
-			}
-			cell := fmt.Sprintf("%.1fx", pt.Speedup)
-			if pt.DegradedGroups > 0 {
-				cell += "†"
-			}
-			fmt.Fprintf(w, "%12s", cell)
-		}
-		fmt.Fprintln(w)
-	}
+	sceneTable(w, "K", r.Factors, r.Scenes, func(ki int, sc string) string {
+		pt := r.Points[core.FineGrained][sc][ki]
+		return faultCell(pt.Err != nil, pt.DegradedGroups, fmt.Sprintf("%.1fx", pt.Speedup))
+	})
 	r.Pool.Render(w)
 	r.Faults.Render(w)
 	fmt.Fprintln(w, "(paper: downscaling speedups track the pixel-reduction speedups of Fig. 15 —")

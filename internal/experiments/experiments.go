@@ -89,9 +89,18 @@ func (s Settings) context() context.Context {
 	return context.Background()
 }
 
-// reference fetches (and memoises) the ground-truth full simulation.
-func (s Settings) reference(cfg config.Config, sceneName string) (metrics.Report, error) {
-	return core.Reference(cfg, sceneName, s.Width, s.Height, s.SPP)
+// warm computes the points' ground-truth references (memoised by core)
+// one after another before any point runs. Drivers whose tables show wall
+// time call it so that each reference's recorded WallTime is not
+// time-sliced against other jobs; so do drivers whose points share a
+// reference, because the memo does not coalesce concurrent misses.
+func (s Settings) warm(points []core.Options) error {
+	for _, o := range points {
+		if _, err := core.ReferenceContext(s.context(), o.Config, o.Scene, o.Width, o.Height, o.SPP); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Configs returns the two Table II configurations in paper order.
@@ -127,21 +136,76 @@ func (p PoolStats) Render(w io.Writer) {
 		p.Jobs, p.Workers, fmtDur(p.CPU), fmtDur(p.Wall), conc)
 }
 
-// gridMap schedules n independent grid points on the Settings' worker pool
-// and returns the results in submission order plus the pool accounting.
-// The error, if any, aggregates every failed point (fail-soft: one bad
-// point does not stop the rest of the grid). Drivers embed per-point
-// failures into their cell types and render them rather than aborting;
-// only points cancelled before starting surface through Result.Err.
-func gridMap[T any](s Settings, n int, fn func(ctx context.Context, i int) (T, error)) ([]runner.Result[T], PoolStats, error) {
+// outcome is one grid point's result: its prediction, the reference it is
+// judged against, and its failure (nil on success, res and ref unset
+// otherwise).
+type outcome struct {
+	res *core.Result
+	ref metrics.Report
+	err error
+}
+
+// degraded counts the groups the point's prediction lost to failures.
+func (o outcome) degraded() int {
+	if o.res == nil || o.res.Degraded == nil {
+		return 0
+	}
+	return len(o.res.Degraded.FailedGroups)
+}
+
+// work is the simulated-work ratio: the reference's instructions over the
+// instructions the prediction's groups simulated. Unlike the wall-clock
+// speedup it is deterministic, so tests order points by it.
+func (o outcome) work() float64 {
+	var n uint64
+	for _, g := range o.res.Groups {
+		n += g.Report.Instructions
+	}
+	if n == 0 {
+		return 0
+	}
+	return float64(o.ref.Instructions) / float64(n)
+}
+
+// runGrid predicts every point on the Settings' worker pool and returns the
+// outcomes in point order with the pool accounting and the fault tally.
+// Point i's fault injection is re-rooted with SplitSeed(i), so points fail
+// independently of each other and of the pool size. A failure is embedded
+// in the point's outcome, wrapped in label(i), instead of aborting the grid;
+// only a point cancelled before it started keeps the bare runner error.
+func (s Settings) runGrid(points []core.Options, label func(i int) string) ([]outcome, PoolStats, FaultTally) {
 	start := time.Now()
 	// SpanPrefix records one "point[i]" span per grid point when cmd/sweep
 	// attached a tracer to Settings.Ctx (-trace); each point's nested
 	// "predict" step spans hang below it.
-	rs, err := runner.MapPolicy(s.context(), n, runner.Policy{Workers: s.Workers, SpanPrefix: "point"}, fn)
-	stats := PoolStats{Jobs: n, Workers: runner.PoolSize(s.Workers), Wall: time.Since(start)}
-	stats.CPU, _ = runner.Totals(rs)
-	return rs, stats, err
+	rs, _ := runner.MapPolicy(s.context(), len(points), runner.Policy{Workers: s.Workers, SpanPrefix: "point"},
+		func(ctx context.Context, i int) (outcome, error) {
+			opts := points[i]
+			opts.FT.Inject = opts.FT.Inject.SplitSeed(uint64(i))
+			ref, err := core.ReferenceContext(ctx, opts.Config, opts.Scene, opts.Width, opts.Height, opts.SPP)
+			if err != nil {
+				return outcome{err: fmt.Errorf("%s reference: %w", label(i), err)}, nil
+			}
+			res, err := core.PredictContext(ctx, opts)
+			if err != nil {
+				return outcome{err: fmt.Errorf("%s: %w", label(i), err)}, nil
+			}
+			return outcome{res: res, ref: ref}, nil
+		})
+	pool := PoolStats{Jobs: len(points), Workers: runner.PoolSize(s.Workers), Wall: time.Since(start)}
+	pool.CPU, _ = runner.Totals(rs)
+	outs := make([]outcome, len(rs))
+	var tally FaultTally
+	for i, r := range rs {
+		outs[i] = r.Value
+		if r.Err != nil && outs[i].err == nil {
+			outs[i] = outcome{err: r.Err}
+		}
+		if !tally.noteErr(outs[i].err) && outs[i].degraded() > 0 {
+			tally.Degraded++
+		}
+	}
+	return outs, pool, tally
 }
 
 // FaultTally summarises a grid's failed and degraded points so tables can
@@ -167,13 +231,6 @@ func (t *FaultTally) noteErr(err error) bool {
 	return true
 }
 
-// noteDegraded records a degraded-but-surviving point.
-func (t *FaultTally) noteDegraded(n int) {
-	if n > 0 {
-		t.Degraded++
-	}
-}
-
 // Render prints the degraded/failed legend appended to experiment tables.
 func (t FaultTally) Render(w io.Writer) {
 	if t.Degraded > 0 {
@@ -183,6 +240,18 @@ func (t FaultTally) Render(w io.Writer) {
 	if t.Failed > 0 {
 		fmt.Fprintf(w, "ERR: %d cell(s) failed after retries; first error: %s\n", t.Failed, t.FirstErr)
 	}
+}
+
+// faultCell renders a grid cell's value, substituting ERR for a failed
+// point and marking a degraded one with †.
+func faultCell(failed bool, degraded int, value string) string {
+	switch {
+	case failed:
+		return "ERR"
+	case degraded > 0:
+		return value + "†"
+	}
+	return value
 }
 
 // fmtDur prints a duration with millisecond precision.

@@ -8,6 +8,7 @@ import (
 
 	"zatel/internal/config"
 	"zatel/internal/core"
+	"zatel/internal/extrapolate"
 	"zatel/internal/metrics"
 )
 
@@ -49,9 +50,13 @@ func TestFig10Small(t *testing.T) {
 			t.Errorf("%s speedup %v", name, res.Speedup[name])
 		}
 	}
-	if res.CappedSpeedup <= res.Speedup["MobileSoC"] {
-		t.Errorf("10%% cap speedup %.2f not above uncapped %.2f",
-			res.CappedSpeedup, res.Speedup["MobileSoC"])
+	if res.CappedSpeedup <= 0 {
+		t.Errorf("10%% cap speedup %v", res.CappedSpeedup)
+	}
+	// The cap must cut simulated work (wall time at this size is noise).
+	if res.cappedWork <= res.work["MobileSoC"] {
+		t.Errorf("10%% cap work ratio %.2f not above uncapped %.2f",
+			res.cappedWork, res.work["MobileSoC"])
 	}
 	var buf bytes.Buffer
 	res.Render(&buf)
@@ -94,6 +99,7 @@ func TestPercentSweepSmall(t *testing.T) {
 	if len(res.Percents) != 9 {
 		t.Fatalf("percents = %v", res.Percents)
 	}
+	var xs, works []float64
 	for _, sc := range res.Scenes {
 		pts := res.Points[sc]
 		if len(pts) != 9 {
@@ -103,16 +109,22 @@ func TestPercentSweepSmall(t *testing.T) {
 			if pt.Speedup <= 0 {
 				t.Errorf("%s@%d%% speedup %v", sc, pt.Percent, pt.Speedup)
 			}
+			xs = append(xs, float64(pt.Percent))
+			works = append(works, pt.work)
 		}
-		// Speedup must broadly decrease with more pixels traced.
-		if pts[0].Speedup <= pts[8].Speedup {
-			t.Errorf("%s: speedup at 10%% (%v) not above 90%% (%v)",
-				sc, pts[0].Speedup, pts[8].Speedup)
+		// Simulated work must grow with more pixels traced.
+		if pts[0].work <= pts[8].work {
+			t.Errorf("%s: work ratio at 10%% (%v) not above 90%% (%v)",
+				sc, pts[0].work, pts[8].work)
 		}
 	}
-	// The power fit must have a negative exponent (speedup falls with %).
-	if res.FitB >= 0 {
-		t.Errorf("power-fit exponent %v, want negative", res.FitB)
+	if res.FitErr != "" {
+		t.Errorf("power fit unavailable: %s", res.FitErr)
+	}
+	// A power fit of the work ratio must have a negative exponent, as the
+	// paper's Eq. 4 speedup fit does.
+	if _, b, err := extrapolate.PowerFit(xs, works); err != nil || b >= 0 {
+		t.Errorf("work-ratio power fit exponent %v (err %v), want negative", b, err)
 	}
 	var buf bytes.Buffer
 	res.RenderFig13(&buf)
@@ -175,10 +187,10 @@ func TestDownscaleSweepSmall(t *testing.T) {
 				t.Errorf("%s K=%d speedup %v", div, pt.K, pt.Speedup)
 			}
 		}
-		// Bigger K simulates fewer pixels: must be faster.
-		if pts[1].Speedup <= pts[0].Speedup {
-			t.Errorf("%s: K=4 speedup %v not above K=2 %v",
-				div, pts[1].Speedup, pts[0].Speedup)
+		// Bigger K simulates fewer pixels: less simulated work.
+		if pts[1].work <= pts[0].work {
+			t.Errorf("%s: K=4 work ratio %v not above K=2 %v",
+				div, pts[1].work, pts[0].work)
 		}
 	}
 	var buf bytes.Buffer

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -105,11 +106,14 @@ func TestSweepRecoversWithRetries(t *testing.T) {
 }
 
 func TestCancelledGridRendersPartially(t *testing.T) {
-	// A pre-cancelled context must not abort the driver: every cell
-	// carries the context error and still renders.
+	// Once the references exist, a cancelled context must not abort the
+	// driver: every cell carries the context error and still renders.
+	s := Small()
+	if _, err := core.Reference(config.MobileSoC(), "PARK", s.Width, s.Height, s.SPP); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s := Small()
 	s.Ctx = ctx
 	r, err := PercentSweep(s, config.MobileSoC(), []string{"PARK"})
 	if err != nil {
@@ -124,5 +128,19 @@ func TestCancelledGridRendersPartially(t *testing.T) {
 	r.RenderFig13(&buf)
 	if !strings.Contains(buf.String(), "ERR") {
 		t.Error("cancelled grid render has no ERR cells")
+	}
+}
+
+func TestCancelledReferencesReturnPromptly(t *testing.T) {
+	// The serial reference warm-up honours cancellation: at a frame size no
+	// other test memoises, a cancelled sweep returns the context error
+	// instead of simulating the full frame first.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s := Small()
+	s.Width, s.Height = 40, 40
+	s.Ctx = ctx
+	if _, err := PercentSweep(s, config.MobileSoC(), []string{"PARK"}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
 
-	"zatel/internal/config"
 	"zatel/internal/core"
 	"zatel/internal/metrics"
 )
@@ -39,6 +37,10 @@ type Fig10Result struct {
 	Pool PoolStats
 	// Faults tallies failed and degraded predictions for the legend.
 	Faults FaultTally
+	// work and cappedWork are the simulated-work ratios (see outcome.work)
+	// behind Speedup and CappedSpeedup.
+	work       map[string]float64
+	cappedWork float64
 }
 
 // Fig10 runs the fully optimized Zatel (fine-grained division, Eq. 1
@@ -56,85 +58,48 @@ func Fig10(s Settings) (*Fig10Result, error) {
 		K:        map[string]int{},
 		Failed:   map[string]string{},
 		Degraded: map[string]int{},
+		work:     map[string]float64{},
 	}
-	// References first (serial: their wall time feeds the speedup rows),
-	// then the three predictions — both configs plus the 10%-capped Mobile
-	// SoC variant — fan out on the worker pool.
+	// Three predictions — both configs plus the 10%-capped Mobile SoC
+	// variant — fan out on the worker pool after their references (the
+	// speedup rows show wall time).
 	cfgs := Configs()
-	refs := make(map[string]metrics.Report, len(cfgs))
+	var points []core.Options
 	for _, cfg := range cfgs {
-		ref, err := s.reference(cfg, "PARK")
-		if err != nil {
-			return nil, err
-		}
-		refs[cfg.Name] = ref
+		points = append(points, s.baseOptions(cfg, "PARK"))
 	}
-
-	type prediction struct {
-		errs     map[metrics.Metric]float64
-		mae      float64
-		speedup  float64
-		k        int
-		degraded int
-		err      error
+	capped := s.baseOptions(cfgs[0], "PARK")
+	capped.MaxFraction = 0.1 // the drastically-reduced variant: at most 10% of each group
+	points = append(points, capped)
+	if err := s.warm(points); err != nil {
+		return nil, err
 	}
-	jobs := append([]config.Config{}, cfgs...)
-	jobs = append(jobs, cfgs[0]) // the capped variant reuses the SoC config
-	rs, pool, _ := gridMap(s, len(jobs), func(ctx context.Context, i int) (prediction, error) {
-		cfg := jobs[i]
-		opts := s.baseOptions(cfg, "PARK")
-		opts.FT.Inject = opts.FT.Inject.SplitSeed(uint64(i))
-		capped := i == len(jobs)-1
-		if capped {
-			// The drastically-reduced variant: at most 10% of each group.
-			opts.MaxFraction = 0.1
-		}
-		res, err := core.PredictContext(ctx, opts)
-		if err != nil {
-			return prediction{err: fmt.Errorf("fig10 %s capped=%v: %w", cfg.Name, capped, err)}, nil
-		}
-		errs := res.Errors(refs[cfg.Name])
-		p := prediction{
-			errs:    errs,
-			mae:     metrics.MAE(errs, metrics.All()),
-			speedup: res.Speedup(refs[cfg.Name]),
-			k:       res.K,
-		}
-		if res.Degraded != nil {
-			p.degraded = len(res.Degraded.FailedGroups)
-		}
-		return p, nil
+	last := len(points) - 1
+	outs, pool, faults := s.runGrid(points, func(i int) string {
+		return fmt.Sprintf("fig10 %s capped=%v", points[i].Config.Name, i == last)
 	})
-	out.Pool = pool
-	point := func(i int) prediction {
-		p := rs[i].Value
-		if e := rs[i].Err; e != nil && p.err == nil {
-			p.err = e
-		}
-		out.Faults.noteErr(p.err)
-		out.Faults.noteDegraded(p.degraded)
-		return p
-	}
+	out.Pool, out.Faults = pool, faults
 	for i, cfg := range cfgs {
-		p := point(i)
-		if p.err != nil {
-			out.Failed[cfg.Name] = p.err.Error()
+		o := outs[i]
+		if o.err != nil {
+			out.Failed[cfg.Name] = o.err.Error()
 			continue
 		}
-		if p.degraded > 0 {
-			out.Degraded[cfg.Name] = p.degraded
+		if n := o.degraded(); n > 0 {
+			out.Degraded[cfg.Name] = n
 		}
-		out.Errors[cfg.Name] = p.errs
-		out.MAE[cfg.Name] = p.mae
-		out.Speedup[cfg.Name] = p.speedup
-		out.K[cfg.Name] = p.k
+		out.Errors[cfg.Name] = o.res.Errors(o.ref)
+		out.MAE[cfg.Name] = metrics.MAE(out.Errors[cfg.Name], metrics.All())
+		out.Speedup[cfg.Name] = o.res.Speedup(o.ref)
+		out.K[cfg.Name] = o.res.K
+		out.work[cfg.Name] = o.work()
 	}
-	capped := point(len(jobs) - 1)
-	if capped.err != nil {
-		out.CappedErr = capped.err.Error()
+	if o := outs[last]; o.err != nil {
+		out.CappedErr = o.err.Error()
 	} else {
-		out.CappedMAE = capped.mae
-		out.CappedSpeedup = capped.speedup
+		out.CappedMAE = metrics.MAE(o.res.Errors(o.ref), metrics.All())
+		out.CappedSpeedup = o.res.Speedup(o.ref)
+		out.cappedWork = o.work()
 	}
 	return out, nil
 }
@@ -153,14 +118,13 @@ func (r *Fig10Result) Render(w io.Writer) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	cell := func(n, ok string) string {
-		if _, failed := r.Failed[n]; failed {
-			return "ERR"
+	row := func(label string, value func(n string) string) {
+		fmt.Fprintf(w, "%-22s", label)
+		for _, n := range names {
+			_, failed := r.Failed[n]
+			fmt.Fprintf(w, "%16s", faultCell(failed, r.Degraded[n], value(n)))
 		}
-		if r.Degraded[n] > 0 {
-			return ok + "†"
-		}
-		return ok
+		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "%-22s", "Metric")
 	for _, n := range names {
@@ -168,28 +132,12 @@ func (r *Fig10Result) Render(w io.Writer) {
 	}
 	fmt.Fprintln(w)
 	for _, m := range metrics.All() {
-		fmt.Fprintf(w, "%-22s", m)
-		for _, n := range names {
-			fmt.Fprintf(w, "%16s", cell(n, pct(r.Errors[n][m])))
-		}
-		fmt.Fprintln(w)
+		row(m.String(), func(n string) string { return pct(r.Errors[n][m]) })
 	}
 	hr(w, 72)
-	fmt.Fprintf(w, "%-22s", "MAE")
-	for _, n := range names {
-		fmt.Fprintf(w, "%16s", cell(n, pct(r.MAE[n])))
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-22s", "Speedup")
-	for _, n := range names {
-		fmt.Fprintf(w, "%16s", cell(n, fmt.Sprintf("%.1fx", r.Speedup[n])))
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-22s", "K")
-	for _, n := range names {
-		fmt.Fprintf(w, "%16s", cell(n, fmt.Sprintf("%d", r.K[n])))
-	}
-	fmt.Fprintln(w)
+	row("MAE", func(n string) string { return pct(r.MAE[n]) })
+	row("Speedup", func(n string) string { return fmt.Sprintf("%.1fx", r.Speedup[n]) })
+	row("K", func(n string) string { return fmt.Sprintf("%d", r.K[n]) })
 	if r.CappedErr != "" {
 		fmt.Fprintf(w, "MobileSoC capped at 10%% pixels: ERR (%s)\n", r.CappedErr)
 	} else {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -37,56 +36,34 @@ func Fig11(s Settings) (*Fig11Result, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
+	// One point per configuration. No wall-time column here, so each
+	// reference runs inside its point, sharing the pool with the other.
 	cfgs := Configs()
-
-	// One job per configuration, each pairing the ground-truth reference
-	// with the Zatel prediction. No wall-time column here, so the
-	// references may share the pool with everything else.
-	type pair struct {
-		ref  metrics.Report
-		pred *core.Result
-		err  error
+	points := make([]core.Options, len(cfgs))
+	for i, cfg := range cfgs {
+		points[i] = s.baseOptions(cfg, "PARK")
 	}
-	rs, pool, _ := gridMap(s, len(cfgs), func(ctx context.Context, i int) (pair, error) {
-		ref, err := s.reference(cfgs[i], "PARK")
-		if err != nil {
-			return pair{err: fmt.Errorf("fig11 %s reference: %w", cfgs[i].Name, err)}, nil
-		}
-		opts := s.baseOptions(cfgs[i], "PARK")
-		opts.FT.Inject = opts.FT.Inject.SplitSeed(uint64(i))
-		pred, err := core.PredictContext(ctx, opts)
-		if err != nil {
-			return pair{err: fmt.Errorf("fig11 %s: %w", cfgs[i].Name, err)}, nil
-		}
-		return pair{ref: ref, pred: pred}, nil
-	})
+	outs, pool, faults := s.runGrid(points, func(i int) string { return "fig11 " + cfgs[i].Name })
 
 	out := &Fig11Result{
 		Settings: s,
 		FullSim:  map[metrics.Metric]float64{},
 		Zatel:    map[metrics.Metric]float64{},
 		Diff:     map[metrics.Metric]float64{},
+		Pool:     pool,
+		Faults:   faults,
 	}
-	out.Pool = pool
-	for i := range rs {
-		p := rs[i].Value
-		if e := rs[i].Err; e != nil && p.err == nil {
-			p.err = e
-		}
-		if out.Faults.noteErr(p.err) {
-			out.Failed = append(out.Failed, fmt.Sprintf("%s: %v", cfgs[i].Name, p.err))
-			continue
-		}
-		if p.pred.Degraded != nil {
-			out.Faults.noteDegraded(len(p.pred.Degraded.FailedGroups))
+	for i, o := range outs {
+		if o.err != nil {
+			out.Failed = append(out.Failed, fmt.Sprintf("%s: %v", cfgs[i].Name, o.err))
 		}
 	}
 	if len(out.Failed) > 0 {
 		// Both configs are needed to normalize; render the failure instead.
 		return out, nil
 	}
-	refSoC, refRTX := rs[0].Value.ref, rs[1].Value.ref
-	predSoC, predRTX := rs[0].Value.pred, rs[1].Value.pred
+	refSoC, refRTX := outs[0].ref, outs[1].ref
+	predSoC, predRTX := outs[0].res, outs[1].res
 	for _, m := range metrics.All() {
 		out.FullSim[m] = safeDiv(refRTX.Value(m), refSoC.Value(m))
 		out.Zatel[m] = safeDiv(predRTX.Predicted[m], predSoC.Predicted[m])

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -55,58 +54,36 @@ func Fig20(s Settings, cfg config.Config, scenes []string) (*Fig20Result, error)
 		DirectErr: map[string]map[metrics.Metric]float64{},
 		Failed:    map[string]string{},
 	}
-	// One job per scene; each runs the three regression simulations and
-	// derives the direct baseline from its own 40% run.
-	type sceneErrs struct {
-		reg      map[metrics.Metric]float64
-		direct   map[metrics.Metric]float64
-		degraded int
-		err      error
-	}
-	rs, pool, _ := gridMap(s, len(scenes), func(ctx context.Context, i int) (sceneErrs, error) {
-		sc := scenes[i]
-		ref, err := s.reference(cfg, sc)
-		if err != nil {
-			return sceneErrs{err: fmt.Errorf("fig20 %s reference: %w", sc, err)}, nil
-		}
-		opts := s.baseOptions(cfg, sc)
-		opts.NoDownscale = true
-		opts.Regression = true
-		opts.FT.Inject = opts.FT.Inject.SplitSeed(uint64(i))
-		res, err := core.PredictContext(ctx, opts)
-		if err != nil {
-			return sceneErrs{err: fmt.Errorf("fig20 %s: %w", sc, err)}, nil
-		}
-
-		// The direct baseline: linear extrapolation of the 40% run the
-		// regression already performed.
-		direct, err := combine.Linear(res.Groups[0].Report, res.Groups[0].Fraction)
-		if err != nil {
-			return sceneErrs{err: fmt.Errorf("fig20 %s direct: %w", sc, err)}, nil
-		}
-		derr := map[metrics.Metric]float64{}
-		for _, m := range metrics.All() {
-			derr[m] = metrics.AbsErr(direct[m], ref.Value(m))
-		}
-		se := sceneErrs{reg: res.Errors(ref), direct: derr}
-		if res.Degraded != nil {
-			se.degraded = len(res.Degraded.FailedGroups)
-		}
-		return se, nil
-	})
-	out.Pool = pool
+	// One point per scene; each runs the three regression simulations (and,
+	// with no wall-time column, its own reference) on the pool.
+	points := make([]core.Options, len(scenes))
 	for i, sc := range scenes {
-		se := rs[i].Value
-		if e := rs[i].Err; e != nil && se.err == nil {
-			se.err = e
-		}
-		if out.Faults.noteErr(se.err) {
-			out.Failed[sc] = se.err.Error()
+		points[i] = s.baseOptions(cfg, sc)
+		points[i].NoDownscale = true
+		points[i].Regression = true
+	}
+	outs, pool, faults := s.runGrid(points, func(i int) string { return "fig20 " + scenes[i] })
+	out.Pool, out.Faults = pool, faults
+	for i, sc := range scenes {
+		o := outs[i]
+		if o.err != nil {
+			out.Failed[sc] = o.err.Error()
 			continue
 		}
-		out.Faults.noteDegraded(se.degraded)
-		out.RegErr[sc] = se.reg
-		out.DirectErr[sc] = se.direct
+		// The direct baseline: linear extrapolation of the 40% run the
+		// regression already performed.
+		direct, err := combine.Linear(o.res.Groups[0].Report, o.res.Groups[0].Fraction)
+		if err != nil {
+			err = fmt.Errorf("fig20 %s direct: %w", sc, err)
+			out.Faults.noteErr(err)
+			out.Failed[sc] = err.Error()
+			continue
+		}
+		out.RegErr[sc] = o.res.Errors(o.ref)
+		out.DirectErr[sc] = map[metrics.Metric]float64{}
+		for _, m := range metrics.All() {
+			out.DirectErr[sc][m] = metrics.AbsErr(direct[m], o.ref.Value(m))
+		}
 		for _, m := range metrics.All() {
 			out.Total++
 			if out.RegErr[sc][m] > out.DirectErr[sc][m]+1e-12 {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -37,6 +36,8 @@ type SweepPoint struct {
 	// DegradedGroups counts groups the prediction lost to failures
 	// (0 = clean).
 	DegradedGroups int
+	// work is the point's simulated-work ratio (see outcome.work).
+	work float64
 }
 
 // SweepResult is the shared data behind Figs. 13, 14, 15 and 16: the same
@@ -77,74 +78,50 @@ func PercentSweep(s Settings, cfg config.Config, scenes []string) (*SweepResult,
 		Percents: percents,
 		Points:   map[string][]SweepPoint{},
 	}
-	// References run serially up front: their recorded wall time feeds the
-	// speedup columns, so they must not time-slice against other jobs.
-	refs := make(map[string]metrics.Report, len(scenes))
-	for _, sc := range scenes {
-		ref, err := s.reference(cfg, sc)
-		if err != nil {
-			return nil, err
-		}
-		refs[sc] = ref
-	}
-
 	// The (scene × percent) grid points are independent simulations —
 	// exactly the short concurrent runs the methodology amortizes — so
 	// they fan out on the worker pool in one flat grid.
 	np := len(percents)
-	rs, pool, _ := gridMap(s, len(scenes)*np, func(ctx context.Context, i int) (SweepPoint, error) {
-		sc, p := scenes[i/np], percents[i%np]
-		opts := s.baseOptions(cfg, sc)
-		opts.NoDownscale = true
-		opts.FixedFraction = float64(p) / 100
-		// Re-root the injection stream per cell so grid points fail
-		// independently (each K=1 prediction would otherwise draw the
-		// identical first decision).
-		opts.FT.Inject = opts.FT.Inject.SplitSeed(uint64(i))
-		res, err := core.PredictContext(ctx, opts)
-		if err != nil {
-			// Fail-soft: the failed cell renders instead of killing the
-			// whole sweep.
-			return SweepPoint{Scene: sc, Percent: p,
-				Err: fmt.Errorf("sweep %s@%d%%: %w", sc, p, err)}, nil
+	points := make([]core.Options, 0, len(scenes)*np)
+	for _, sc := range scenes {
+		for _, p := range percents {
+			opts := s.baseOptions(cfg, sc)
+			opts.NoDownscale = true
+			opts.FixedFraction = float64(p) / 100
+			points = append(points, opts)
 		}
-		ref := refs[sc]
-		pt := SweepPoint{
-			Scene:   sc,
-			Percent: p,
-			Errors:  res.Errors(ref),
-			SimWall: res.PreprocessTime + res.SimWallTime,
-			RefWall: ref.WallTime,
-			Speedup: res.Speedup(ref),
-		}
-		if res.Intervals != nil {
-			pt.CIHalf = make(map[metrics.Metric]float64, len(res.Intervals))
-			for m, iv := range res.Intervals {
-				hw := iv.HalfWidth()
-				if mean := math.Abs(iv.Mean); mean > 0 {
-					hw /= mean
-				}
-				pt.CIHalf[m] = hw
-			}
-		}
-		if res.Degraded != nil {
-			pt.DegradedGroups = len(res.Degraded.FailedGroups)
-		}
-		return pt, nil
+	}
+	if err := s.warm(points); err != nil {
+		return nil, err
+	}
+	outs, pool, faults := s.runGrid(points, func(i int) string {
+		return fmt.Sprintf("sweep %s@%d%%", scenes[i/np], percents[i%np])
 	})
-	out.Pool = pool
+	out.Pool, out.Faults = pool, faults
 
 	var xs, ys []float64
 	for si, sc := range scenes {
 		pts := make([]SweepPoint, np)
-		for pi := range percents {
-			pt := rs[si*np+pi].Value
-			if e := rs[si*np+pi].Err; e != nil && pt.Err == nil {
-				// Cancelled before starting: the value is zero, rebuild it.
-				pt = SweepPoint{Scene: sc, Percent: percents[pi], Err: e}
+		for pi, p := range percents {
+			o := outs[si*np+pi]
+			pt := SweepPoint{Scene: sc, Percent: p, Err: o.err, DegradedGroups: o.degraded()}
+			if o.err == nil {
+				pt.Errors = o.res.Errors(o.ref)
+				pt.SimWall = o.res.PreprocessTime + o.res.SimWallTime
+				pt.RefWall = o.ref.WallTime
+				pt.Speedup = o.res.Speedup(o.ref)
+				pt.work = o.work()
+				if o.res.Intervals != nil {
+					pt.CIHalf = make(map[metrics.Metric]float64, len(o.res.Intervals))
+					for m, iv := range o.res.Intervals {
+						hw := iv.HalfWidth()
+						if mean := math.Abs(iv.Mean); mean > 0 {
+							hw /= mean
+						}
+						pt.CIHalf[m] = hw
+					}
+				}
 			}
-			out.Faults.noteErr(pt.Err)
-			out.Faults.noteDegraded(pt.DegradedGroups)
 			pts[pi] = pt
 			if pt.Err == nil && pt.Speedup > 0 {
 				xs = append(xs, float64(pt.Percent))
@@ -263,31 +240,26 @@ func (r *SweepResult) RenderFig16(w io.Writer) {
 }
 
 func (r *SweepResult) renderPerScene(w io.Writer, cell func(SweepPoint) string) {
-	hr(w, 12+12*len(r.Scenes))
-	fmt.Fprintf(w, "%-6s", "%px")
-	for _, sc := range r.Scenes {
-		fmt.Fprintf(w, "%12s", sc)
-	}
-	fmt.Fprintln(w)
-	for pi, p := range r.Percents {
-		fmt.Fprintf(w, "%-6d", p)
-		for _, sc := range r.Scenes {
-			fmt.Fprintf(w, "%12s", faultCell(r.Points[sc][pi], cell))
-		}
-		fmt.Fprintln(w)
-	}
+	sceneTable(w, "%px", r.Percents, r.Scenes, func(pi int, sc string) string {
+		pt := r.Points[sc][pi]
+		return faultCell(pt.Err != nil, pt.DegradedGroups, cell(pt))
+	})
 	r.Faults.Render(w)
 }
 
-// faultCell renders a point through cell, substituting ERR for failed
-// points and marking degraded ones with †.
-func faultCell(pt SweepPoint, cell func(SweepPoint) string) string {
-	if pt.Err != nil {
-		return "ERR"
+// sceneTable prints one row per parameter value and one column per scene.
+func sceneTable(w io.Writer, label string, rows []int, scenes []string, cell func(row int, sc string) string) {
+	hr(w, 12+12*len(scenes))
+	fmt.Fprintf(w, "%-6s", label)
+	for _, sc := range scenes {
+		fmt.Fprintf(w, "%12s", sc)
 	}
-	s := cell(pt)
-	if pt.DegradedGroups > 0 {
-		s += "†"
+	fmt.Fprintln(w)
+	for ri, v := range rows {
+		fmt.Fprintf(w, "%-6d", v)
+		for _, sc := range scenes {
+			fmt.Fprintf(w, "%12s", cell(ri, sc))
+		}
+		fmt.Fprintln(w)
 	}
-	return s
 }

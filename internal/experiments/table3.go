@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -85,81 +84,74 @@ func Table3(s Settings, cfg config.Config, reps int) (*Table3Result, error) {
 		Best:     map[string]map[metrics.Metric]Table3Best{},
 		SceneMAE: map[string]float64{},
 	}
-	// Warm the per-scene references serially, then fan the full
-	// (scene × distribution × section) grid out on the worker pool with
-	// the reps loop inside each job.
+	// The (scene × distribution × section × rep) grid is flattened onto the
+	// worker pool, one point per repetition: point cell*reps+rep, so every
+	// repetition is its own prediction and fails independently.
 	scenes, dists, sections := Table3Scenes(), Table3Dists(), Table3Sections()
-	refs := make(map[string]metrics.Report, len(scenes))
+	var points []core.Options
 	for _, sc := range scenes {
-		ref, err := s.reference(cfg, sc)
-		if err != nil {
-			return nil, err
+		for _, dist := range dists {
+			for _, section := range sections {
+				for rep := 0; rep < reps; rep++ {
+					opts := s.baseOptions(cfg, sc)
+					opts.NoDownscale = true
+					opts.Division = core.CoarseGrained
+					opts.BlockW, opts.BlockH = 32, section
+					opts.Dist = dist
+					// Table 3 sweeps its own distributions; drop any
+					// replicated-only CI knobs inherited from Settings so
+					// validation passes for the point-estimate strategies
+					// it compares.
+					opts.Sampling = core.SamplingOptions{}
+					opts.TargetCIHalfWidth = 0
+					opts.FixedFraction = 0.03
+					opts.Seed = uint64(rep)*977 + 13
+					points = append(points, opts)
+				}
+			}
 		}
-		refs[sc] = ref
 	}
-
-	nd, ns := len(dists), len(sections)
-	type cellAvg struct {
-		avg      map[metrics.Metric]float64
-		degraded int
-		err      error
+	if err := s.warm(points); err != nil {
+		return nil, err
 	}
-	rs, pool, _ := gridMap(s, len(scenes)*nd*ns, func(ctx context.Context, i int) (cellAvg, error) {
-		sc := scenes[i/(nd*ns)]
-		dist := dists[(i/ns)%nd]
-		section := sections[i%ns]
-		sums := map[metrics.Metric]float64{}
-		degraded := 0
-		for rep := 0; rep < reps; rep++ {
-			opts := s.baseOptions(cfg, sc)
-			opts.NoDownscale = true
-			opts.Division = core.CoarseGrained
-			opts.BlockW, opts.BlockH = 32, section
-			opts.Dist = dist
-			// Table 3 sweeps its own distributions; drop any replicated-only
-			// CI knobs inherited from Settings so validation passes for the
-			// point-estimate strategies it compares.
-			opts.Sampling = core.SamplingOptions{}
-			opts.TargetCIHalfWidth = 0
-			opts.FixedFraction = 0.03
-			opts.Seed = uint64(rep)*977 + 13
-			// One stratum per (cell, rep): each repetition is its own
-			// prediction and must fail independently.
-			opts.FT.Inject = opts.FT.Inject.SplitSeed(uint64(i*reps + rep))
-			res, err := core.PredictContext(ctx, opts)
-			if err != nil {
-				return cellAvg{err: fmt.Errorf("table3 %s/%s/32x%d: %w", sc, dist, section, err)}, nil
-			}
-			if res.Degraded != nil {
-				degraded++
-			}
-			for m, e := range res.Errors(refs[sc]) {
-				sums[m] += e
-			}
-		}
-		for m := range sums {
-			sums[m] /= float64(reps)
-		}
-		return cellAvg{avg: sums, degraded: degraded}, nil
+	outs, pool, _ := s.runGrid(points, func(i int) string {
+		o := points[i]
+		return fmt.Sprintf("table3 %s/%s/32x%d", o.Scene, o.Dist, o.BlockH)
 	})
 	out.Pool = pool
 
-	for si, sc := range scenes {
+	// A cell averages its repetitions; it fails with its first failed
+	// repetition and counts as degraded when any repetition was.
+	cell := 0
+	for _, sc := range scenes {
 		out.Cells[sc] = map[metrics.Metric][]Table3Cell{}
-		for di, dist := range dists {
-			for seci, section := range sections {
-				r := rs[si*nd*ns+di*ns+seci]
-				point := r.Value
-				if r.Err != nil && point.err == nil {
-					point.err = r.Err
+		for _, dist := range dists {
+			for _, section := range sections {
+				sums := map[metrics.Metric]float64{}
+				var err error
+				degraded := false
+				for _, o := range outs[cell*reps : (cell+1)*reps] {
+					if err = o.err; err != nil {
+						break
+					}
+					degraded = degraded || o.degraded() > 0
+					for m, e := range o.res.Errors(o.ref) {
+						sums[m] += e
+					}
 				}
-				failed := out.Faults.noteErr(point.err)
-				out.Faults.noteDegraded(point.degraded)
+				for m := range sums {
+					sums[m] /= float64(reps)
+				}
+				cell++
+				failed := out.Faults.noteErr(err)
+				if !failed && degraded {
+					out.Faults.Degraded++
+				}
 				for _, m := range metrics.All() {
 					out.Cells[sc][m] = append(out.Cells[sc][m], Table3Cell{
 						Dist:    dist,
 						Section: section,
-						Err:     point.avg[m],
+						Err:     sums[m],
 						Failed:  failed,
 					})
 				}

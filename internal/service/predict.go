@@ -152,18 +152,10 @@ func writeError(w http.ResponseWriter, r *http.Request, code int, msg string) {
 	writeJSON(w, code, errorBody{Error: msg, RequestID: obs.RequestID(r.Context())})
 }
 
-// ConfigByName resolves the Table II configuration names accepted across
-// the CLIs and the HTTP API.
-func ConfigByName(name string) (config.Config, error) {
-	switch strings.ToLower(name) {
-	case "", "mobile", "mobilesoc", "soc":
-		return config.MobileSoC(), nil
-	case "rtx2060", "rtx", "turing":
-		return config.RTX2060(), nil
-	default:
-		return config.Config{}, fmt.Errorf("unknown config %q (want mobile or rtx2060)", name)
-	}
-}
+// ConfigByName is config.ByName. It stays only because the frozen
+// internal/bench package (the benchmark's own code, which this repo's PRs
+// may not edit) calls it.
+func ConfigByName(name string) (config.Config, error) { return config.ByName(name) }
 
 // optionsFor validates the request and translates it into pipeline options.
 // Every error it returns is a client error (HTTP 400).
@@ -184,17 +176,12 @@ func (s *Server) optionsFor(req *PredictRequest) (core.Options, error) {
 	if !known {
 		return o, fmt.Errorf("unknown scene %q (want one of %s)", sceneName, strings.Join(scene.Names(), ", "))
 	}
-	cfg, err := ConfigByName(req.Config)
+	cfg, err := config.ByName(req.Config)
 	if err != nil {
 		return o, err
 	}
-	switch strings.ToLower(req.Division) {
-	case "", "fine":
-		o.Division = core.FineGrained
-	case "coarse":
-		o.Division = core.CoarseGrained
-	default:
-		return o, fmt.Errorf("unknown division %q (want fine or coarse)", req.Division)
+	if o.Division, err = core.ParseDivision(req.Division); err != nil {
+		return o, err
 	}
 	o.Dist, err = sampling.ParseDistribution(strings.ToLower(req.Dist))
 	if err != nil {
