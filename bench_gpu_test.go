@@ -93,24 +93,6 @@ func BenchmarkGPURunCold(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildWorkload measures trace generation into the arena-backed
-// SoA workload: ray tracing, traversal-step recording and op packing.
-func BenchmarkBuildWorkload(b *testing.B) {
-	sc, err := scene.ByName(gpuBenchScene)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		wl, err := rt.BuildWorkload(sc, gpuBenchRes, gpuBenchRes, gpuBenchSPP)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(wl.SizeBytes())/(1<<20), "MiB")
-	}
-}
-
 // TestGPUHotPathSpeedup asserts the PR's acceptance gates against the
 // pre-optimization baselines: the reference simulation must run >= 1.3x
 // faster and a warm pooled gpu.Run must allocate >= 5x fewer objects.

@@ -1,6 +1,9 @@
 package bvh
 
 import (
+	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"zatel/internal/scene"
@@ -116,86 +119,140 @@ func TestLeafSizeRespected(t *testing.T) {
 	}
 }
 
-// Traversal must agree with brute force on nearest hit distance.
-func TestIntersectMatchesBruteForce(t *testing.T) {
-	s, b := buildScene(t, "SPNZA")
-	cam := s.Cam
-	cam.Finalize(1)
-	rng := vecmath.NewRNG(99)
-	for i := 0; i < 300; i++ {
-		r := cam.Ray(rng.Float32(), rng.Float32())
-		hit, ok := b.Intersect(r, nil)
+// closest is the brute-force oracle: every triangle's Hit, keeping the
+// nearest distance.
+func closest(s *scene.Scene, r vecmath.Ray) (float32, bool) {
+	bestT, found := r.TMax, false
+	for _, tri := range s.Tris {
+		if t, ok := tri.Hit(r); ok && t <= bestT {
+			bestT, found = t, true
+		}
+	}
+	return bestT, found
+}
 
-		bestT := r.TMax
-		bestTri := int32(-1)
-		for ti, tri := range s.Tris {
-			probe := r
-			probe.TMax = bestT
-			if tt, hok := tri.Hit(probe); hok {
-				bestT = tt
-				bestTri = int32(ti)
+// Traversal must agree with brute force on the nearest hit: the same
+// distance bit for bit, a triangle that hits at that distance, and a slot
+// that maps to it.
+func TestIntersectMatchesBruteForce(t *testing.T) {
+	for _, name := range []string{"BUNNY", "SPNZA", "CHSNT"} {
+		s, b := buildScene(t, name)
+		cam := s.Cam
+		cam.Finalize(1)
+		rng := vecmath.NewRNG(99)
+		var steps []uint32
+		for i := 0; i < 300; i++ {
+			r := cam.Ray(rng.Float32(), rng.Float32())
+			hit, ok := b.IntersectPacked(r, &steps)
+			wantT, want := closest(s, r)
+			if ok != want {
+				t.Fatalf("%s ray %d: bvh ok=%v brute=%v", name, i, ok, want)
 			}
-		}
-		if ok != (bestTri >= 0) {
-			t.Fatalf("ray %d: bvh ok=%v brute=%v", i, ok, bestTri >= 0)
-		}
-		if ok {
-			diff := hit.T - bestT
-			if diff < 0 {
-				diff = -diff
+			if !ok {
+				continue
 			}
-			if diff > 1e-3*bestT+1e-4 {
-				t.Fatalf("ray %d: bvh t=%v brute t=%v", i, hit.T, bestT)
+			if hit.T != wantT {
+				t.Fatalf("%s ray %d: bvh t=%v brute t=%v", name, i, hit.T, wantT)
+			}
+			if tt, hok := s.Tris[hit.Tri].Hit(r); !hok || tt != hit.T {
+				t.Fatalf("%s ray %d: triangle %d does not hit at t=%v", name, i, hit.Tri, hit.T)
+			}
+			if b.TriIndex[hit.Slot] != hit.Tri {
+				t.Fatalf("%s ray %d: slot %d holds %d, not %d", name, i, hit.Slot, b.TriIndex[hit.Slot], hit.Tri)
 			}
 		}
 	}
 }
 
+// The traversal kernels must compute bit for bit what AABB.Hit and
+// Triangle.Hit compute, including for axis-parallel rays whose slab tests
+// meet infinities and NaNs.
+func TestKernelsMatchHitMethods(t *testing.T) {
+	s, b := buildScene(t, "SPNZA")
+	cam := s.Cam
+	cam.Finalize(1)
+	rng := vecmath.NewRNG(5)
+	for i := 0; i < 64; i++ {
+		r := cam.Ray(rng.Float32(), rng.Float32())
+		if i%4 == 0 {
+			r = vecmath.NewRay(b.Nodes[0].Bounds.Center(), vecmath.V(0, float32(i%8/4*2-1), 0))
+		}
+		r.TMax = 1 + 20*rng.Float32()
+		ro := ray{r.Origin, r.Dir, r.InvDir, r.TMin}
+		for ni := 0; ni+1 < len(b.Nodes); ni++ {
+			lo, hi := &b.Nodes[ni].Bounds, &b.Nodes[ni+1].Bounds
+			t0, ok0 := lo.Hit(r)
+			t1, ok1 := hi.Hit(r)
+			ta, oka := ro.box(lo, r.TMax)
+			tb, okb, tc, okc := ro.boxes(lo, hi, r.TMax)
+			if math.Float32bits(t0) != math.Float32bits(ta) || ok0 != oka ||
+				math.Float32bits(t0) != math.Float32bits(tb) || ok0 != okb ||
+				math.Float32bits(t1) != math.Float32bits(tc) || ok1 != okc {
+				t.Fatalf("ray %d node %d: AABB.Hit (%v,%v) (%v,%v), box (%v,%v), boxes (%v,%v) (%v,%v)",
+					i, ni, t0, ok0, t1, ok1, ta, oka, tb, okb, tc, okc)
+			}
+		}
+		for ti := range s.Tris {
+			tw, okw := s.Tris[ti].Hit(r)
+			tg, okg := ro.tri(&s.Tris[ti], r.TMax)
+			if math.Float32bits(tw) != math.Float32bits(tg) || okw != okg {
+				t.Fatalf("ray %d tri %d: Triangle.Hit (%v,%v), tri (%v,%v)", i, ti, tw, okw, tg, okg)
+			}
+		}
+	}
+}
+
+// The shadow query must report a hit exactly when some triangle blocks the
+// ray, and agree with the closest-hit query.
 func TestIntersectAnyAgreesWithIntersect(t *testing.T) {
 	s, b := buildScene(t, "CHSNT")
 	cam := s.Cam
 	cam.Finalize(1)
 	rng := vecmath.NewRNG(123)
+	var steps []uint32
 	for i := 0; i < 500; i++ {
 		r := cam.Ray(rng.Float32(), rng.Float32())
-		_, full := b.Intersect(r, nil)
-		any := b.IntersectAny(r, nil)
-		if full != any {
-			t.Fatalf("ray %d: Intersect=%v IntersectAny=%v", i, full, any)
+		if i%2 == 1 {
+			// Shorten every other ray so some blockers fall outside it.
+			r.TMax = 1 + 4*rng.Float32()
+		}
+		_, full := b.IntersectPacked(r, &steps)
+		any := b.IntersectAnyPacked(r, &steps)
+		_, want := closest(s, r)
+		if full != any || any != want {
+			t.Fatalf("ray %d: IntersectPacked=%v IntersectAnyPacked=%v brute=%v", i, full, any, want)
 		}
 	}
 }
 
+// Recorded steps name real nodes with their true triangle-test counts, and
+// re-tracing a ray records the same sequence.
 func TestVisitStepsConsistent(t *testing.T) {
 	_, b := buildScene(t, "BUNNY")
 	r := vecmath.NewRay(vecmath.V(0, 0.8, -1.2), vecmath.V(0.02, 0.02, 1).Norm())
-	var steps []Step
-	_, _ = b.Intersect(r, func(s Step) { steps = append(steps, s) })
+	var steps []uint32
+	_, _ = b.IntersectPacked(r, &steps)
 	if len(steps) == 0 {
 		t.Fatal("no steps recorded for a ray aimed at the bunny")
 	}
-	for _, s := range steps {
-		n := &b.Nodes[s.Node]
-		if s.Leaf != n.Leaf() {
-			t.Errorf("step node %d leaf mismatch", s.Node)
-		}
-		if s.Leaf && s.TriTests != n.TriCount {
-			t.Errorf("leaf %d tested %d of %d tris", s.Node, s.TriTests, n.TriCount)
-		}
-		if !s.Leaf && s.TriTests != 0 {
-			t.Errorf("interior %d reported %d tri tests", s.Node, s.TriTests)
+	for _, st := range steps {
+		ni, tests := UnpackStep(st)
+		if n := &b.Nodes[ni]; tests != n.TriCount {
+			t.Errorf("node %d (leaf %v) tested %d of %d tris", ni, n.Leaf(), tests, n.TriCount)
 		}
 	}
-	// The same ray must re-traverse identically (determinism).
-	var again []Step
-	_, _ = b.Intersect(r, func(s Step) { again = append(again, s) })
-	if len(again) != len(steps) {
-		t.Fatalf("revisit produced %d steps, first %d", len(again), len(steps))
+	again := []uint32{}
+	_, _ = b.IntersectPacked(r, &again)
+	if !slices.Equal(steps, again) {
+		t.Fatalf("re-traversal recorded %v, first %v", again, steps)
 	}
-	for i := range steps {
-		if steps[i] != again[i] {
-			t.Fatalf("step %d differs between traversals", i)
-		}
+	var shadow []uint32
+	if !b.IntersectAnyPacked(r, &shadow) {
+		t.Fatal("shadow query missed the bunny")
+	}
+	last, tests := UnpackStep(shadow[len(shadow)-1])
+	if n := &b.Nodes[last]; !n.Leaf() || tests < 1 || tests > n.TriCount {
+		t.Errorf("shadow query ended on node %d with %d tests", last, tests)
 	}
 }
 
@@ -203,13 +260,70 @@ func TestMissingRayVisitsNothing(t *testing.T) {
 	_, b := buildScene(t, "SPRNG")
 	// Aim far away from the two objects.
 	r := vecmath.NewRay(vecmath.V(0, 100, 0), vecmath.V(0, 1, 0))
-	calls := 0
-	_, ok := b.Intersect(r, func(Step) { calls++ })
-	if ok {
+	var steps []uint32
+	if _, ok := b.IntersectPacked(r, &steps); ok {
 		t.Error("ray into the void reported a hit")
 	}
-	if calls != 0 {
-		t.Errorf("root-missing ray visited %d nodes", calls)
+	if b.IntersectAnyPacked(r, &steps) {
+		t.Error("ray into the void reported a blocker")
+	}
+	if len(steps) != 0 {
+		t.Errorf("root-missing ray visited %d nodes", len(steps))
+	}
+}
+
+// With two bins, a strip of triangles at x = 2.2^i only ever separates the
+// farthest triangle from the rest, so the tree is as deep as the strip is
+// long. The build must report that it outgrows the traversal stack instead
+// of letting a trace worker index past it and panic.
+func TestBuildTooDeepErrors(t *testing.T) {
+	s := &scene.Scene{Name: "strip"}
+	x := float32(1)
+	for i := 0; i < maxStack+8; i++ {
+		x *= 2.2
+		s.Tris = append(s.Tris, scene.Triangle{V0: vecmath.V(x, 0, 0), V1: vecmath.V(x, 1, 0), V2: vecmath.V(x, 0, 1)})
+	}
+	opt := Options{MaxLeafSize: 1, Bins: 2}
+	if _, err := Build(s, opt); err == nil {
+		t.Fatal("degenerate strip built a tree deeper than the traversal stack")
+	}
+	s.Tris = s.Tris[:maxStack-8]
+	if _, err := Build(s, opt); err != nil {
+		t.Fatalf("shorter strip: %v", err)
+	}
+}
+
+// Forked builders run concurrently with each other and with other builds;
+// every result must equal a serial build node for node.
+func TestBuildConcurrentDeterministic(t *testing.T) {
+	for _, name := range scene.Names() {
+		s, err := scene.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := build(s, DefaultOptions(), math.MaxInt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]*BVH, 4)
+		errs := make([]error, len(got))
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[g], errs[g] = Build(s, DefaultOptions())
+			}()
+		}
+		wg.Wait()
+		for g, b := range got {
+			if errs[g] != nil {
+				t.Fatalf("%s build %d: %v", name, g, errs[g])
+			}
+			if !slices.Equal(b.Nodes, ref.Nodes) || !slices.Equal(b.TriIndex, ref.TriIndex) {
+				t.Fatalf("%s build %d differs from the serial build", name, g)
+			}
+		}
 	}
 }
 
@@ -240,51 +354,6 @@ func TestStatsSane(t *testing.T) {
 	// A binned SAH tree over PARK must be reasonably balanced.
 	if st.MaxDepth > 64 {
 		t.Errorf("depth %d too deep for %d nodes", st.MaxDepth, st.Nodes)
-	}
-}
-
-// TestPackedTraversalMatchesClosure is the exactness contract of the
-// closure-free traversal: for every ray, IntersectPacked/IntersectAnyPacked
-// must record the identical step sequence the visit-callback variants
-// report, and return identical results. The GPU model replays these steps
-// cycle by cycle, so any ordering difference would change simulated timing.
-func TestPackedTraversalMatchesClosure(t *testing.T) {
-	for _, name := range []string{"BUNNY", "SPNZA", "CHSNT"} {
-		s, b := buildScene(t, name)
-		cam := s.Cam
-		cam.Finalize(1)
-		rng := vecmath.NewRNG(7)
-		packed := make([]uint32, 0, 256)
-		for i := 0; i < 400; i++ {
-			r := cam.Ray(rng.Float32(), rng.Float32())
-
-			var want []uint32
-			visit := func(st Step) { want = append(want, PackStep(st.Node, st.TriTests)) }
-
-			packed = packed[:0]
-			if i%2 == 0 {
-				hitC, okC := b.Intersect(r, visit)
-				hitP, okP := b.IntersectPacked(r, &packed)
-				if hitC != hitP || okC != okP {
-					t.Fatalf("%s ray %d: Intersect (%+v,%v) != IntersectPacked (%+v,%v)",
-						name, i, hitC, okC, hitP, okP)
-				}
-			} else {
-				okC := b.IntersectAny(r, visit)
-				okP := b.IntersectAnyPacked(r, &packed)
-				if okC != okP {
-					t.Fatalf("%s ray %d: IntersectAny %v != IntersectAnyPacked %v", name, i, okC, okP)
-				}
-			}
-			if len(want) != len(packed) {
-				t.Fatalf("%s ray %d: %d closure steps, %d packed steps", name, i, len(want), len(packed))
-			}
-			for j := range want {
-				if want[j] != packed[j] {
-					t.Fatalf("%s ray %d step %d: closure %#x packed %#x", name, i, j, want[j], packed[j])
-				}
-			}
-		}
 	}
 }
 

@@ -1,28 +1,14 @@
 package bvh
 
 import (
+	"zatel/internal/scene"
 	"zatel/internal/vecmath"
 )
 
-// Step records one traversal step: the node that was fetched and, for
-// leaves, how many triangle tests it triggered. The trace generator turns
-// Steps into the memory reads and intersection-pipeline operations the RT
-// unit executes.
-type Step struct {
-	// Node is the fetched node's index.
-	Node int32
-	// Leaf reports whether the node was a leaf.
-	Leaf bool
-	// TriTests is the number of triangle intersection tests performed
-	// (zero for interior nodes).
-	TriTests int32
-}
-
 // Packed traversal step layout: node index in the high 24 bits, triangle
 // test count in the low 8. The encoding lives here (rather than in the
-// trace recorder) so traversal can append packed steps directly into a
-// workload's step arena without a per-node closure call; internal/rt
-// re-exports it for trace consumers. Tree sizes in this repository stay far
+// trace recorder) so traversal appends packed steps directly into a
+// workload's step arena; internal/rt re-exports it for trace consumers. Tree sizes in this repository stay far
 // below 2^24 nodes; BuildWorkload enforces the limit.
 const (
 	stepNodeShift = 8
@@ -54,149 +40,92 @@ type Hit struct {
 	Slot int32
 }
 
-// maxStack bounds the traversal stack. A BVH over n triangles with leaf
-// size ≥ 1 has depth ≤ n, but SAH trees stay well under 64 for any scene in
-// the library; the tests assert this.
+// maxStack bounds the traversal stack, which never holds more entries than
+// the tree has levels. A BVH over n triangles can be n levels deep, so
+// Build refuses a tree that would reach maxStack levels; SAH trees over the
+// library scenes stay well under 64.
 const maxStack = 96
 
-// Intersect finds the nearest triangle intersection along r. If visit is
-// non-nil it is invoked once per fetched node in traversal order.
-// It returns the hit and whether one was found.
-func (b *BVH) Intersect(r vecmath.Ray, visit func(Step)) (Hit, bool) {
-	best := Hit{T: r.TMax, Tri: -1, Slot: -1}
-	if len(b.Nodes) == 0 {
-		return best, false
-	}
-	if _, ok := b.Nodes[0].Bounds.Hit(r); !ok {
-		return best, false
-	}
-
-	var stack [maxStack]int32
-	sp := 0
-	stack[sp] = 0
-	sp++
-
-	for sp > 0 {
-		sp--
-		ni := stack[sp]
-		node := &b.Nodes[ni]
-
-		if node.Leaf() {
-			tests := int32(0)
-			for i := node.FirstTri; i < node.FirstTri+node.TriCount; i++ {
-				tests++
-				ti := b.TriIndex[i]
-				probe := r
-				probe.TMax = best.T
-				if t, ok := b.Tris[ti].Hit(probe); ok {
-					best = Hit{T: t, Tri: ti, Slot: i}
-				}
-			}
-			if visit != nil {
-				visit(Step{Node: ni, Leaf: true, TriTests: tests})
-			}
-			continue
-		}
-
-		if visit != nil {
-			visit(Step{Node: ni, Leaf: false})
-		}
-
-		// Test both children (their boxes travel with the parent fetch in
-		// hardware layouts) and push the nearer one last so it pops first.
-		li, ri := ni+1, node.Right
-		probe := r
-		probe.TMax = best.T
-		tl, hl := b.Nodes[li].Bounds.Hit(probe)
-		tr, hr := b.Nodes[ri].Bounds.Hit(probe)
-		switch {
-		case hl && hr:
-			if tl > tr {
-				li, ri = ri, li
-			}
-			stack[sp] = ri
-			sp++
-			stack[sp] = li
-			sp++
-		case hl:
-			stack[sp] = li
-			sp++
-		case hr:
-			stack[sp] = ri
-			sp++
-		}
-	}
-	return best, best.Tri >= 0
+// ray holds one ray's traversal operands, hoisted out of vecmath.Ray once
+// per traversal. The box and triangle tests borrow it by pointer instead of
+// copying the whole Ray at every call, and perform exactly the float
+// operations of AABB.Hit and Triangle.Hit in the same order, so hits and
+// step sequences are bit-identical to those methods.
+type ray struct {
+	org, dir, inv vecmath.Vec3
+	tmin          float32
 }
 
-// IntersectAny reports whether any triangle blocks r within its interval —
-// the shadow-ray query. Traversal order is unimportant; it exits on the
-// first hit. visit, if non-nil, observes fetched nodes exactly as in
-// Intersect.
-func (b *BVH) IntersectAny(r vecmath.Ray, visit func(Step)) bool {
-	if len(b.Nodes) == 0 {
-		return false
-	}
-	if _, ok := b.Nodes[0].Bounds.Hit(r); !ok {
-		return false
-	}
-
-	var stack [maxStack]int32
-	sp := 0
-	stack[sp] = 0
-	sp++
-
-	for sp > 0 {
-		sp--
-		ni := stack[sp]
-		node := &b.Nodes[ni]
-
-		if node.Leaf() {
-			tests := int32(0)
-			hit := false
-			for i := node.FirstTri; i < node.FirstTri+node.TriCount; i++ {
-				tests++
-				if _, ok := b.Tris[b.TriIndex[i]].Hit(r); ok {
-					hit = true
-					break
-				}
-			}
-			if visit != nil {
-				visit(Step{Node: ni, Leaf: true, TriTests: tests})
-			}
-			if hit {
-				return true
-			}
-			continue
-		}
-
-		if visit != nil {
-			visit(Step{Node: ni, Leaf: false})
-		}
-		li, ri := ni+1, node.Right
-		if _, ok := b.Nodes[li].Bounds.Hit(r); ok {
-			stack[sp] = li
-			sp++
-		}
-		if _, ok := b.Nodes[ri].Bounds.Hit(r); ok {
-			stack[sp] = ri
-			sp++
-		}
-	}
-	return false
+// box is AABB.Hit over the interval [r.tmin, tmax].
+func (r *ray) box(b *vecmath.AABB, tmax float32) (float32, bool) {
+	t0, t1 := slab(b.Lo.X, b.Hi.X, r.org.X, r.inv.X, r.tmin, tmax)
+	t0, t1 = slab(b.Lo.Y, b.Hi.Y, r.org.Y, r.inv.Y, t0, t1)
+	t0, t1 = slab(b.Lo.Z, b.Hi.Z, r.org.Z, r.inv.Z, t0, t1)
+	return t0, t0 <= t1
 }
 
-// IntersectPacked is Intersect recording every fetched node as a packed
-// step appended to *steps. It visits nodes in exactly the order Intersect
-// reports to its callback — leaves after their triangle tests, interior
-// nodes before their children — but without the per-node indirect call,
-// which matters when tracing millions of rays into a workload arena.
+// boxes is box against the two children of a node in one call, letting
+// their independent slab chains overlap.
+func (r *ray) boxes(a, b *vecmath.AABB, tmax float32) (ta float32, ha bool, tb float32, hb bool) {
+	ta, a1 := slab(a.Lo.X, a.Hi.X, r.org.X, r.inv.X, r.tmin, tmax)
+	tb, b1 := slab(b.Lo.X, b.Hi.X, r.org.X, r.inv.X, r.tmin, tmax)
+	ta, a1 = slab(a.Lo.Y, a.Hi.Y, r.org.Y, r.inv.Y, ta, a1)
+	tb, b1 = slab(b.Lo.Y, b.Hi.Y, r.org.Y, r.inv.Y, tb, b1)
+	ta, a1 = slab(a.Lo.Z, a.Hi.Z, r.org.Z, r.inv.Z, ta, a1)
+	tb, b1 = slab(b.Lo.Z, b.Hi.Z, r.org.Z, r.inv.Z, tb, b1)
+	return ta, ta <= a1, tb, tb <= b1
+}
+
+// slab narrows [t0, t1] to where a ray with origin o and reciprocal
+// direction inv lies between lo and hi along one axis.
+func slab(lo, hi, o, inv, t0, t1 float32) (float32, float32) {
+	ta := (lo - o) * inv
+	tb := (hi - o) * inv
+	if ta > tb {
+		ta, tb = tb, ta
+	}
+	return max(t0, ta), min(t1, tb)
+}
+
+// tri is Triangle.Hit over the interval [r.tmin, tmax].
+func (r *ray) tri(t *scene.Triangle, tmax float32) (float32, bool) {
+	e1 := t.V1.Sub(t.V0)
+	e2 := t.V2.Sub(t.V0)
+	p := r.dir.Cross(e2)
+	det := e1.Dot(p)
+	if det > -1e-7 && det < 1e-7 {
+		return 0, false
+	}
+	inv := 1 / det
+	s := r.org.Sub(t.V0)
+	u := s.Dot(p) * inv
+	if u < 0 || u > 1 {
+		return 0, false
+	}
+	q := s.Cross(e1)
+	v := r.dir.Dot(q) * inv
+	if v < 0 || u+v > 1 {
+		return 0, false
+	}
+	dist := e2.Dot(q) * inv
+	if dist < r.tmin || dist > tmax {
+		return 0, false
+	}
+	return dist, true
+}
+
+// IntersectPacked finds the nearest triangle intersection along r and
+// appends every fetched node to *steps as a packed step: interior nodes
+// before their children, leaves after their triangle tests. Of two hit
+// children the nearer is visited first. It returns the hit and whether one
+// was found.
 func (b *BVH) IntersectPacked(r vecmath.Ray, steps *[]uint32) (Hit, bool) {
 	best := Hit{T: r.TMax, Tri: -1, Slot: -1}
 	if len(b.Nodes) == 0 {
 		return best, false
 	}
-	if _, ok := b.Nodes[0].Bounds.Hit(r); !ok {
+	ro := ray{r.Origin, r.Dir, r.InvDir, r.TMin}
+	if _, ok := ro.box(&b.Nodes[0].Bounds, r.TMax); !ok {
 		return best, false
 	}
 
@@ -212,27 +141,22 @@ func (b *BVH) IntersectPacked(r vecmath.Ray, steps *[]uint32) (Hit, bool) {
 		node := &b.Nodes[ni]
 
 		if node.Leaf() {
-			tests := int32(0)
 			for i := node.FirstTri; i < node.FirstTri+node.TriCount; i++ {
-				tests++
 				ti := b.TriIndex[i]
-				probe := r
-				probe.TMax = best.T
-				if t, ok := b.Tris[ti].Hit(probe); ok {
+				if t, ok := ro.tri(&b.Tris[ti], best.T); ok {
 					best = Hit{T: t, Tri: ti, Slot: i}
 				}
 			}
-			out = append(out, PackStep(ni, tests))
+			out = append(out, PackStep(ni, node.TriCount))
 			continue
 		}
 
 		out = append(out, PackStep(ni, 0))
 
+		// Test both children (their boxes travel with the parent fetch in
+		// hardware layouts) and push the nearer one last so it pops first.
 		li, ri := ni+1, node.Right
-		probe := r
-		probe.TMax = best.T
-		tl, hl := b.Nodes[li].Bounds.Hit(probe)
-		tr, hr := b.Nodes[ri].Bounds.Hit(probe)
+		tl, hl, tr, hr := ro.boxes(&b.Nodes[li].Bounds, &b.Nodes[ri].Bounds, best.T)
 		switch {
 		case hl && hr:
 			if tl > tr {
@@ -254,13 +178,16 @@ func (b *BVH) IntersectPacked(r vecmath.Ray, steps *[]uint32) (Hit, bool) {
 	return best, best.Tri >= 0
 }
 
-// IntersectAnyPacked is IntersectAny recording packed steps into *steps,
-// mirroring IntersectPacked's closure-free recording.
+// IntersectAnyPacked reports whether any triangle blocks r within its
+// interval — the shadow-ray query — recording packed steps into *steps as
+// IntersectPacked does. Of two hit children the right is visited first,
+// and it exits on the first hit.
 func (b *BVH) IntersectAnyPacked(r vecmath.Ray, steps *[]uint32) bool {
 	if len(b.Nodes) == 0 {
 		return false
 	}
-	if _, ok := b.Nodes[0].Bounds.Hit(r); !ok {
+	ro, tmax := ray{r.Origin, r.Dir, r.InvDir, r.TMin}, r.TMax
+	if _, ok := ro.box(&b.Nodes[0].Bounds, tmax); !ok {
 		return false
 	}
 
@@ -269,7 +196,6 @@ func (b *BVH) IntersectAnyPacked(r vecmath.Ray, steps *[]uint32) bool {
 	stack[sp] = 0
 	sp++
 	out := *steps
-	defer func() { *steps = out }()
 
 	for sp > 0 {
 		sp--
@@ -278,32 +204,30 @@ func (b *BVH) IntersectAnyPacked(r vecmath.Ray, steps *[]uint32) bool {
 
 		if node.Leaf() {
 			tests := int32(0)
-			hit := false
 			for i := node.FirstTri; i < node.FirstTri+node.TriCount; i++ {
 				tests++
-				if _, ok := b.Tris[b.TriIndex[i]].Hit(r); ok {
-					hit = true
-					break
+				if _, ok := ro.tri(&b.Tris[b.TriIndex[i]], tmax); ok {
+					*steps = append(out, PackStep(ni, tests))
+					return true
 				}
 			}
 			out = append(out, PackStep(ni, tests))
-			if hit {
-				return true
-			}
 			continue
 		}
 
 		out = append(out, PackStep(ni, 0))
 		li, ri := ni+1, node.Right
-		if _, ok := b.Nodes[li].Bounds.Hit(r); ok {
+		_, hl, _, hr := ro.boxes(&b.Nodes[li].Bounds, &b.Nodes[ri].Bounds, tmax)
+		if hl {
 			stack[sp] = li
 			sp++
 		}
-		if _, ok := b.Nodes[ri].Bounds.Hit(r); ok {
+		if hr {
 			stack[sp] = ri
 			sp++
 		}
 	}
+	*steps = out
 	return false
 }
 

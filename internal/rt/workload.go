@@ -125,9 +125,14 @@ func BuildWorkload(s *scene.Scene, width, height, spp int) (*Workload, error) {
 	return BuildWorkloadContext(context.Background(), s, width, height, spp)
 }
 
-// BuildWorkloadContext is BuildWorkload honouring ctx: cancellation stops
-// the trace between rows and returns ctx's error instead of a workload.
+// BuildWorkloadContext is BuildWorkload honouring ctx: cancellation before
+// or during the BVH build skips the trace, cancellation during the trace
+// stops it between rows, and either returns ctx's error instead of a
+// workload.
 func BuildWorkloadContext(ctx context.Context, s *scene.Scene, width, height, spp int) (*Workload, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if width <= 0 || height <= 0 || spp <= 0 {
 		return nil, fmt.Errorf("rt: invalid dimensions %dx%d spp=%d", width, height, spp)
 	}
@@ -136,6 +141,9 @@ func BuildWorkloadContext(ctx context.Context, s *scene.Scene, width, height, sp
 	}
 	accel, err := bvh.Build(s, bvh.DefaultOptions())
 	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if len(accel.Nodes) > maxNodeIndex {
@@ -214,10 +222,11 @@ type tracer struct {
 // tracePixel executes the synthetic ray-generation shader for one pixel:
 // spp independent paths, each tracing a primary ray, shadow rays at hits,
 // and mirror/diffuse bounces up to the scene's depth limit. The returned
-// trace's slices point into the tracer's arenas; growth can leave earlier
-// traces on retired backing arrays, which is fine — contents are immutable
-// once a pixel finishes, and compaction re-homes everything.
+// trace's slices point into the tracer's arenas; earlier traces stay on
+// retired chunks, which is fine — contents are immutable once a pixel
+// finishes, and compaction re-homes everything.
 func (tr *tracer) tracePixel(x, y, width, height, spp int, rng *vecmath.RNG) ThreadTrace {
+	tr.ops, tr.rays = reserve(tr.ops, 1<<8), reserve(tr.rays, 1<<6)
 	opsStart, raysStart := len(tr.ops), len(tr.rays)
 	pix := uint32(y*width + x)
 	fbAddr := uint32(FBBase + uint64(pix)*FBBytes)
@@ -234,6 +243,7 @@ func (tr *tracer) tracePixel(x, y, width, height, spp int, rng *vecmath.RNG) Thr
 	store := func(addr uint32) { tr.ops = append(tr.ops, Op{Kind: OpStore, Arg: addr}) }
 
 	traceRay := func(r vecmath.Ray, kind RayKind, any bool) (bvh.Hit, bool) {
+		tr.steps = reserve(tr.steps, 1<<12)
 		stepsStart := len(tr.steps)
 		var hit bvh.Hit
 		var ok bool
@@ -307,6 +317,19 @@ func (tr *tracer) tracePixel(x, y, width, height, spp int, rng *vecmath.RNG) Thr
 		}
 	}
 	return ThreadTrace{Ops: tr.ops[opsStart:], Rays: tr.rays[raysStart:]}
+}
+
+// reserve returns s if it has room for n more elements, or else a fresh
+// empty chunk with room for 64n. A tracer arena thus grows chunk by chunk
+// instead of copying everything traced so far on each doubling; a pixel's
+// ops and rays, and a ray's steps, still share one backing array because
+// they are reserved for up front (append copies only in the rare case
+// that a pixel or ray outgrows its reservation).
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return make([]T, 0, 64*n)
 }
 
 // WorkloadKey is the content address of a functional trace: the workload

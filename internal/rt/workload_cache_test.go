@@ -5,6 +5,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"zatel/internal/scene"
 )
 
 // TestCachedWorkloadSingleflight proves that under 8-way concurrency at
@@ -54,7 +56,7 @@ func TestCachedWorkloadSingleflight(t *testing.T) {
 }
 
 // TestCachedWorkloadContextCancelled: a pre-cancelled context aborts the
-// build with the context's error, and the failure is not cached — a later
+// build with the context's error before any BVH is built, and the failure is not cached — a later
 // call with a live context builds normally.
 func TestCachedWorkloadContextCancelled(t *testing.T) {
 	const w, h, spp = 31, 29, 1 // unique dims: no other test shares this key
@@ -62,6 +64,11 @@ func TestCachedWorkloadContextCancelled(t *testing.T) {
 	cancel()
 	if _, err := CachedWorkloadContext(ctx, "SPRNG", w, h, spp); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled build: err = %v, want context.Canceled", err)
+	}
+	// Uncached too: the scene has no triangles, so reaching bvh.Build or
+	// validation would report that instead of the cancellation.
+	if _, err := BuildWorkloadContext(ctx, &scene.Scene{Name: "empty"}, w, h, spp); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled uncached build: err = %v, want context.Canceled", err)
 	}
 	wl, err := CachedWorkloadContext(context.Background(), "SPRNG", w, h, spp)
 	if err != nil || wl == nil {
