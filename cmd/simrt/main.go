@@ -30,7 +30,7 @@ func main() {
 	if err != nil {
 		app.Finish(err)
 	}
-	rep, err := core.ReferenceContext(ctx, cfg, frame.Scene, frame.Res, frame.Res, frame.SPP)
+	rep, err := core.ReferenceContext(ctx, core.Options{Config: cfg, Scene: frame.Scene, Width: frame.Res, Height: frame.Res, SPP: frame.SPP})
 	if err != nil {
 		app.Finish(err)
 	}

@@ -33,7 +33,7 @@ func main() {
 	smp := cli.SamplingFlags(fs)
 	ft := cli.FaultFlags(fs)
 	app := cli.New(fs, "sweep")
-	app.StoreFlag("0")
+	app.StoreFlags("0")
 	app.ProfileFlags()
 	reps := fs.Int("reps", 5, "random-selection repetitions for table3")
 	workers := fs.Int("workers", 0, "experiment-grid worker pool size (0 = one per CPU core, 1 = serial)")

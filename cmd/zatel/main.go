@@ -27,7 +27,7 @@ func main() {
 	smp := cli.SamplingFlags(fs)
 	ft := cli.FaultFlags(fs)
 	app := cli.New(fs, "zatel")
-	app.StoreFlag("0")
+	app.StoreFlags("0")
 	app.ProfileFlags()
 	var (
 		division   = fs.String("division", "fine", "image-plane division: fine or coarse")
@@ -135,7 +135,7 @@ func main() {
 		return
 	}
 
-	ref, err := core.ReferenceContext(ctx, cfg, frame.Scene, frame.Res, frame.Res, frame.SPP)
+	ref, err := core.ReferenceContext(ctx, opts)
 	if err != nil {
 		app.Finish(err)
 	}

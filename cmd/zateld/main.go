@@ -41,11 +41,9 @@ import (
 
 func main() {
 	app := cli.New(flag.CommandLine, "zateld")
-	storeSize := app.StoreFlag("512MiB")
+	storeSize := app.StoreFlags("512MiB")
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
-		storeDir      = flag.String("store-dir", "", "directory for the persistent artifact tier (empty = memory-only)")
-		diskSize      = flag.String("disk-size", "2GiB", "disk tier byte budget (0 = unbounded)")
 		maxConcurrent = flag.Int("max-concurrent", 0, "max predictions building at once (0 = one per CPU core)")
 		maxQueue      = flag.Int("max-queue", 0, "max builders waiting for a slot before 503 (0 = 4x max-concurrent)")
 		defTimeout    = flag.Duration("default-timeout", 60*time.Second, "per-request deadline when the request names none")
@@ -71,36 +69,17 @@ func main() {
 
 	// SIGINT/SIGTERM start the drain: health flips to 503 so load
 	// balancers stop routing here, new predictions are refused, and
-	// in-flight requests get drain-timeout to finish.
+	// in-flight requests get drain-timeout to finish. Finish, deferred,
+	// drains the disk tier's write-behind queue last, so artifacts built
+	// moments before the signal are warm after the next start.
 	ctx := app.Start()
 	defer app.Finish(nil)
 
-	// One store for everything: workload traces and quantized heatmaps land
-	// in the process-wide default store anyway, so budgeting that same
-	// store (Start applied -store-size) puts predictions and their inputs
-	// under one LRU.
+	// One store for everything: workload traces, quantized heatmaps and
+	// references land in the process-wide default store anyway, so the
+	// store Start set up (-store-size, -store-dir) puts predictions and
+	// their inputs under one memory LRU and one disk tier.
 	st := store.Default()
-
-	// The disk tier survives restarts: artifacts built before a deploy or
-	// crash are integrity-verified and served warm afterwards. A failing or
-	// full disk degrades the tier to memory-only instead of stalling
-	// requests, so enabling it is always safe.
-	var disk *store.Disk
-	if *storeDir != "" {
-		diskBudget, err := store.ParseSize(*diskSize)
-		if err != nil {
-			app.Finish(err)
-		}
-		disk, err = store.OpenDisk(store.DiskConfig{Dir: *storeDir, MaxBytes: diskBudget})
-		if err != nil {
-			app.Finish(fmt.Errorf("opening -store-dir: %w", err))
-		}
-		st.AttachDisk(disk)
-		dc := disk.Counters()
-		slog.Info("disk tier open", "dir", *storeDir, "budget", *diskSize,
-			"entries", dc.Entries, "bytes", dc.Bytes,
-			"orphans_removed", dc.ScanOrphans, "quarantined", dc.Quarantined)
-	}
 
 	// Cluster mode: the static peer list becomes a consistent-hash ring,
 	// the store gains the peer fetch tier, and the service gains ownership
@@ -180,13 +159,6 @@ func main() {
 		}
 		if cl != nil {
 			cl.Close()
-		}
-		if disk != nil {
-			// Flush the write-behind queue so artifacts built moments before
-			// the signal are warm after the next start.
-			if err := disk.Close(); err != nil {
-				slog.Error("disk tier close failed", "err", err)
-			}
 		}
 		slog.Info("drained cleanly")
 	case err := <-errCh:

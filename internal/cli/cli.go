@@ -1,7 +1,7 @@
 // Package cli holds what the zatel commands (zatel, sweep, simrt, heatmap,
 // zateld) share: the flag groups at least two of them declare, each command
 // passing its own defaults, and one start-up and exit path covering the
-// logger, profiles, store budget, signal context and span tracer.
+// logger, profiles, artifact store, signal context and span tracer.
 package cli
 
 import (
@@ -99,8 +99,9 @@ type Command struct {
 	Tracer *obs.Tracer
 
 	logLevel                          string
-	storeSize                         *string
+	storeSize, storeDir, diskSize     *string
 	traceFile, cpuProfile, memProfile *string
+	disk                              *store.Disk
 
 	ctx          context.Context
 	stopSignals  context.CancelFunc
@@ -115,10 +116,15 @@ func New(fs *flag.FlagSet, name string) *Command {
 	return c
 }
 
-// StoreFlag registers -store-size with the given default; Start applies it
-// to store.Default(), which every pipeline artifact goes through.
-func (c *Command) StoreFlag(def string) *string {
-	c.storeSize = c.fs.String("store-size", def, "artifact store byte budget, e.g. 256MiB (0 = unbounded)")
+// StoreFlags registers the artifact store group: -store-size with the
+// given default, -store-dir and -disk-size. Start applies them to
+// store.Default(), which every pipeline artifact goes through: the memory
+// budget, and with -store-dir a disk tier, so workload traces, quantized
+// heatmaps, references and predictions outlive the process.
+func (c *Command) StoreFlags(defSize string) *string {
+	c.storeSize = c.fs.String("store-size", defSize, "artifact store byte budget, e.g. 256MiB (0 = unbounded)")
+	c.storeDir = c.fs.String("store-dir", "", "directory for the persistent artifact tier (empty = memory-only)")
+	c.diskSize = c.fs.String("disk-size", "2GiB", "disk tier byte budget (0 = unbounded)")
 	return c.storeSize
 }
 
@@ -130,7 +136,7 @@ func (c *Command) ProfileFlags() {
 }
 
 // Start runs after flag parsing: it installs the logger, starts the
-// profiles, applies the store budget and returns a context that SIGINT or
+// profiles, sets up the artifact store and returns a context that SIGINT or
 // SIGTERM cancels, carrying the tracer when -trace is set. A failure ends
 // the process through Finish.
 func (c *Command) Start() context.Context {
@@ -145,11 +151,9 @@ func (c *Command) Start() context.Context {
 		c.stopProfiles = stop
 	}
 	if c.storeSize != nil {
-		budget, err := store.ParseSize(*c.storeSize)
-		if err != nil {
+		if err := c.openStore(); err != nil {
 			c.Finish(err)
 		}
-		store.Default().SetMaxBytes(budget)
 	}
 	c.ctx, c.stopSignals = signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	if c.traceFile != nil && *c.traceFile != "" {
@@ -160,8 +164,38 @@ func (c *Command) Start() context.Context {
 	return c.ctx
 }
 
-// Finish ends the run. It writes the trace and the profiles first, so every
-// exit path leaves them, then returns when err is nil, exits 130 with
+// openStore applies the store group to store.Default(). The disk tier
+// survives restarts: artifacts built before a deploy, a crash or the last
+// run are integrity-verified and served warm. A failing or full disk
+// degrades the tier to memory-only instead of stalling, so enabling it is
+// always safe.
+func (c *Command) openStore() error {
+	budget, err := store.ParseSize(*c.storeSize)
+	if err != nil {
+		return err
+	}
+	store.Default().SetMaxBytes(budget)
+	if *c.storeDir == "" {
+		return nil
+	}
+	diskBudget, err := store.ParseSize(*c.diskSize)
+	if err != nil {
+		return err
+	}
+	if c.disk, err = store.OpenDisk(store.DiskConfig{Dir: *c.storeDir, MaxBytes: diskBudget}); err != nil {
+		return fmt.Errorf("opening -store-dir: %w", err)
+	}
+	store.Default().AttachDisk(c.disk)
+	dc := c.disk.Counters()
+	slog.Info("disk tier open", "dir", *c.storeDir, "budget", *c.diskSize,
+		"entries", dc.Entries, "bytes", dc.Bytes,
+		"orphans_removed", dc.ScanOrphans, "quarantined", dc.Quarantined)
+	return nil
+}
+
+// Finish ends the run. It writes the trace and the profiles and drains the
+// disk tier's write-behind queue first, so every exit path leaves them,
+// then returns when err is nil, exits 130 with
 // "<name>: interrupted" when a signal cancelled the run, and exits 1 with
 // the error otherwise. A trace that cannot be written also exits 1.
 func (c *Command) Finish(err error) {
@@ -173,6 +207,15 @@ func (c *Command) Finish(err error) {
 		code = 1
 	}
 	c.stopProfiles()
+	if c.disk != nil {
+		if cerr := c.disk.Close(); cerr != nil {
+			slog.Error("disk tier close failed", "err", cerr)
+		}
+		st := store.Default().Stats()
+		slog.Info("artifact store", "hits", st.Mem.Hits, "disk_hits", st.Mem.DiskHits,
+			"builds", st.Mem.Builds, "disk_writes", st.Disk.Writes, "disk_entries", st.Disk.Entries)
+		c.disk = nil
+	}
 	switch {
 	case err == nil:
 	case interrupted:

@@ -19,7 +19,7 @@ func TestREADMEListsEveryFlag(t *testing.T) {
 	SamplingFlags(fs)
 	FaultFlags(fs)
 	c := New(fs, "all")
-	c.StoreFlag("0")
+	c.StoreFlags("0")
 	c.ProfileFlags()
 	fs.VisitAll(func(f *flag.Flag) {
 		if !regexp.MustCompile("`-" + regexp.QuoteMeta(f.Name) + "[ `]").Match(readme) {

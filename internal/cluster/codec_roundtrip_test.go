@@ -198,6 +198,7 @@ func TestFrameRejectsCorruptionPerKind(t *testing.T) {
 			Predicted: combine.GroupValues{metrics.IPC: 1},
 			K:         2,
 		},
+		"core.reference/v1": metrics.Report{Cycles: 1000, Instructions: 2500, DRAMBWUtil: 0.4, WallTime: time.Second},
 	}
 	for kind, v := range values {
 		t.Run(kind, func(t *testing.T) {

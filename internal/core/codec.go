@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"time"
 
 	"zatel/internal/combine"
@@ -18,13 +19,51 @@ import (
 // Versioned disk-format tags of the pipeline's cacheable artifacts. Bump
 // on any layout change so old entries read as unknown-kind misses.
 const (
-	QuantCodecKind   = "core.quant/v1"
-	PredictCodecKind = "core.predict/v2"
+	QuantCodecKind     = "core.quant/v1"
+	PredictCodecKind   = "core.predict/v2"
+	ReferenceCodecKind = "core.reference/v1"
 )
 
 func init() {
 	store.RegisterCodec(quantCodec{})
 	store.RegisterCodec(predictCodec{})
+	store.RegisterCodec(referenceCodec{})
+}
+
+// referenceSize is a reference report's resident bytes.
+var referenceSize = int64(reflect.TypeOf(metrics.Report{}).Size())
+
+// referenceCodec serializes a reference run's metrics.Report, WallTime
+// included, as the JSON of the struct: a few hundred bytes, floats
+// round-trip exactly, and the report's field names are the format. A field
+// added to the report needs a new kind, or old entries decode it as zero.
+type referenceCodec struct{}
+
+// Kind implements store.Codec.
+func (referenceCodec) Kind() string { return ReferenceCodecKind }
+
+// Encodes implements store.Codec.
+func (referenceCodec) Encodes(v any) bool {
+	_, ok := v.(metrics.Report)
+	return ok
+}
+
+// Encode implements store.Codec.
+func (referenceCodec) Encode(v any) ([]byte, error) {
+	r, ok := v.(metrics.Report)
+	if !ok {
+		return nil, fmt.Errorf("core: reference codec cannot encode %T", v)
+	}
+	return json.Marshal(r)
+}
+
+// Decode implements store.Codec.
+func (referenceCodec) Decode(data []byte) (any, int64, error) {
+	var r metrics.Report
+	if err := json.Unmarshal(data, &r); err != nil {
+		return nil, 0, fmt.Errorf("core: reference payload: %w", err)
+	}
+	return r, referenceSize, nil
 }
 
 // quantCodec serializes the step-1/2 quantized heatmap: u32 width/height,

@@ -134,11 +134,10 @@ type Options struct {
 	// retries, deadlines, the degradation quorum and fault injection. The
 	// zero value runs each group once and degrades at quorum ceil(K/2).
 	FT FaultTolerance
-	// Store is the artifact store the pipeline's cacheable stages (the
-	// workload trace via internal/rt, and the step-1/2 quantized heatmap)
-	// go through. Nil selects the process-wide store.Default(). Note the
-	// workload trace always lands in store.Default() regardless, since it
-	// is shared infrastructure beyond this one prediction.
+	// Store is the artifact store the step-1/2 quantized heatmap and the
+	// reference (ReferenceContext) go through. Nil selects the process-wide
+	// store.Default(). The workload trace always lands in store.Default(),
+	// since it is shared infrastructure beyond this one prediction.
 	Store *store.Store
 }
 

@@ -2,70 +2,64 @@ package core
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"zatel/internal/config"
 	"zatel/internal/gpu"
 	"zatel/internal/metrics"
 	"zatel/internal/rt"
+	"zatel/internal/store"
 )
 
 // Reference runs the full workload on the full GPU configuration — the
 // ground truth Zatel's predictions are evaluated against. Threads launch in
-// natural row-major warp order.
-//
-// References are memoised: the evaluation recomputes the same ground truth
-// for every sweep point, and a cache turns that into a one-time cost (the
-// recorded WallTime is always the original simulation time, so speedup
-// measurements stay honest).
+// natural row-major warp order. It is ReferenceContext on the process-wide
+// store.
 func Reference(cfgFull config.Config, sceneName string, width, height, spp int) (metrics.Report, error) {
-	return ReferenceContext(context.Background(), cfgFull, sceneName, width, height, spp)
+	return ReferenceContext(context.Background(),
+		Options{Config: cfgFull, Scene: sceneName, Width: width, Height: height, SPP: spp})
 }
 
-// ReferenceContext is Reference honouring ctx: cancellation interrupts the
-// workload build between rows and is checked again before the full
-// simulation starts (the cycle-level replay itself runs to completion once
-// launched).
-func ReferenceContext(ctx context.Context, cfgFull config.Config, sceneName string, width, height, spp int) (metrics.Report, error) {
-	key := refKey{cfg: cfgFull, scene: sceneName, w: width, h: height, spp: spp}
-	refMu.Lock()
-	if rep, ok := refCache[key]; ok {
-		refMu.Unlock()
-		return rep, nil
-	}
-	refMu.Unlock()
-
-	wl, err := rt.CachedWorkloadContext(ctx, sceneName, width, height, spp)
+// ReferenceContext runs the frame opts names (Scene, Width, Height, SPP) in
+// full on opts.Config. The report is an artifact of opts' store, kind
+// core.reference/v1 under ReferenceKey, so the evaluation's many sweep
+// points sharing one ground truth pay for it once, concurrent misses
+// coalesce onto one simulation, and a disk tier keeps it across processes.
+// The recorded WallTime is always that of the simulation that produced the
+// report — after a disk hit, another process's.
+//
+// ctx cancellation interrupts the workload build between rows and is
+// checked again before the full simulation starts (the cycle-level replay
+// itself runs to completion once launched).
+func ReferenceContext(ctx context.Context, opts Options) (metrics.Report, error) {
+	key := ReferenceKey(opts.Config, rt.WorkloadKey(opts.Scene, opts.Width, opts.Height, opts.SPP))
+	v, _, err := opts.artifactStore().GetOrBuild(ctx, key, func(ctx context.Context) (any, int64, error) {
+		wl, err := rt.CachedWorkloadContext(ctx, opts.Scene, opts.Width, opts.Height, opts.SPP)
+		if err != nil {
+			return nil, 0, err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, 0, err
+		}
+		start := time.Now()
+		rep, err := gpu.Run(gpu.Job{Cfg: opts.Config, Traces: wl.Traces})
+		if err != nil {
+			return nil, 0, err
+		}
+		rep.WallTime = time.Since(start)
+		return rep, referenceSize, nil
+	})
 	if err != nil {
 		return metrics.Report{}, err
 	}
-	if err := ctx.Err(); err != nil {
-		return metrics.Report{}, err
-	}
-	start := time.Now()
-	rep, err := gpu.Run(gpu.Job{Cfg: cfgFull, Traces: wl.Traces})
-	if err != nil {
-		return metrics.Report{}, err
-	}
-	rep.WallTime = time.Since(start)
-
-	refMu.Lock()
-	refCache[key] = rep
-	refMu.Unlock()
-	return rep, nil
+	return v.(metrics.Report), nil
 }
 
-type refKey struct {
-	cfg       config.Config
-	scene     string
-	w, h, spp int
+// ReferenceKey is the content address of a reference run: the full
+// configuration and the digest of the workload it replays.
+func ReferenceKey(cfgFull config.Config, workload store.Digest) store.Digest {
+	return cfgFull.KeyTo(store.NewKey("reference/v1").Str("workload", workload.String())).Digest()
 }
-
-var (
-	refMu    sync.Mutex
-	refCache = map[refKey]metrics.Report{}
-)
 
 // Errors compares a prediction against a reference report and returns the
 // per-metric absolute errors.

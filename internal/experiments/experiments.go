@@ -89,14 +89,14 @@ func (s Settings) context() context.Context {
 	return context.Background()
 }
 
-// warm computes the points' ground-truth references (memoised by core)
-// one after another before any point runs. Drivers whose tables show wall
-// time call it so that each reference's recorded WallTime is not
-// time-sliced against other jobs; so do drivers whose points share a
-// reference, because the memo does not coalesce concurrent misses.
+// warm computes the points' ground-truth references one after another
+// before any point runs. Drivers whose tables show wall time call it, so
+// that each reference's recorded WallTime is not time-sliced against other
+// jobs. Points that merely share a reference need no warm-up: references
+// are store artifacts, and concurrent misses coalesce onto one simulation.
 func (s Settings) warm(points []core.Options) error {
 	for _, o := range points {
-		if _, err := core.ReferenceContext(s.context(), o.Config, o.Scene, o.Width, o.Height, o.SPP); err != nil {
+		if _, err := core.ReferenceContext(s.context(), o); err != nil {
 			return err
 		}
 	}
@@ -182,7 +182,7 @@ func (s Settings) runGrid(points []core.Options, label func(i int) string) ([]ou
 		func(ctx context.Context, i int) (outcome, error) {
 			opts := points[i]
 			opts.FT.Inject = opts.FT.Inject.SplitSeed(uint64(i))
-			ref, err := core.ReferenceContext(ctx, opts.Config, opts.Scene, opts.Width, opts.Height, opts.SPP)
+			ref, err := core.ReferenceContext(ctx, opts)
 			if err != nil {
 				return outcome{err: fmt.Errorf("%s reference: %w", label(i), err)}, nil
 			}

@@ -111,9 +111,6 @@ func Table3(s Settings, cfg config.Config, reps int) (*Table3Result, error) {
 			}
 		}
 	}
-	if err := s.warm(points); err != nil {
-		return nil, err
-	}
 	outs, pool, _ := s.runGrid(points, func(i int) string {
 		o := points[i]
 		return fmt.Sprintf("table3 %s/%s/32x%d", o.Scene, o.Dist, o.BlockH)

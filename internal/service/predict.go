@@ -312,7 +312,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// The steady state of a warm fleet: the prediction is in memory here,
 	// whichever node owns it. Nothing waits, so the hit needs neither the
 	// deadline's timer nor a tracer of its own.
-	if v, ok := s.st.Resident(ctx, key); ok {
+	if v, _, ok := s.st.Get(ctx, key, store.Memory); ok {
 		s.writePredictOK(w, r, &opts, key, store.Hit, v.(*core.Result), reqStart, tr, finish)
 		return
 	}
@@ -330,7 +330,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// already forwarded once is served here unconditionally (no loops), and
 	// an unreachable owner degrades to a local build, never an error.
 	if cl != nil && owner != cl.Self() && r.Header.Get(cluster.ForwardedHeader) == "" {
-		if v, outcome, ok := s.st.TryGet(ctx, key); ok {
+		if v, outcome, ok := s.st.Get(ctx, key, store.Chain); ok {
 			s.writePredictOK(w, r, &opts, key, outcome, v.(*core.Result), reqStart, tr, finish)
 			return
 		}

@@ -39,10 +39,10 @@ import (
 
 // Config sizes the server. Zero values select production-sane defaults.
 type Config struct {
-	// Store holds the artifacts (nil = a new unbounded store). The same
-	// store instance backs workload traces, quantized heatmaps and whole
-	// predictions when it is installed as store.Default's budget via
-	// SetMaxBytes; the server itself only inserts predictions.
+	// Store holds the predictions (nil = a new unbounded store); the
+	// server inserts nothing else. zateld passes store.Default(), where the
+	// pipeline's workload traces and quantized heatmaps live too, so one
+	// memory budget and one disk tier cover them all.
 	Store *store.Store
 	// MaxConcurrent bounds how many predictions may build simultaneously
 	// (0 = one per CPU core). Cache hits and coalesced waiters do not

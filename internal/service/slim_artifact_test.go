@@ -32,7 +32,7 @@ func predictedJSON(t *testing.T, raw string) string {
 // cachedResult is the value the store holds for key, without building.
 func cachedResult(t *testing.T, st *store.Store, key store.Digest) *core.Result {
 	t.Helper()
-	v, _, ok := st.TryGet(context.Background(), key)
+	v, _, ok := st.Get(context.Background(), key, store.Chain)
 	if !ok {
 		t.Fatalf("store holds nothing under %s", key.Short())
 	}

@@ -1,13 +1,14 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 )
 
-// Codec serializes one artifact family for the disk tier. Kinds are
-// versioned ("rt.workload/v1"): a format change registers a new kind, and
-// entries written under a kind the running binary no longer knows are
+// Codec serializes one artifact family for the disk and peer tiers. Kinds
+// are versioned ("rt.workload/v1"): a format change registers a new kind,
+// and entries written under a kind the running binary no longer knows are
 // skipped (treated as misses), never misread.
 //
 // Encode/Decode must round-trip: Decode(Encode(v)) yields a value
@@ -68,4 +69,51 @@ func codecForValue(v any) Codec {
 		}
 	}
 	return nil
+}
+
+// EncodeFramed serializes v through its registered codec and wraps the
+// payload in the integrity frame (magic, version, kind, length, payload
+// SHA-256) — the format written to disk and served to peers. Values no
+// codec can serialize are an error.
+func EncodeFramed(v any) (data []byte, kind string, err error) {
+	c := codecForValue(v)
+	if c == nil {
+		return nil, "", fmt.Errorf("store: no codec can serialize %T", v)
+	}
+	payload, err := c.Encode(v)
+	if err != nil {
+		return nil, "", err
+	}
+	data, err = encodeDiskEntry(c.Kind(), payload)
+	if err != nil {
+		return nil, "", err
+	}
+	return data, c.Kind(), nil
+}
+
+// errUnknownKind marks an intact frame of a kind this binary registers no
+// codec for: a newer or retired format, not corruption.
+var errUnknownKind = errors.New("store: unknown codec kind")
+
+// DecodeFramed verifies a framed entry (header, payload checksum) and
+// decodes it through the registered codec for its kind, returning the
+// value and its resident size. It is the one verification both lower tiers
+// run. Every deviation — bad magic, unsupported version, torn length,
+// checksum mismatch, unknown kind, codec rejection — is an error; callers
+// must treat the bytes as untrusted and never use a partially-decoded
+// value.
+func DecodeFramed(data []byte) (v any, size int64, kind string, err error) {
+	kind, payload, err := parseDiskEntry(data)
+	if err != nil {
+		return nil, 0, "", err
+	}
+	c := codecForKind(kind)
+	if c == nil {
+		return nil, 0, kind, fmt.Errorf("%w %q", errUnknownKind, kind)
+	}
+	v, size, err = c.Decode(payload)
+	if err != nil {
+		return nil, 0, kind, fmt.Errorf("decode %s: %w", kind, err)
+	}
+	return v, sizeOf(v, size), kind, nil
 }

@@ -1,7 +1,7 @@
 package store
 
 import (
-	"container/list"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -116,12 +116,6 @@ type DiskCounters struct {
 	DegradedCount uint64
 }
 
-// diskEntry is one valid on-disk artifact in the disk LRU.
-type diskEntry struct {
-	key  Digest
-	size int64
-}
-
 // diskWrite is one queued write-behind operation.
 type diskWrite struct {
 	key   Digest
@@ -136,7 +130,6 @@ type diskWrite struct {
 type Disk struct {
 	dir     string
 	fsys    faults.FS
-	max     int64
 	reprobe time.Duration
 
 	queue   chan diskWrite
@@ -148,14 +141,12 @@ type Disk struct {
 
 	mu     sync.Mutex
 	closed bool
-	ll     *list.List // front = most recently used
-	items  map[Digest]*list.Element
-	bytes  int64
+	idx    *lru // the valid entries and their file sizes
 	tmpSeq uint64
 
 	hits, misses, readErrors     atomic.Uint64
 	writes, writeErrors, dropped atomic.Uint64
-	quarantined, evictions       atomic.Uint64
+	quarantined                  atomic.Uint64
 	scanEntries, scanOrphans     atomic.Uint64
 	degradedCount                atomic.Uint64
 }
@@ -185,13 +176,11 @@ func OpenDisk(cfg DiskConfig) (*Disk, error) {
 	d := &Disk{
 		dir:     cfg.Dir,
 		fsys:    fsys,
-		max:     cfg.MaxBytes,
 		reprobe: cfg.ReprobeInterval,
 		queue:   make(chan diskWrite, cfg.QueueLen),
 		stop:    make(chan struct{}),
-		ll:      list.New(),
-		items:   make(map[Digest]*list.Element),
 	}
+	d.idx = newLRU(cfg.MaxBytes, d.removeEvicted)
 	if err := d.scan(); err != nil {
 		return nil, err
 	}
@@ -253,13 +242,11 @@ func (d *Disk) scan() error {
 		valid = append(valid, found{key: key, size: int64(len(data)), mtime: mtime})
 	}
 	sort.Slice(valid, func(i, j int) bool { return valid[i].mtime.Before(valid[j].mtime) })
+	d.mu.Lock()
 	for _, f := range valid {
-		d.items[f.key] = d.ll.PushFront(&diskEntry{key: f.key, size: f.size})
-		d.bytes += f.size
+		d.idx.put(f.key, nil, f.size)
 		d.scanEntries.Add(1)
 	}
-	d.mu.Lock()
-	d.evictOverBudgetLocked()
 	d.mu.Unlock()
 	return nil
 }
@@ -342,58 +329,35 @@ func parseDiskEntry(data []byte) (kind string, payload []byte, err error) {
 // served.
 func (d *Disk) Get(key Digest) (any, int64, bool) {
 	d.mu.Lock()
-	el, ok := d.items[key]
-	if ok {
-		d.ll.MoveToFront(el)
-	}
+	_, ok := d.idx.get(key)
 	d.mu.Unlock()
+	var data []byte
+	if ok {
+		data, ok = d.read(key)
+	}
 	if !ok {
 		d.misses.Add(1)
 		return nil, 0, false
 	}
-	data, err := d.fsys.ReadFile(d.entryPath(key))
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			// Evicted or removed underneath us: plain miss.
-			d.dropIndexEntry(key)
-		} else {
-			d.readErrors.Add(1)
-			slog.Warn("store: disk read failed, treating as miss",
-				"key", key.Short(), "err", err)
-		}
-		d.misses.Add(1)
-		return nil, 0, false
-	}
-	kind, payload, err := parseDiskEntry(data)
-	if err != nil {
+	v, size, _, err := DecodeFramed(data)
+	switch {
+	case errors.Is(err, errUnknownKind):
+		// A format this binary does not speak (newer or retired kind): not
+		// corruption, so leave the file, but stop indexing it.
+		d.forget(key)
+	case err != nil:
 		d.quarantine(key, err)
-		d.misses.Add(1)
-		return nil, 0, false
 	}
-	c := codecForKind(kind)
-	if c == nil {
-		// A format this binary does not speak (newer or retired kind):
-		// not corruption, so leave the file, but stop indexing it.
-		d.dropIndexEntry(key)
-		d.misses.Add(1)
-		return nil, 0, false
-	}
-	v, size, err := c.Decode(payload)
 	if err != nil {
-		// The checksum held but the payload does not decode: the entry was
-		// written corrupt. Quarantine so it cannot waste another read.
-		d.quarantine(key, fmt.Errorf("decode %s: %w", kind, err))
 		d.misses.Add(1)
 		return nil, 0, false
-	}
-	if size <= 0 {
-		if sz, ok := v.(Sizer); ok {
-			size = sz.SizeBytes()
-		}
 	}
 	d.hits.Add(1)
 	return v, size, true
 }
+
+// Fetch implements Tier: Get, as a level of the store's lookup chain.
+func (d *Disk) Fetch(_ context.Context, key Digest) (any, int64, bool) { return d.Get(key) }
 
 // ReadFramed returns the raw framed bytes of key's entry after full
 // verification (header and payload checksum), for serving to cluster peers
@@ -401,19 +365,11 @@ func (d *Disk) Get(key Digest) (any, int64, bool) {
 // like Get; hit/miss counters are untouched — peer serves are not local
 // lookups and are counted by the HTTP handler instead.
 func (d *Disk) ReadFramed(key Digest) ([]byte, bool) {
-	d.mu.Lock()
-	_, ok := d.items[key]
-	d.mu.Unlock()
-	if !ok {
+	if !d.Contains(key) {
 		return nil, false
 	}
-	data, err := d.fsys.ReadFile(d.entryPath(key))
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			d.dropIndexEntry(key)
-		} else {
-			d.readErrors.Add(1)
-		}
+	data, ok := d.read(key)
+	if !ok {
 		return nil, false
 	}
 	if _, _, err := parseDiskEntry(data); err != nil {
@@ -421,6 +377,23 @@ func (d *Disk) ReadFramed(key Digest) ([]byte, bool) {
 		return nil, false
 	}
 	return data, true
+}
+
+// read returns the file of an indexed entry. An entry whose file is gone
+// (evicted or removed underneath us) is forgotten; any other read error is
+// counted. Both are misses.
+func (d *Disk) read(key Digest) ([]byte, bool) {
+	data, err := d.fsys.ReadFile(d.entryPath(key))
+	if err == nil {
+		return data, true
+	}
+	if errors.Is(err, fs.ErrNotExist) {
+		d.forget(key)
+	} else {
+		d.readErrors.Add(1)
+		slog.Warn("store: disk read failed, treating as miss", "key", key.Short(), "err", err)
+	}
+	return nil, false
 }
 
 // Put queues the artifact for write-behind persistence. It never blocks:
@@ -442,7 +415,7 @@ func (d *Disk) Put(key Digest, v any) {
 		d.dropped.Add(1)
 		return
 	}
-	if _, resident := d.items[key]; resident {
+	if _, resident := d.idx.peek(key); resident {
 		d.mu.Unlock()
 		return
 	}
@@ -499,45 +472,23 @@ func (d *Disk) writeEntry(w diskWrite) {
 	}
 	d.writes.Add(1)
 	d.mu.Lock()
-	if el, ok := d.items[w.key]; ok {
-		e := el.Value.(*diskEntry)
-		d.bytes += int64(len(buf)) - e.size
-		e.size = int64(len(buf))
-		d.ll.MoveToFront(el)
-	} else {
-		d.items[w.key] = d.ll.PushFront(&diskEntry{key: w.key, size: int64(len(buf))})
-		d.bytes += int64(len(buf))
-	}
-	d.evictOverBudgetLocked()
+	d.idx.put(w.key, nil, int64(len(buf)))
 	d.mu.Unlock()
 }
 
-// evictOverBudgetLocked removes least-recently-used entries (index and
-// file) until the byte budget holds. d.mu must be held.
-func (d *Disk) evictOverBudgetLocked() {
-	for d.max > 0 && d.bytes > d.max && d.ll.Len() > 0 {
-		el := d.ll.Back()
-		e := el.Value.(*diskEntry)
-		d.ll.Remove(el)
-		delete(d.items, e.key)
-		d.bytes -= e.size
-		d.evictions.Add(1)
-		if err := d.fsys.Remove(d.entryPath(e.key)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			slog.Warn("store: disk eviction remove failed (next scan re-indexes)",
-				"key", e.key.Short(), "err", err)
-		}
+// removeEvicted deletes the file of an entry the index evicted for the
+// byte budget; d.mu is held.
+func (d *Disk) removeEvicted(key Digest) {
+	if err := d.fsys.Remove(d.entryPath(key)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		slog.Warn("store: disk eviction remove failed (next scan re-indexes)",
+			"key", key.Short(), "err", err)
 	}
 }
 
-// dropIndexEntry forgets key without touching the file.
-func (d *Disk) dropIndexEntry(key Digest) {
+// forget drops key from the index without touching the file.
+func (d *Disk) forget(key Digest) {
 	d.mu.Lock()
-	if el, ok := d.items[key]; ok {
-		e := el.Value.(*diskEntry)
-		d.ll.Remove(el)
-		delete(d.items, key)
-		d.bytes -= e.size
-	}
+	d.idx.remove(key)
 	d.mu.Unlock()
 }
 
@@ -545,7 +496,7 @@ func (d *Disk) dropIndexEntry(key Digest) {
 // corruption evidence is what operators triage, see OPERATIONS.md) and
 // removes it from the index so it reads as a miss and gets rebuilt.
 func (d *Disk) quarantine(key Digest, cause error) {
-	d.dropIndexEntry(key)
+	d.forget(key)
 	d.quarantineFile(key, cause)
 }
 
@@ -630,13 +581,13 @@ func (d *Disk) Close() error {
 // Counters snapshots the disk tier's observability state.
 func (d *Disk) Counters() DiskCounters {
 	d.mu.Lock()
-	entries, bytes := d.ll.Len(), d.bytes
+	entries, bytes, budget, evictions := d.idx.len(), d.idx.bytes, d.idx.max, d.idx.evictions
 	d.mu.Unlock()
 	return DiskCounters{
 		State:         d.State().String(),
 		Entries:       entries,
 		Bytes:         bytes,
-		MaxBytes:      d.max,
+		MaxBytes:      budget,
 		Hits:          d.hits.Load(),
 		Misses:        d.misses.Load(),
 		ReadErrors:    d.readErrors.Load(),
@@ -644,17 +595,17 @@ func (d *Disk) Counters() DiskCounters {
 		WriteErrors:   d.writeErrors.Load(),
 		WritesDropped: d.dropped.Load(),
 		Quarantined:   d.quarantined.Load(),
-		Evictions:     d.evictions.Load(),
+		Evictions:     evictions,
 		ScanEntries:   d.scanEntries.Load(),
 		ScanOrphans:   d.scanOrphans.Load(),
 		DegradedCount: d.degradedCount.Load(),
 	}
 }
 
-// Contains reports whether key is indexed (tests), without counters.
+// Contains reports whether key is indexed, without counters or a read.
 func (d *Disk) Contains(key Digest) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	_, ok := d.items[key]
+	_, ok := d.idx.peek(key)
 	return ok
 }

@@ -87,12 +87,12 @@ func TestDiskPersistsAcrossReopen(t *testing.T) {
 	ctx := context.Background()
 
 	st := New(0)
-	st.AttachDisk(openTestDisk(t, DiskConfig{Dir: dir}))
+	d := openTestDisk(t, DiskConfig{Dir: dir})
+	st.AttachDisk(d)
 	var builds int
 	if _, out, err := st.GetOrBuild(ctx, key(1), blobBuild(1, 500, &builds)); err != nil || out != Miss {
 		t.Fatalf("cold build: %v %v", out, err)
 	}
-	d := st.Disk()
 	d.Flush()
 	if err := d.Close(); err != nil {
 		t.Fatalf("Close: %v", err)

@@ -21,32 +21,32 @@ func TestShortIsStringPrefix(t *testing.T) {
 	}
 }
 
-// TestResident: the memory-only lookup reports exactly what GetOrBuild's
+// TestResident: Get at depth Memory reports exactly what GetOrBuild's
 // first branch would (a counted hit that refreshes the LRU position) and
 // nothing else: no build, no flight, no miss.
 func TestResident(t *testing.T) {
 	s := New(20)
 	ctx := context.Background()
-	if _, ok := s.Resident(ctx, key(1)); ok {
-		t.Fatal("Resident found a key nobody built")
+	if _, _, ok := s.Get(ctx, key(1), Memory); ok {
+		t.Fatal("Get(Memory) found a key nobody built")
 	}
 	if c := s.Snapshot(); c.Hits+c.Misses+c.Builds != 0 || c.Inflight != 0 {
-		t.Fatalf("a Resident miss moved counters: %+v", c)
+		t.Fatalf("a Get(Memory) miss moved counters: %+v", c)
 	}
 	for i := 1; i <= 2; i++ {
 		if _, _, err := s.GetOrBuild(ctx, key(i), constBuild(i, 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if v, ok := s.Resident(ctx, key(1)); !ok || v.(int) != 1 {
-		t.Fatalf("Resident(1) = %v %v", v, ok)
+	if v, _, ok := s.Get(ctx, key(1), Memory); !ok || v.(int) != 1 {
+		t.Fatalf("Get(1, Memory) = %v %v", v, ok)
 	}
 	// Key 1 was just used, so key 2 is the one a third insert evicts.
 	if _, _, err := s.GetOrBuild(ctx, key(3), constBuild(3, 10)); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Contains(key(1)) || s.Contains(key(2)) {
-		t.Error("Resident did not refresh the key's LRU position")
+		t.Error("Get(Memory) did not refresh the key's LRU position")
 	}
 	if c := s.Snapshot(); c.Hits != 1 || c.Builds != 3 {
 		t.Errorf("counters = %+v, want 1 hit and 3 builds", c)
@@ -54,9 +54,9 @@ func TestResident(t *testing.T) {
 
 	// Under a tracer the lookup is the same store.hit span GetOrBuild records.
 	tr := obs.NewTracer()
-	s.Resident(obs.WithTracer(ctx, tr), key(1))
+	s.Get(obs.WithTracer(ctx, tr), key(1), Memory)
 	if spans := tr.Snapshot(); len(spans) != 1 || spans[0].Name != "store.hit" || spans[0].Attrs["key"] != key(1).Short() {
-		t.Errorf("traced Resident recorded %+v, want one store.hit span with the key", spans)
+		t.Errorf("traced Get(Memory) recorded %+v, want one store.hit span with the key", spans)
 	}
 }
 
@@ -76,12 +76,12 @@ func TestUntracedHitAllocatesNothing(t *testing.T) {
 		}
 	})
 	resident := testing.AllocsPerRun(100, func() {
-		if _, ok := s.Resident(ctx, k); !ok {
+		if _, _, ok := s.Get(ctx, k, Memory); !ok {
 			t.Fatal("not resident")
 		}
 	})
-	t.Logf("untraced hit: GetOrBuild %.0f allocs/op, Resident %.0f", getOrBuild, resident)
+	t.Logf("untraced hit: GetOrBuild %.0f allocs/op, Get(Memory) %.0f", getOrBuild, resident)
 	if !raceEnabled && (getOrBuild != 0 || resident != 0) {
-		t.Errorf("an untraced hit allocates (GetOrBuild %.0f, Resident %.0f), want 0", getOrBuild, resident)
+		t.Errorf("an untraced hit allocates (GetOrBuild %.0f, Get(Memory) %.0f), want 0", getOrBuild, resident)
 	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync/atomic"
@@ -87,11 +88,11 @@ func TestPeerConsultedAfterDisk(t *testing.T) {
 	// Build once so the artifact lands on disk, then "restart": a fresh
 	// memory store over the same directory, this time with a peer tier.
 	st := New(0)
-	st.AttachDisk(openTestDisk(t, DiskConfig{Dir: dir}))
+	d := openTestDisk(t, DiskConfig{Dir: dir})
+	st.AttachDisk(d)
 	if _, _, err := st.GetOrBuild(ctx, k, blobBuild(7, 64, nil)); err != nil {
 		t.Fatal(err)
 	}
-	d := st.Disk()
 	d.Flush()
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -124,23 +125,23 @@ func TestTryGetOutcomes(t *testing.T) {
 	if _, _, err := s.GetOrBuild(ctx, k1, constBuild("resident", 8)); err != nil {
 		t.Fatal(err)
 	}
-	if v, out, ok := s.TryGet(ctx, k1); !ok || out != Hit || v.(string) != "resident" {
-		t.Fatalf("TryGet(resident) = %v %v %v", v, out, ok)
+	if v, out, ok := s.Get(ctx, k1, Chain); !ok || out != Hit || v.(string) != "resident" {
+		t.Fatalf("Get(resident) = %v %v %v", v, out, ok)
 	}
 	// Peer hit, promoted.
-	if v, out, ok := s.TryGet(ctx, k2); !ok || out != PeerHit || v.(string) != "peer copy" {
-		t.Fatalf("TryGet(peer) = %v %v %v", v, out, ok)
+	if v, out, ok := s.Get(ctx, k2, Chain); !ok || out != PeerHit || v.(string) != "peer copy" {
+		t.Fatalf("Get(peer) = %v %v %v", v, out, ok)
 	}
-	if v, out, ok := s.TryGet(ctx, k2); !ok || out != Hit || v.(string) != "peer copy" {
-		t.Fatalf("TryGet after promotion = %v %v %v", v, out, ok)
+	if v, out, ok := s.Get(ctx, k2, Chain); !ok || out != Hit || v.(string) != "peer copy" {
+		t.Fatalf("Get after promotion = %v %v %v", v, out, ok)
 	}
 	// Fleet-wide miss: no build, ok=false.
-	if _, _, ok := s.TryGet(ctx, k3); ok {
-		t.Fatal("TryGet(miss) = true")
+	if _, _, ok := s.Get(ctx, k3, Chain); ok {
+		t.Fatal("Get(miss) = true")
 	}
 	c := s.Snapshot()
 	if c.Builds != 1 {
-		t.Errorf("TryGet ran a build: %+v", c)
+		t.Errorf("Get ran a build: %+v", c)
 	}
 }
 
@@ -162,21 +163,21 @@ func TestTryGetJoinsInflightBuild(t *testing.T) {
 	<-started
 	got := make(chan string, 1)
 	go func() {
-		v, out, ok := s.TryGet(ctx, k)
+		v, out, ok := s.Get(ctx, k, Chain)
 		if !ok || out != Coalesced {
 			got <- fmt.Sprintf("bad outcome %v ok=%v", out, ok)
 			return
 		}
 		got <- v.(string)
 	}()
-	// TryGet bumps the coalesced counter before waiting on the flight;
+	// Get bumps the coalesced counter before waiting on the flight;
 	// release the build only once it has demonstrably joined.
 	for s.Snapshot().Coalesced == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)
 	if v := <-got; v != "slow build" {
-		t.Fatalf("TryGet joined in-flight build, got %q", v)
+		t.Fatalf("Get joined in-flight build, got %q", v)
 	}
 	<-done
 }
@@ -212,11 +213,68 @@ func TestStatsMatchesSnapshot(t *testing.T) {
 	if st.Mem.PeerHits != 1 || st.Mem.PeerMisses != 1 {
 		t.Errorf("peer outcome counters = %+v", st.Mem)
 	}
-	if pc, _ := s.PeerCounters(); st.Peer != pc {
-		t.Errorf("Stats.Peer %+v != PeerCounters %+v", st.Peer, pc)
+	if pc := peers.Counters(); st.Peer != pc {
+		t.Errorf("Stats.Peer %+v != the fetcher's Counters %+v", st.Peer, pc)
 	}
 	s.AttachPeers(nil)
 	if st = s.Stats(); st.PeerEnabled {
 		t.Error("detached peer tier still reported enabled")
 	}
 }
+
+// TestChainPromotesAndExports pins what the one lookup does with an answer
+// from below and what Export reads: a peer hit is kept by memory and queued
+// for disk, and Export serves memory or disk frames but never asks a peer,
+// whose own request would otherwise come back to it.
+func TestChainPromotesAndExports(t *testing.T) {
+	ctx := context.Background()
+	onPeer, elsewhere := key(1), key(2)
+	peers := &blobPeers{key: onPeer, v: blob(1, 32)}
+	d := openTestDisk(t, DiskConfig{Dir: t.TempDir()})
+	st := New(0)
+	st.AttachDisk(d)
+	st.AttachPeers(peers)
+
+	if _, out, ok := st.Get(ctx, onPeer, Chain); !ok || out != PeerHit {
+		t.Fatalf("Get(peer) = %v %v", out, ok)
+	}
+	d.Flush()
+	if !st.Contains(onPeer) || !d.Contains(onPeer) {
+		t.Errorf("peer hit not kept: memory %v, disk %v", st.Contains(onPeer), d.Contains(onPeer))
+	}
+
+	// The memory copy is framed; a fresh store over the same disk serves the
+	// disk's frame as stored, byte for byte the same; a key only a peer has
+	// is not exported and the peer is not asked.
+	fromMem, ok := st.Export(onPeer)
+	if !ok {
+		t.Fatal("Export of a resident key failed")
+	}
+	fresh := New(0)
+	fresh.AttachDisk(d)
+	fresh.AttachPeers(peers)
+	if fromDisk, ok := fresh.Export(onPeer); !ok || !bytes.Equal(fromDisk, fromMem) {
+		t.Errorf("Export from disk: ok %v, want the memory copy's frame", ok)
+	}
+	peers.key = elsewhere
+	if _, ok := fresh.Export(elsewhere); ok || peers.fetches != 1 {
+		t.Errorf("Export of a peer-only key: ok %v after %d peer fetches, want false after only the Get above", ok, peers.fetches)
+	}
+}
+
+// blobPeers is a peer tier holding one testBlob.
+type blobPeers struct {
+	key     Digest
+	v       *testBlob
+	fetches int
+}
+
+func (p *blobPeers) Fetch(_ context.Context, key Digest) (any, int64, bool) {
+	p.fetches++
+	if key != p.key {
+		return nil, 0, false
+	}
+	return p.v, p.v.SizeBytes(), true
+}
+
+func (p *blobPeers) Counters() PeerCounters { return PeerCounters{Fetches: uint64(p.fetches)} }

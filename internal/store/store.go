@@ -1,24 +1,23 @@
 package store
 
 import (
-	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"zatel/internal/obs"
 )
 
-// Outcome classifies how one GetOrBuild call was served.
+// Outcome classifies how one lookup was served.
 type Outcome int
 
 const (
-	// Miss: this call ran the build itself.
+	// Miss: this call ran the build itself (or, for Get, found nothing).
 	Miss Outcome = iota
 	// Hit: the artifact was already resident in memory.
 	Hit
@@ -49,6 +48,43 @@ func (o Outcome) String() string {
 	default:
 		return "miss"
 	}
+}
+
+// Depth says how far down the tier chain Get looks.
+type Depth int
+
+const (
+	// Memory is the memory tier alone: a counted hit or nothing. It never
+	// waits, reads a lower tier or builds, so a caller that falls back to
+	// GetOrBuild keeps what those need (a deadline, a tracer) off its hit
+	// path.
+	Memory Depth = iota
+	// Chain is every tier short of building: memory, an in-flight build of
+	// the key (joined), then each lower tier in order.
+	Chain
+)
+
+// Tier is one level of the lookup chain below memory: the disk tier and the
+// peer tier (internal/cluster) implement it. Fetch returns key's artifact,
+// integrity-verified and decoded, with its resident size. Every failure — an
+// I/O error, a corrupt entry, an unreachable peer — is a miss, so a lookup
+// degrades to the next tier or a build, never to an error.
+type Tier interface {
+	Fetch(ctx context.Context, key Digest) (v any, size int64, ok bool)
+}
+
+// link is one lower tier in the chain, with the outcome and span its hits
+// report.
+type link struct {
+	tier    Tier
+	outcome Outcome
+	span    string
+	// keep and export are the disk tier's write-behind Put, which keeps
+	// what the chain found below it or built without ever blocking, and its
+	// ReadFramed, which hands a peer an entry without decoding it. Both are
+	// nil for the peer tier.
+	keep   func(key Digest, v any)
+	export func(key Digest) ([]byte, bool)
 }
 
 // Counters is a point-in-time snapshot of a store's observability state.
@@ -91,52 +127,50 @@ type flight struct {
 	err   error
 }
 
-// entry is one resident artifact in the LRU list.
-type entry struct {
-	key   Digest
-	value any
-	size  int64
+// wait blocks until the flight lands or the waiter's own ctx fires.
+func (f *flight) wait(ctx context.Context, key Digest) (any, Outcome, error) {
+	_, sp := keySpan(ctx, "store.coalesce", key)
+	defer sp.End()
+	select {
+	case <-f.done:
+		return f.value, Coalesced, f.err
+	case <-ctx.Done():
+		sp.SetAttr("error", ctx.Err())
+		return nil, Coalesced, ctx.Err()
+	}
 }
 
-// Store is a bounded, content-addressed, coalescing artifact cache. The
-// zero value is not usable; construct with New.
+// Store is a content-addressed, coalescing artifact cache: a byte-budgeted
+// memory tier in front of an optional chain of lower tiers (disk, then
+// peer). The zero value is not usable; construct with New.
 type Store struct {
 	mu       sync.Mutex
-	max      int64
-	bytes    int64
-	ll       *list.List // front = most recently used
-	items    map[Digest]*list.Element
+	mem      *lru
 	inflight map[Digest]*flight
+
+	// disk and peers are the attached lower tiers; chain is them in lookup
+	// order, replaced (never mutated) on attach so a lookup may keep using
+	// the one it read.
+	disk  *Disk
+	peers PeerFetcher
+	chain []link
 
 	hits, misses, coalesced uint64
 	builds, buildErrors     uint64
-	evictions, diskHits     uint64
-	peerHits, peerMisses    uint64
-
-	// disk is the optional persistent second tier (nil = memory-only).
-	// Atomic so AttachDisk is safe against concurrent GetOrBuild.
-	disk atomic.Pointer[Disk]
-	// peers is the optional third tier: the cluster peer fetcher (nil =
-	// single-node). Atomic so AttachPeers is safe against concurrent
-	// GetOrBuild.
-	peers atomic.Pointer[peerTier]
+	// tierHits and tierMisses count lower-tier answers by their outcome.
+	tierHits, tierMisses [PeerHit + 1]uint64
 }
 
 // New returns an empty store that evicts least-recently-used artifacts once
 // resident bytes exceed maxBytes (<= 0 means unbounded).
 func New(maxBytes int64) *Store {
-	return &Store{
-		max:      maxBytes,
-		ll:       list.New(),
-		items:    make(map[Digest]*list.Element),
-		inflight: make(map[Digest]*flight),
-	}
+	return &Store{mem: newLRU(maxBytes, nil), inflight: make(map[Digest]*flight)}
 }
 
-// defaultStore is the process-wide shared store: rt workload traces and
-// core quantized heatmaps land here unless a caller injects its own store,
-// so every CLI and test in one process amortises the same artifacts.
-// Unbounded by default (the pre-store behaviour); cap it with
+// defaultStore is the process-wide shared store: rt workload traces, core
+// quantized heatmaps and references land here unless a caller injects its
+// own store, so every CLI and test in one process amortises the same
+// artifacts. Unbounded by default (the pre-store behaviour); cap it with
 // Default().SetMaxBytes, e.g. from a -store-size flag.
 var defaultStore = New(0)
 
@@ -144,18 +178,30 @@ var defaultStore = New(0)
 func Default() *Store { return defaultStore }
 
 // Sizer is implemented by artifacts that know their own resident size.
-// GetOrBuild consults it when the builder reports a non-positive size.
+// The store consults it when a builder or codec reports a non-positive size.
 type Sizer interface {
 	// SizeBytes returns the artifact's resident size in bytes.
 	SizeBytes() int64
 }
 
-// GetOrBuild returns the artifact for key, running build at most once per
-// key across all concurrent callers. The build receives ctx; its failure is
-// returned to the builder and every coalesced waiter but is not cached, so
-// a later call retries. Waiters stop waiting when their own ctx fires (the
-// build itself keeps running for the callers still interested). A build
-// that panics is converted into an error rather than crashing the caller.
+// sizeOf is size, or the artifact's own account of it when size <= 0.
+func sizeOf(v any, size int64) int64 {
+	if sz, ok := v.(Sizer); ok && size <= 0 {
+		return sz.SizeBytes()
+	}
+	return size
+}
+
+// errAbsent is a Get that found the key in none of the tiers it looked in.
+var errAbsent = errors.New("store: artifact absent")
+
+// GetOrBuild returns the artifact for key from the first tier that has it,
+// and otherwise runs build, at most once per key across all concurrent
+// callers. The build receives ctx; its failure is returned to the builder
+// and every coalesced waiter but is not cached, so a later call retries.
+// Waiters stop waiting when their own ctx fires (the build itself keeps
+// running for the callers still interested). A build that panics is
+// converted into an error rather than crashing the caller.
 //
 // build returns the artifact and its resident size in bytes, which is what
 // the LRU budget accounts. When build reports a non-positive size and the
@@ -164,122 +210,129 @@ type Sizer interface {
 // that a builder-side estimate would only approximate. Artifacts larger
 // than the whole budget are returned but not retained.
 func (s *Store) GetOrBuild(ctx context.Context, key Digest, build func(ctx context.Context) (any, int64, error)) (any, Outcome, error) {
+	return s.lookup(ctx, key, Chain, build)
+}
+
+// Get is GetOrBuild without the build, looking as deep as depth says. The
+// service's memory-hit fast path asks for Memory; its cluster routing asks
+// for Chain on non-owner nodes, where a hit anywhere in the fleet serves
+// locally and a miss forwards the request to the owner instead of
+// duplicating the build. ok is false when no tier had the artifact, or when
+// the build Get joined failed.
+func (s *Store) Get(ctx context.Context, key Digest, depth Depth) (v any, outcome Outcome, ok bool) {
+	v, outcome, err := s.lookup(ctx, key, depth, nil)
+	return v, outcome, err == nil
+}
+
+// lookup is the one path every read takes: memory, an in-flight build,
+// each lower tier, then (given a build) the build. Only a lookup that may
+// build registers a flight, so two racing Gets may both read disk or ask
+// the peer; both are idempotent and bounded by one read each. An answer is
+// kept by memory and by every tier above the one that gave it: a peer hit
+// is written to disk, a build to every tier.
+func (s *Store) lookup(ctx context.Context, key Digest, depth Depth, build func(ctx context.Context) (any, int64, error)) (any, Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	s.mu.Lock()
-	if v, ok := s.hitLocked(key); ok {
+	if v, ok := s.mem.get(key); ok {
+		s.hits++
 		s.mu.Unlock()
 		_, sp := keySpan(ctx, "store.hit", key)
 		sp.End()
 		return v, Hit, nil
 	}
+	if depth == Memory {
+		s.mu.Unlock()
+		return nil, Miss, errAbsent
+	}
 	if f, ok := s.inflight[key]; ok {
 		s.coalesced++
 		s.mu.Unlock()
-		_, sp := keySpan(ctx, "store.coalesce", key)
-		defer sp.End()
-		select {
-		case <-f.done:
-			return f.value, Coalesced, f.err
-		case <-ctx.Done():
-			sp.SetAttr("error", ctx.Err())
-			return nil, Coalesced, ctx.Err()
-		}
+		return f.wait(ctx, key)
 	}
-	f := &flight{done: make(chan struct{})}
-	s.inflight[key] = f
+	var f *flight
+	if build != nil {
+		f = &flight{done: make(chan struct{})}
+		s.inflight[key] = f
+	}
+	chain := s.chain
 	s.mu.Unlock()
 
-	// Disk tier: checked inside the flight so concurrent callers coalesce
-	// onto one disk read exactly as they would onto one build. A disk hit
-	// is re-admitted to the memory tier; any invalid entry was quarantined
-	// by the tier itself and reads as a miss here.
-	if d := s.disk.Load(); d != nil {
-		if v, size, ok := d.Get(key); ok {
-			s.mu.Lock()
-			delete(s.inflight, key)
-			s.diskHits++
-			s.insertLocked(key, v, size)
-			s.mu.Unlock()
-			f.value = v
-			close(f.done)
-			_, sp := keySpan(ctx, "store.diskhit", key)
-			sp.End()
-			return v, DiskHit, nil
+	v, size, outcome, from := s.descend(ctx, key, chain)
+	var err error
+	if from == len(chain) {
+		if build == nil {
+			return nil, Miss, errAbsent
 		}
+		v, size, err = s.build(ctx, key, build)
 	}
 
-	// Peer tier: after disk, before building — an artifact any fleet member
-	// already built is fetched by digest, integrity-verified and promoted,
-	// exactly once per flight. Peer failure of any kind falls through to the
-	// local build below; the fleet degrading never surfaces as an error.
-	if v, size, ok := s.fetchPeer(ctx, key); ok {
-		s.mu.Lock()
+	// Landing the flight and making the artifact resident is one critical
+	// section, so no lookup sees the key in neither place.
+	s.mu.Lock()
+	if f != nil {
 		delete(s.inflight, key)
-		s.insertLocked(key, v, size)
-		s.mu.Unlock()
-		f.value = v
-		close(f.done)
-		_, sp := keySpan(ctx, "store.peerhit", key)
-		sp.End()
-		if d := s.disk.Load(); d != nil {
-			d.Put(key, v)
-		}
-		return v, PeerHit, nil
 	}
+	if err == nil {
+		s.mem.put(key, v, sizeOf(v, size))
+	}
+	s.mu.Unlock()
+	if f != nil {
+		f.value, f.err = v, err
+		close(f.done)
+	}
+	if err != nil {
+		return nil, Miss, err
+	}
+	for _, l := range chain[:from] {
+		if l.keep != nil {
+			l.keep(key, v)
+		}
+	}
+	return v, outcome, nil
+}
 
+// descend asks each lower tier in turn and returns the first answer with
+// the index of the tier that gave it (len(chain) when none did).
+func (s *Store) descend(ctx context.Context, key Digest, chain []link) (any, int64, Outcome, int) {
+	for i, l := range chain {
+		v, size, ok := l.tier.Fetch(ctx, key)
+		s.mu.Lock()
+		if ok {
+			s.tierHits[l.outcome]++
+		} else {
+			s.tierMisses[l.outcome]++
+		}
+		s.mu.Unlock()
+		if ok {
+			_, sp := keySpan(ctx, l.span, key)
+			sp.End()
+			return v, size, l.outcome, i
+		}
+	}
+	return nil, 0, Miss, len(chain)
+}
+
+// build runs the builder for a key no tier holds, in a store.build span.
+func (s *Store) build(ctx context.Context, key Digest, build func(ctx context.Context) (any, int64, error)) (any, int64, error) {
 	s.mu.Lock()
 	s.misses++
 	s.builds++
 	s.mu.Unlock()
-
 	bctx, sp := keySpan(ctx, "store.build", key)
 	v, size, err := runBuild(bctx, build)
 	if err != nil {
 		sp.SetAttr("error", err)
+		s.mu.Lock()
+		s.buildErrors++
+		s.mu.Unlock()
+		v = nil
 	} else {
 		sp.SetAttr("bytes", size)
 	}
 	sp.End()
-
-	s.mu.Lock()
-	delete(s.inflight, key)
-	if err != nil {
-		s.buildErrors++
-	} else {
-		if size <= 0 {
-			if sz, ok := v.(Sizer); ok {
-				size = sz.SizeBytes()
-			}
-		}
-		f.value = v
-		s.insertLocked(key, v, size)
-	}
-	f.err = err
-	s.mu.Unlock()
-	close(f.done)
-	if err != nil {
-		return nil, Miss, err
-	}
-	// Write-behind to the disk tier: never blocks the caller; a degraded
-	// or saturated tier sheds the write and the artifact stays memory-only.
-	if d := s.disk.Load(); d != nil {
-		d.Put(key, v)
-	}
-	return v, Miss, nil
-}
-
-// hitLocked is the resident lookup every entry point starts with: a hit is
-// counted and moved to the front of the LRU.
-func (s *Store) hitLocked(key Digest) (any, bool) {
-	el, ok := s.items[key]
-	if !ok {
-		return nil, false
-	}
-	s.ll.MoveToFront(el)
-	s.hits++
-	return el.Value.(*entry).value, true
+	return v, size, err
 }
 
 // keySpan opens a store span annotated with the key. An untraced context
@@ -290,38 +343,6 @@ func keySpan(ctx context.Context, name string, key Digest) (context.Context, *ob
 		sp.SetAttr("key", key.Short())
 	}
 	return ctx, sp
-}
-
-// Resident is GetOrBuild's memory hit on its own: it never waits, reads a
-// lower tier or builds. A caller that falls back to GetOrBuild on false keeps
-// what those need (a deadline, a tracer) off its hit path.
-func (s *Store) Resident(ctx context.Context, key Digest) (any, bool) {
-	s.mu.Lock()
-	v, ok := s.hitLocked(key)
-	s.mu.Unlock()
-	if ok {
-		_, sp := keySpan(ctx, "store.hit", key)
-		sp.End()
-	}
-	return v, ok
-}
-
-// AttachDisk installs d as the store's persistent second tier: memory
-// misses consult it before building, and successful builds are persisted
-// through its write-behind queue. Pass nil to detach.
-func (s *Store) AttachDisk(d *Disk) { s.disk.Store(d) }
-
-// Disk returns the attached disk tier (nil = memory-only).
-func (s *Store) Disk() *Disk { return s.disk.Load() }
-
-// DiskCounters snapshots the attached disk tier's counters; ok is false
-// when no tier is attached.
-func (s *Store) DiskCounters() (DiskCounters, bool) {
-	d := s.disk.Load()
-	if d == nil {
-		return DiskCounters{}, false
-	}
-	return d.Counters(), true
 }
 
 // runBuild invokes build with panic capture, mirroring the runner pool's
@@ -340,75 +361,136 @@ func runBuild(ctx context.Context, build func(ctx context.Context) (any, int64, 
 	return build(ctx)
 }
 
-// insertLocked makes the artifact resident as MRU and evicts from the LRU
-// tail until the byte budget holds again. The new artifact sits at the
-// front, so it is evicted only when it alone exceeds the whole budget.
-func (s *Store) insertLocked(key Digest, v any, size int64) {
-	if size < 0 {
-		size = 0
-	}
-	if el, ok := s.items[key]; ok {
-		// Cannot happen through GetOrBuild (one flight per key guards the
-		// insert), but keep the invariant safe under future callers.
-		e := el.Value.(*entry)
-		s.bytes += size - e.size
-		e.value, e.size = v, size
-		s.ll.MoveToFront(el)
-	} else {
-		s.items[key] = s.ll.PushFront(&entry{key: key, value: v, size: size})
-		s.bytes += size
-	}
-	s.evictOverBudgetLocked()
+// AttachDisk installs d as the chain's disk tier, consulted after memory and
+// before any peer tier; builds and peer hits are persisted through its
+// write-behind queue. Pass nil to detach.
+func (s *Store) AttachDisk(d *Disk) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.disk = d
+	s.relinkLocked()
 }
 
-func (s *Store) evictOverBudgetLocked() {
-	for s.max > 0 && s.bytes > s.max && s.ll.Len() > 0 {
-		el := s.ll.Back()
-		e := el.Value.(*entry)
-		s.ll.Remove(el)
-		delete(s.items, e.key)
-		s.bytes -= e.size
-		s.evictions++
-	}
+// AttachPeers installs f as the chain's last tier: lookups that miss memory
+// and disk ask the owning peer before building. Pass nil to detach.
+func (s *Store) AttachPeers(f PeerFetcher) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.peers = f
+	s.relinkLocked()
 }
 
-// Contains reports whether key is resident, without touching LRU order or
-// counters.
+func (s *Store) relinkLocked() {
+	var chain []link
+	if s.disk != nil {
+		chain = append(chain, link{tier: s.disk, outcome: DiskHit, span: "store.diskhit", keep: s.disk.Put, export: s.disk.ReadFramed})
+	}
+	if s.peers != nil {
+		chain = append(chain, link{tier: s.peers, outcome: PeerHit, span: "store.peerhit"})
+	}
+	s.chain = chain
+}
+
+// Export returns key's artifact as verified frame bytes, the form
+// /v1/artifacts serves to peers. A memory-resident value is encoded through
+// its codec; otherwise a lower tier that stores frames (disk) hands out its
+// entry as stored. Export never builds, never asks a peer (the asking peer
+// is the one that would answer) and moves no counters: peer serves are
+// counted by the HTTP handler.
+func (s *Store) Export(key Digest) ([]byte, bool) {
+	s.mu.Lock()
+	v, resident := s.mem.peek(key)
+	chain := s.chain
+	s.mu.Unlock()
+	if resident {
+		if data, _, err := EncodeFramed(v); err == nil {
+			return data, true
+		}
+		// No codec (or encode failure): a lower tier may still hold a
+		// servable entry from an earlier binary.
+	}
+	for _, l := range chain {
+		if l.export == nil {
+			continue
+		}
+		if data, ok := l.export(key); ok {
+			return data, true
+		}
+	}
+	return nil, false
+}
+
+// Contains reports whether key is resident in memory, without touching LRU
+// order or counters.
 func (s *Store) Contains(key Digest) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.items[key]
+	_, ok := s.mem.peek(key)
 	return ok
 }
 
-// SetMaxBytes replaces the byte budget (<= 0 = unbounded) and immediately
-// evicts down to it.
+// SetMaxBytes replaces the memory byte budget (<= 0 = unbounded) and
+// immediately evicts down to it.
 func (s *Store) SetMaxBytes(n int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.max = n
-	s.evictOverBudgetLocked()
+	s.mem.setMax(n)
 }
 
-// Snapshot returns the current counters.
+// Snapshot returns the memory tier's counters.
 func (s *Store) Snapshot() Counters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.countersLocked()
+}
+
+func (s *Store) countersLocked() Counters {
 	return Counters{
 		Hits:        s.hits,
 		Misses:      s.misses,
 		Coalesced:   s.coalesced,
 		Builds:      s.builds,
 		BuildErrors: s.buildErrors,
-		Evictions:   s.evictions,
-		DiskHits:    s.diskHits,
-		PeerHits:    s.peerHits,
-		PeerMisses:  s.peerMisses,
+		Evictions:   s.mem.evictions,
+		DiskHits:    s.tierHits[DiskHit],
+		PeerHits:    s.tierHits[PeerHit],
+		PeerMisses:  s.tierMisses[PeerHit],
 		Inflight:    len(s.inflight),
-		Entries:     s.ll.Len(),
-		Bytes:       s.bytes,
-		MaxBytes:    s.max,
+		Entries:     s.mem.len(),
+		Bytes:       s.mem.bytes,
+		MaxBytes:    s.mem.max,
 	}
+}
+
+// Stats is one snapshot of every tier, taken in a single call so /healthz
+// and /metrics can never disagree mid-scrape about which tiers exist.
+type Stats struct {
+	// Mem is the memory tier: LRU occupancy and lookup outcomes, including
+	// the DiskHits/PeerHits/PeerMisses the lower tiers produced through it.
+	Mem Counters
+	// DiskEnabled reports whether a disk tier is attached; Disk is its
+	// snapshot (zero when disabled).
+	DiskEnabled bool
+	Disk        DiskCounters
+	// PeerEnabled reports whether a peer tier is attached; Peer is its
+	// snapshot (zero when disabled).
+	PeerEnabled bool
+	Peer        PeerCounters
+}
+
+// Stats snapshots every attached tier at once.
+func (s *Store) Stats() Stats {
+	s.mu.Lock()
+	st := Stats{Mem: s.countersLocked()}
+	disk, peers := s.disk, s.peers
+	s.mu.Unlock()
+	if disk != nil {
+		st.Disk, st.DiskEnabled = disk.Counters(), true
+	}
+	if peers != nil {
+		st.Peer, st.PeerEnabled = peers.Counters(), true
+	}
+	return st
 }
 
 // ParseSize parses a human byte-size flag value: a plain integer is bytes,
