@@ -166,9 +166,8 @@ func (r *wlReader) u64() (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
-// decodeDims caps the sanity bounds of the header counts so a corrupt
-// payload cannot trigger a multi-gigabyte allocation before the per-field
-// bounds checks run.
+// wlMaxDim bounds each header dimension, so the pixel count cannot
+// overflow; Decode bounds the count itself by the payload's length.
 const wlMaxDim = 1 << 16
 
 // Decode implements store.Codec: it parses the payload, rebuilds the
@@ -202,6 +201,13 @@ func (workloadCodec) Decode(data []byte) (any, int64, error) {
 		return nil, 0, fmt.Errorf("rt: workload dims %dx%d spp=%d out of range", width, height, spp)
 	}
 	pixels := int(width) * int(height)
+	// Every pixel carries its cost (8 bytes) and its op and ray counts (4
+	// each). A header that asks for more pixels than the payload holds is
+	// rejected before anything is allocated for them: a small frame from a
+	// peer must not make the decoder allocate gigabytes.
+	if uint64(pixels)*16 > uint64(len(data)-r.off) {
+		return nil, 0, fmt.Errorf("rt: workload of %dx%d pixels exceeds its %d-byte payload", width, height, len(data))
+	}
 
 	s, err := scene.ByName(name)
 	if err != nil {

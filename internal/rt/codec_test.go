@@ -2,6 +2,8 @@ package rt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"zatel/internal/scene"
@@ -131,5 +133,30 @@ func TestWorkloadCodecRejectsUnknownScene(t *testing.T) {
 	data[4] = 'x'
 	if _, _, err := c.Decode(data); err == nil {
 		t.Fatal("Decode with unknown scene name succeeded")
+	}
+}
+
+// TestWorkloadCodecRejectsOversizedHeader: a header declaring the largest
+// frame the dimension bound allows, with no pixel data behind it, is an
+// error before the decoder allocates for its pixels (32 GiB of costs alone).
+func TestWorkloadCodecRejectsOversizedHeader(t *testing.T) {
+	var data []byte
+	le := binary.LittleEndian
+	data = le.AppendUint32(data, uint32(len("SPRNG")))
+	data = append(data, "SPRNG"...)
+	data = le.AppendUint32(data, wlMaxDim)
+	data = le.AppendUint32(data, wlMaxDim)
+	data = le.AppendUint32(data, 1)
+	data = append(data, make([]byte, 64)...)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := workloadCodec{}.Decode(data)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Decode of a header with no pixel data succeeded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("rejecting the header allocated %d bytes", grew)
 	}
 }
