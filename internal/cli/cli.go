@@ -87,7 +87,7 @@ func FaultFlags(fs *flag.FlagSet) *core.FaultTolerance {
 }
 
 // Command is one command's start-up and exit path. New registers
-// -log-level; StoreFlag and ProfileFlags register the optional groups, and
+// -log-level; StoreFlags and ProfileFlags register the optional groups, and
 // Start acts on whichever were registered.
 type Command struct {
 	name string
@@ -214,6 +214,7 @@ func (c *Command) Finish(err error) {
 		st := store.Default().Stats()
 		slog.Info("artifact store", "hits", st.Mem.Hits, "disk_hits", st.Mem.DiskHits,
 			"builds", st.Mem.Builds, "disk_writes", st.Disk.Writes, "disk_entries", st.Disk.Entries)
+		store.Default().AttachDisk(nil)
 		c.disk = nil
 	}
 	switch {
