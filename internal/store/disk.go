@@ -1,7 +1,6 @@
 package store
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -355,9 +354,6 @@ func (d *Disk) Get(key Digest) (any, int64, bool) {
 	d.hits.Add(1)
 	return v, size, true
 }
-
-// Fetch implements Tier: Get, as a level of the store's lookup chain.
-func (d *Disk) Fetch(_ context.Context, key Digest) (any, int64, bool) { return d.Get(key) }
 
 // ReadFramed returns the raw framed bytes of key's entry after full
 // verification (header and payload checksum), for serving to cluster peers

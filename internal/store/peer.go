@@ -1,5 +1,7 @@
 package store
 
+import "context"
+
 // PeerCounters is a point-in-time snapshot of the peer tier's observability
 // state, produced by the attached PeerFetcher (internal/cluster). Fetch
 // outcomes are disjoint: every Fetch that actually left the node lands in
@@ -33,7 +35,9 @@ type PeerCounters struct {
 // own bounded timeout and reports ok=false for every failure — peer
 // trouble degrades to a local build, never an error.
 type PeerFetcher interface {
-	Tier
+	// Fetch returns key's artifact, integrity-verified and decoded, with
+	// its resident size.
+	Fetch(ctx context.Context, key Digest) (v any, size int64, ok bool)
 	// Counters snapshots the fetcher's observability state.
 	Counters() PeerCounters
 }

@@ -60,32 +60,9 @@ const (
 	// path.
 	Memory Depth = iota
 	// Chain is every tier short of building: memory, an in-flight build of
-	// the key (joined), then each lower tier in order.
+	// the key (joined), the disk tier, then the peer tier.
 	Chain
 )
-
-// Tier is one level of the lookup chain below memory: the disk tier and the
-// peer tier (internal/cluster) implement it. Fetch returns key's artifact,
-// integrity-verified and decoded, with its resident size. Every failure — an
-// I/O error, a corrupt entry, an unreachable peer — is a miss, so a lookup
-// degrades to the next tier or a build, never to an error.
-type Tier interface {
-	Fetch(ctx context.Context, key Digest) (v any, size int64, ok bool)
-}
-
-// link is one lower tier in the chain, with the outcome and span its hits
-// report.
-type link struct {
-	tier    Tier
-	outcome Outcome
-	span    string
-	// keep and export are the disk tier's write-behind Put, which keeps
-	// what the chain found below it or built without ever blocking, and its
-	// ReadFramed, which hands a peer an entry without decoding it. Both are
-	// nil for the peer tier.
-	keep   func(key Digest, v any)
-	export func(key Digest) ([]byte, bool)
-}
 
 // Counters is a point-in-time snapshot of a store's observability state.
 // The monotonic totals feed the /metrics Prometheus exposition; the gauges
@@ -141,19 +118,17 @@ func (f *flight) wait(ctx context.Context, key Digest) (any, Outcome, error) {
 }
 
 // Store is a content-addressed, coalescing artifact cache: a byte-budgeted
-// memory tier in front of an optional chain of lower tiers (disk, then
-// peer). The zero value is not usable; construct with New.
+// memory tier in front of two optional lower tiers, disk then peer. The
+// zero value is not usable; construct with New.
 type Store struct {
 	mu       sync.Mutex
 	mem      *lru
 	inflight map[Digest]*flight
 
-	// disk and peers are the attached lower tiers; chain is them in lookup
-	// order, replaced (never mutated) on attach so a lookup may keep using
-	// the one it read.
+	// disk and peers are the attached lower tiers, read under mu; a lookup
+	// keeps using the pair it read.
 	disk  *Disk
 	peers PeerFetcher
-	chain []link
 
 	hits, misses, coalesced uint64
 	builds, buildErrors     uint64
@@ -225,11 +200,10 @@ func (s *Store) Get(ctx context.Context, key Digest, depth Depth) (v any, outcom
 }
 
 // lookup is the one path every read takes: memory, an in-flight build,
-// each lower tier, then (given a build) the build. Only a lookup that may
+// disk, the peer, then (given a build) the build. Only a lookup that may
 // build registers a flight, so two racing Gets may both read disk or ask
 // the peer; both are idempotent and bounded by one read each. An answer is
-// kept by memory and by every tier above the one that gave it: a peer hit
-// is written to disk, a build to every tier.
+// kept by memory, and a peer hit or a build is also queued for disk.
 func (s *Store) lookup(ctx context.Context, key Digest, depth Depth, build func(ctx context.Context) (any, int64, error)) (any, Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -256,12 +230,12 @@ func (s *Store) lookup(ctx context.Context, key Digest, depth Depth, build func(
 		f = &flight{done: make(chan struct{})}
 		s.inflight[key] = f
 	}
-	chain := s.chain
+	disk, peers := s.disk, s.peers
 	s.mu.Unlock()
 
-	v, size, outcome, from := s.descend(ctx, key, chain)
+	v, size, outcome, found := s.descend(ctx, key, disk, peers)
 	var err error
-	if from == len(chain) {
+	if !found {
 		if build == nil {
 			return nil, Miss, errAbsent
 		}
@@ -285,33 +259,43 @@ func (s *Store) lookup(ctx context.Context, key Digest, depth Depth, build func(
 	if err != nil {
 		return nil, Miss, err
 	}
-	for _, l := range chain[:from] {
-		if l.keep != nil {
-			l.keep(key, v)
-		}
+	if disk != nil && outcome != DiskHit {
+		disk.Put(key, v)
 	}
 	return v, outcome, nil
 }
 
-// descend asks each lower tier in turn and returns the first answer with
-// the index of the tier that gave it (len(chain) when none did).
-func (s *Store) descend(ctx context.Context, key Digest, chain []link) (any, int64, Outcome, int) {
-	for i, l := range chain {
-		v, size, ok := l.tier.Fetch(ctx, key)
-		s.mu.Lock()
-		if ok {
-			s.tierHits[l.outcome]++
-		} else {
-			s.tierMisses[l.outcome]++
-		}
-		s.mu.Unlock()
-		if ok {
-			_, sp := keySpan(ctx, l.span, key)
-			sp.End()
-			return v, size, l.outcome, i
+// descend asks the disk tier, then the peer tier, and returns the first
+// answer; found is false when neither had key.
+func (s *Store) descend(ctx context.Context, key Digest, disk *Disk, peers PeerFetcher) (v any, size int64, outcome Outcome, found bool) {
+	if disk != nil {
+		if v, size, ok := disk.Get(key); s.tierAnswered(ctx, key, DiskHit, "store.diskhit", ok) {
+			return v, size, DiskHit, true
 		}
 	}
-	return nil, 0, Miss, len(chain)
+	if peers != nil {
+		if v, size, ok := peers.Fetch(ctx, key); s.tierAnswered(ctx, key, PeerHit, "store.peerhit", ok) {
+			return v, size, PeerHit, true
+		}
+	}
+	return nil, 0, Miss, false
+}
+
+// tierAnswered counts a lower tier's answer, records a hit's span, and
+// returns ok.
+func (s *Store) tierAnswered(ctx context.Context, key Digest, tier Outcome, span string, ok bool) bool {
+	s.mu.Lock()
+	if ok {
+		s.tierHits[tier]++
+	} else {
+		s.tierMisses[tier]++
+	}
+	s.mu.Unlock()
+	if ok {
+		_, sp := keySpan(ctx, span, key)
+		sp.End()
+	}
+	return ok
 }
 
 // build runs the builder for a key no tier holds, in a store.build span.
@@ -361,63 +345,45 @@ func runBuild(ctx context.Context, build func(ctx context.Context) (any, int64, 
 	return build(ctx)
 }
 
-// AttachDisk installs d as the chain's disk tier, consulted after memory and
-// before any peer tier; builds and peer hits are persisted through its
-// write-behind queue. Pass nil to detach.
+// AttachDisk installs d as the disk tier, consulted after memory and before
+// any peer tier; builds and peer hits are persisted through its write-behind
+// queue. Pass nil to detach.
 func (s *Store) AttachDisk(d *Disk) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.disk = d
-	s.relinkLocked()
 }
 
-// AttachPeers installs f as the chain's last tier: lookups that miss memory
-// and disk ask the owning peer before building. Pass nil to detach.
+// AttachPeers installs f as the last tier: lookups that miss memory and
+// disk ask the owning peer before building. Pass nil to detach.
 func (s *Store) AttachPeers(f PeerFetcher) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.peers = f
-	s.relinkLocked()
-}
-
-func (s *Store) relinkLocked() {
-	var chain []link
-	if s.disk != nil {
-		chain = append(chain, link{tier: s.disk, outcome: DiskHit, span: "store.diskhit", keep: s.disk.Put, export: s.disk.ReadFramed})
-	}
-	if s.peers != nil {
-		chain = append(chain, link{tier: s.peers, outcome: PeerHit, span: "store.peerhit"})
-	}
-	s.chain = chain
 }
 
 // Export returns key's artifact as verified frame bytes, the form
 // /v1/artifacts serves to peers. A memory-resident value is encoded through
-// its codec; otherwise a lower tier that stores frames (disk) hands out its
-// entry as stored. Export never builds, never asks a peer (the asking peer
-// is the one that would answer) and moves no counters: peer serves are
-// counted by the HTTP handler.
+// its codec; otherwise the disk tier hands out its entry as stored. Export
+// never builds, never asks a peer (the asking peer is the one that would
+// answer) and moves no counters: peer serves are counted by the HTTP
+// handler.
 func (s *Store) Export(key Digest) ([]byte, bool) {
 	s.mu.Lock()
 	v, resident := s.mem.peek(key)
-	chain := s.chain
+	disk := s.disk
 	s.mu.Unlock()
 	if resident {
 		if data, _, err := EncodeFramed(v); err == nil {
 			return data, true
 		}
-		// No codec (or encode failure): a lower tier may still hold a
-		// servable entry from an earlier binary.
+		// No codec (or encode failure): the disk may still hold a servable
+		// entry from an earlier binary.
 	}
-	for _, l := range chain {
-		if l.export == nil {
-			continue
-		}
-		if data, ok := l.export(key); ok {
-			return data, true
-		}
+	if disk == nil {
+		return nil, false
 	}
-	return nil, false
+	return disk.ReadFramed(key)
 }
 
 // Contains reports whether key is resident in memory, without touching LRU
