@@ -135,7 +135,7 @@ func main() {
 		return
 	}
 
-	ref, err := core.ReferenceContext(ctx, opts)
+	ref, refLoaded, err := core.ReferenceLoaded(ctx, opts)
 	if err != nil {
 		app.Finish(err)
 	}
@@ -155,6 +155,9 @@ func main() {
 		100*metrics.MAE(errs, metrics.All()), ref.WallTime.Round(1e6),
 		result.Speedup(ref), modeled.Round(1e6),
 		float64(ref.WallTime)/float64(measured), measured.Round(1e6))
+	if refLoaded {
+		fmt.Println("(the full sim was loaded from the artifact store: its wall time was measured by an earlier run)")
+	}
 }
 
 // printIntervals renders the replicated strategies' confidence intervals:

@@ -37,24 +37,35 @@ var referenceSize = int64(reflect.TypeOf(metrics.Report{}).Size())
 // included, as the JSON of the struct: a few hundred bytes, floats
 // round-trip exactly, and the report's field names are the format. A field
 // added to the report needs a new kind, or old entries decode it as zero.
+// It decodes to a loadedReport, so the value stays marked as another
+// process's run while it is resident.
 type referenceCodec struct{}
+
+// loadedReport is a reference report decoded from a frame: its WallTime was
+// measured by the process that built it, not this one.
+type loadedReport metrics.Report
 
 // Kind implements store.Codec.
 func (referenceCodec) Kind() string { return ReferenceCodecKind }
 
 // Encodes implements store.Codec.
 func (referenceCodec) Encodes(v any) bool {
-	_, ok := v.(metrics.Report)
-	return ok
+	switch v.(type) {
+	case metrics.Report, loadedReport:
+		return true
+	}
+	return false
 }
 
 // Encode implements store.Codec.
 func (referenceCodec) Encode(v any) ([]byte, error) {
-	r, ok := v.(metrics.Report)
-	if !ok {
-		return nil, fmt.Errorf("core: reference codec cannot encode %T", v)
+	switch r := v.(type) {
+	case metrics.Report:
+		return json.Marshal(r)
+	case loadedReport:
+		return json.Marshal(metrics.Report(r))
 	}
-	return json.Marshal(r)
+	return nil, fmt.Errorf("core: reference codec cannot encode %T", v)
 }
 
 // Decode implements store.Codec.
@@ -63,7 +74,7 @@ func (referenceCodec) Decode(data []byte) (any, int64, error) {
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, 0, fmt.Errorf("core: reference payload: %w", err)
 	}
-	return r, referenceSize, nil
+	return loadedReport(r), referenceSize, nil
 }
 
 // quantCodec serializes the step-1/2 quantized heatmap: u32 width/height,

@@ -26,12 +26,23 @@ func Reference(cfgFull config.Config, sceneName string, width, height, spp int) 
 // points sharing one ground truth pay for it once, concurrent misses
 // coalesce onto one simulation, and a disk tier keeps it across processes.
 // The recorded WallTime is always that of the simulation that produced the
-// report — after a disk hit, another process's.
+// report — after a disk or peer hit, another process's (see
+// ReferenceLoaded).
 //
 // ctx cancellation interrupts the workload build between rows and is
 // checked again before the full simulation starts (the cycle-level replay
 // itself runs to completion once launched).
 func ReferenceContext(ctx context.Context, opts Options) (metrics.Report, error) {
+	rep, _, err := ReferenceLoaded(ctx, opts)
+	return rep, err
+}
+
+// ReferenceLoaded is ReferenceContext that also reports whether the report
+// was decoded from a disk or peer frame, by this lookup or an earlier one
+// that left it resident. Its WallTime was then measured by another process,
+// perhaps on another host or under other load, so a speedup against it
+// compares runs that did not share a machine state.
+func ReferenceLoaded(ctx context.Context, opts Options) (rep metrics.Report, loaded bool, err error) {
 	key := ReferenceKey(opts.Config, rt.WorkloadKey(opts.Scene, opts.Width, opts.Height, opts.SPP))
 	v, _, err := opts.artifactStore().GetOrBuild(ctx, key, func(ctx context.Context) (any, int64, error) {
 		wl, err := rt.CachedWorkloadContext(ctx, opts.Scene, opts.Width, opts.Height, opts.SPP)
@@ -50,9 +61,12 @@ func ReferenceContext(ctx context.Context, opts Options) (metrics.Report, error)
 		return rep, referenceSize, nil
 	})
 	if err != nil {
-		return metrics.Report{}, err
+		return metrics.Report{}, false, err
 	}
-	return v.(metrics.Report), nil
+	if r, ok := v.(loadedReport); ok {
+		return metrics.Report(r), true, nil
+	}
+	return v.(metrics.Report), false, nil
 }
 
 // ReferenceKey is the content address of a reference run: the full

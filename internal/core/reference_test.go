@@ -44,7 +44,7 @@ func TestReferenceCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeFramed: %v", err)
 	}
-	if got := v.(metrics.Report); got != in {
+	if got := metrics.Report(v.(loadedReport)); got != in {
 		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", in, got)
 	}
 	if size != referenceSize || size <= 0 {
@@ -89,8 +89,9 @@ func TestReferenceKeySeparatesConfigsAndFrames(t *testing.T) {
 }
 
 // TestReferenceDiskHitAfterRestart: a reference built by one process is
-// served from the disk tier by the next, with no simulation, and with the
-// wall time of the run that built it.
+// served from the disk tier by the next, with no simulation, with the wall
+// time of the run that built it, and marked as loaded — also on the memory
+// hits that follow.
 func TestReferenceDiskHitAfterRestart(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Config: config.MobileSoC(), Scene: "SPRNG", Width: 24, Height: 24, SPP: 1}
@@ -106,9 +107,12 @@ func TestReferenceDiskHitAfterRestart(t *testing.T) {
 	}
 	first, d := open()
 	opts.Store = first
-	built, err := ReferenceContext(context.Background(), opts)
+	built, loaded, err := ReferenceLoaded(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if loaded {
+		t.Error("a reference this process simulated reads as loaded")
 	}
 	if c := first.Snapshot(); c.Builds != 1 {
 		t.Fatalf("first run: %d builds, want 1", c.Builds)
@@ -120,15 +124,17 @@ func TestReferenceDiskHitAfterRestart(t *testing.T) {
 	second, d2 := open()
 	defer d2.Close()
 	opts.Store = second
-	got, err := ReferenceContext(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		got, loaded, err := ReferenceLoaded(context.Background(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != built || !loaded {
+			t.Errorf("lookup %d after restart: loaded %v, report\n got %+v\nwant %+v", i, loaded, got, built)
+		}
 	}
-	if got != built {
-		t.Errorf("restarted reference differs:\n got %+v\nwant %+v", got, built)
-	}
-	if c := second.Snapshot(); c.Builds != 0 || c.DiskHits != 1 {
-		t.Errorf("second run: %+v, want 0 builds and 1 disk hit", c)
+	if c := second.Snapshot(); c.Builds != 0 || c.DiskHits != 1 || c.Hits != 1 {
+		t.Errorf("second run: %+v, want 0 builds, 1 disk hit and 1 memory hit", c)
 	}
 }
 

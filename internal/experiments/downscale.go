@@ -38,6 +38,9 @@ type DownscalePoint struct {
 	SimWall  time.Duration
 	RefWall  time.Duration
 	Speedup  float64
+	// RefLoaded is set when the reference was loaded from the store, so
+	// RefWall is another process's.
+	RefLoaded bool
 	// Err is the point's failure (nil on success); failed points render as
 	// ERR cells and are excluded from the per-factor means.
 	Err error
@@ -98,10 +101,11 @@ func DownscaleSweep(s Settings, cfg config.Config, scenes []string) (*DownscaleR
 			}
 		}
 	}
-	if err := s.warm(points); err != nil {
+	refs, err := s.warm(points)
+	if err != nil {
 		return nil, err
 	}
-	outs, pool, faults := s.runGrid(points, func(i int) string {
+	outs, pool, faults := s.runGrid(points, refs, func(i int) string {
 		o := points[i]
 		return fmt.Sprintf("downscale %s K=%d %s", o.Scene, o.K, o.Division)
 	})
@@ -120,6 +124,7 @@ func DownscaleSweep(s Settings, cfg config.Config, scenes []string) (*DownscaleR
 					pt.SimWall = o.res.PreprocessTime + o.res.SimWallTime
 					pt.RefWall = o.ref.WallTime
 					pt.Speedup = o.res.Speedup(o.ref)
+					pt.RefLoaded = o.refLoaded
 					pt.work = o.work()
 				}
 				pts[ki] = pt
@@ -181,9 +186,10 @@ func (r *DownscaleResult) RenderSpeedup(w io.Writer) {
 		r.Config, r.Settings.Width, r.Settings.Height)
 	sceneTable(w, "K", r.Factors, r.Scenes, func(ki int, sc string) string {
 		pt := r.Points[core.FineGrained][sc][ki]
-		return faultCell(pt.Err != nil, pt.DegradedGroups, fmt.Sprintf("%.1fx", pt.Speedup))
+		return faultCell(pt.Err != nil, pt.DegradedGroups, loadedCell(pt.RefLoaded, fmt.Sprintf("%.1fx", pt.Speedup)))
 	})
 	r.Pool.Render(w)
+	r.Pool.renderLoaded(w)
 	r.Faults.Render(w)
 	fmt.Fprintln(w, "(paper: downscaling speedups track the pixel-reduction speedups of Fig. 15 —")
 	fmt.Fprintln(w, " downscaling itself does not significantly reduce execution time)")

@@ -9,14 +9,17 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"zatel/internal/config"
 	"zatel/internal/core"
 	"zatel/internal/metrics"
+	"zatel/internal/rt"
 	"zatel/internal/runner"
 	"zatel/internal/sampling"
 	"zatel/internal/scene"
+	"zatel/internal/store"
 )
 
 // Settings hold the frame parameters shared by all experiments. The paper
@@ -90,17 +93,58 @@ func (s Settings) context() context.Context {
 }
 
 // warm computes the points' ground-truth references one after another
-// before any point runs. Drivers whose tables show wall time call it, so
-// that each reference's recorded WallTime is not time-sliced against other
-// jobs. Points that merely share a reference need no warm-up: references
-// are store artifacts, and concurrent misses coalesce onto one simulation.
-func (s Settings) warm(points []core.Options) error {
+// before any point runs and returns them pinned for runGrid. Drivers whose
+// tables show wall time call it, so that each reference's recorded WallTime
+// is not time-sliced against other jobs. Points that merely share a
+// reference need no warm-up: concurrent misses coalesce onto one simulation.
+func (s Settings) warm(points []core.Options) (*refSet, error) {
+	refs := &refSet{}
 	for _, o := range points {
-		if _, err := core.ReferenceContext(s.context(), o); err != nil {
-			return err
+		if _, err := refs.get(s.context(), o); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return refs, nil
+}
+
+// refSet pins the references a grid is judged against for the length of
+// the run. The store alone would not: under a -store-size budget the much
+// larger workload traces the grid builds can evict a reference, and the next
+// point that needs it would re-run the full-configuration simulation inside
+// the pool, timed against the other jobs.
+type refSet struct {
+	mu sync.Mutex
+	m  map[store.Digest]ref
+}
+
+// ref is a pinned reference and whether the store loaded it from a disk or
+// peer frame (see core.ReferenceLoaded).
+type ref struct {
+	rep    metrics.Report
+	loaded bool
+}
+
+// get returns o's reference, fetching it through the store the first time.
+func (rs *refSet) get(ctx context.Context, o core.Options) (ref, error) {
+	key := core.ReferenceKey(o.Config, rt.WorkloadKey(o.Scene, o.Width, o.Height, o.SPP))
+	rs.mu.Lock()
+	r, ok := rs.m[key]
+	rs.mu.Unlock()
+	if ok {
+		return r, nil
+	}
+	rep, loaded, err := core.ReferenceLoaded(ctx, o)
+	if err != nil {
+		return ref{}, err
+	}
+	r = ref{rep: rep, loaded: loaded}
+	rs.mu.Lock()
+	if rs.m == nil {
+		rs.m = make(map[store.Digest]ref)
+	}
+	rs.m[key] = r
+	rs.mu.Unlock()
+	return r, nil
 }
 
 // Configs returns the two Table II configurations in paper order.
@@ -120,6 +164,9 @@ type PoolStats struct {
 	Workers int
 	Wall    time.Duration
 	CPU     time.Duration
+	// LoadedRefs counts the points judged against a reference the store
+	// loaded from disk or a peer rather than simulated in this process.
+	LoadedRefs int
 }
 
 // Render prints the cpu-vs-wall accounting line appended to every
@@ -136,13 +183,30 @@ func (p PoolStats) Render(w io.Writer) {
 		p.Jobs, p.Workers, fmtDur(p.CPU), fmtDur(p.Wall), conc)
 }
 
+// renderLoaded prints the legend of loadedCell's mark.
+func (p PoolStats) renderLoaded(w io.Writer) {
+	if p.LoadedRefs > 0 {
+		fmt.Fprintf(w, "‡ %d point(s) use a reference loaded from the artifact store: its wall time was measured by an earlier process, perhaps on another host or under other load\n",
+			p.LoadedRefs)
+	}
+}
+
+// loadedCell marks a speedup computed against a loaded reference.
+func loadedCell(loaded bool, value string) string {
+	if loaded {
+		return value + "‡"
+	}
+	return value
+}
+
 // outcome is one grid point's result: its prediction, the reference it is
-// judged against, and its failure (nil on success, res and ref unset
-// otherwise).
+// judged against (and whether that was loaded, see core.ReferenceLoaded),
+// and its failure (nil on success, res and ref unset otherwise).
 type outcome struct {
-	res *core.Result
-	ref metrics.Report
-	err error
+	res       *core.Result
+	ref       metrics.Report
+	refLoaded bool
+	err       error
 }
 
 // degraded counts the groups the point's prediction lost to failures.
@@ -169,11 +233,16 @@ func (o outcome) work() float64 {
 
 // runGrid predicts every point on the Settings' worker pool and returns the
 // outcomes in point order with the pool accounting and the fault tally.
-// Point i's fault injection is re-rooted with SplitSeed(i), so points fail
-// independently of each other and of the pool size. A failure is embedded
-// in the point's outcome, wrapped in label(i), instead of aborting the grid;
-// only a point cancelled before it started keeps the bare runner error.
-func (s Settings) runGrid(points []core.Options, label func(i int) string) ([]outcome, PoolStats, FaultTally) {
+// References come from refs (warm's, or nil for a fresh set) and stay pinned
+// there until the grid ends. Point i's fault injection is re-rooted with
+// SplitSeed(i), so points fail independently of each other and of the pool
+// size. A failure is embedded in the point's outcome, wrapped in label(i),
+// instead of aborting the grid; only a point cancelled before it started
+// keeps the bare runner error.
+func (s Settings) runGrid(points []core.Options, refs *refSet, label func(i int) string) ([]outcome, PoolStats, FaultTally) {
+	if refs == nil {
+		refs = &refSet{}
+	}
 	start := time.Now()
 	// SpanPrefix records one "point[i]" span per grid point when cmd/sweep
 	// attached a tracer to Settings.Ctx (-trace); each point's nested
@@ -182,7 +251,7 @@ func (s Settings) runGrid(points []core.Options, label func(i int) string) ([]ou
 		func(ctx context.Context, i int) (outcome, error) {
 			opts := points[i]
 			opts.FT.Inject = opts.FT.Inject.SplitSeed(uint64(i))
-			ref, err := core.ReferenceContext(ctx, opts)
+			ref, err := refs.get(ctx, opts)
 			if err != nil {
 				return outcome{err: fmt.Errorf("%s reference: %w", label(i), err)}, nil
 			}
@@ -190,7 +259,7 @@ func (s Settings) runGrid(points []core.Options, label func(i int) string) ([]ou
 			if err != nil {
 				return outcome{err: fmt.Errorf("%s: %w", label(i), err)}, nil
 			}
-			return outcome{res: res, ref: ref}, nil
+			return outcome{res: res, ref: ref.rep, refLoaded: ref.loaded}, nil
 		})
 	pool := PoolStats{Jobs: len(points), Workers: runner.PoolSize(s.Workers), Wall: time.Since(start)}
 	pool.CPU, _ = runner.Totals(rs)
@@ -201,8 +270,14 @@ func (s Settings) runGrid(points []core.Options, label func(i int) string) ([]ou
 		if r.Err != nil && outs[i].err == nil {
 			outs[i] = outcome{err: r.Err}
 		}
-		if !tally.noteErr(outs[i].err) && outs[i].degraded() > 0 {
+		if tally.noteErr(outs[i].err) {
+			continue
+		}
+		if outs[i].degraded() > 0 {
 			tally.Degraded++
+		}
+		if outs[i].refLoaded {
+			pool.LoadedRefs++
 		}
 	}
 	return outs, pool, tally

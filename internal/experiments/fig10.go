@@ -20,11 +20,15 @@ type Fig10Result struct {
 	// MAE and Speedup are per config name.
 	MAE     map[string]float64
 	Speedup map[string]float64
+	// RefLoaded marks the configs whose reference was loaded from the
+	// store, so their speedup divides another process's wall time.
+	RefLoaded map[string]bool
 	// K records the downscaling factor per config.
 	K map[string]int
 	// Capped holds the MaxFraction=0.1 Mobile SoC run (MAE and speedup).
-	CappedMAE     float64
-	CappedSpeedup float64
+	CappedMAE       float64
+	CappedSpeedup   float64
+	CappedRefLoaded bool
 	// CappedErr records the capped variant's failure ("" on success).
 	CappedErr string
 	// Failed maps a config name to its prediction's failure; failed
@@ -51,14 +55,15 @@ func Fig10(s Settings) (*Fig10Result, error) {
 		return nil, err
 	}
 	out := &Fig10Result{
-		Settings: s,
-		Errors:   map[string]map[metrics.Metric]float64{},
-		MAE:      map[string]float64{},
-		Speedup:  map[string]float64{},
-		K:        map[string]int{},
-		Failed:   map[string]string{},
-		Degraded: map[string]int{},
-		work:     map[string]float64{},
+		Settings:  s,
+		Errors:    map[string]map[metrics.Metric]float64{},
+		MAE:       map[string]float64{},
+		Speedup:   map[string]float64{},
+		RefLoaded: map[string]bool{},
+		K:         map[string]int{},
+		Failed:    map[string]string{},
+		Degraded:  map[string]int{},
+		work:      map[string]float64{},
 	}
 	// Three predictions — both configs plus the 10%-capped Mobile SoC
 	// variant — fan out on the worker pool after their references (the
@@ -71,11 +76,12 @@ func Fig10(s Settings) (*Fig10Result, error) {
 	capped := s.baseOptions(cfgs[0], "PARK")
 	capped.MaxFraction = 0.1 // the drastically-reduced variant: at most 10% of each group
 	points = append(points, capped)
-	if err := s.warm(points); err != nil {
+	refs, err := s.warm(points)
+	if err != nil {
 		return nil, err
 	}
 	last := len(points) - 1
-	outs, pool, faults := s.runGrid(points, func(i int) string {
+	outs, pool, faults := s.runGrid(points, refs, func(i int) string {
 		return fmt.Sprintf("fig10 %s capped=%v", points[i].Config.Name, i == last)
 	})
 	out.Pool, out.Faults = pool, faults
@@ -91,6 +97,7 @@ func Fig10(s Settings) (*Fig10Result, error) {
 		out.Errors[cfg.Name] = o.res.Errors(o.ref)
 		out.MAE[cfg.Name] = metrics.MAE(out.Errors[cfg.Name], metrics.All())
 		out.Speedup[cfg.Name] = o.res.Speedup(o.ref)
+		out.RefLoaded[cfg.Name] = o.refLoaded
 		out.K[cfg.Name] = o.res.K
 		out.work[cfg.Name] = o.work()
 	}
@@ -99,6 +106,7 @@ func Fig10(s Settings) (*Fig10Result, error) {
 	} else {
 		out.CappedMAE = metrics.MAE(o.res.Errors(o.ref), metrics.All())
 		out.CappedSpeedup = o.res.Speedup(o.ref)
+		out.CappedRefLoaded = o.refLoaded
 		out.cappedWork = o.work()
 	}
 	return out, nil
@@ -136,15 +144,16 @@ func (r *Fig10Result) Render(w io.Writer) {
 	}
 	hr(w, 72)
 	row("MAE", func(n string) string { return pct(r.MAE[n]) })
-	row("Speedup", func(n string) string { return fmt.Sprintf("%.1fx", r.Speedup[n]) })
+	row("Speedup", func(n string) string { return loadedCell(r.RefLoaded[n], fmt.Sprintf("%.1fx", r.Speedup[n])) })
 	row("K", func(n string) string { return fmt.Sprintf("%d", r.K[n]) })
 	if r.CappedErr != "" {
 		fmt.Fprintf(w, "MobileSoC capped at 10%% pixels: ERR (%s)\n", r.CappedErr)
 	} else {
-		fmt.Fprintf(w, "MobileSoC capped at 10%% pixels: MAE %s, speedup %.1fx\n",
-			pct(r.CappedMAE), r.CappedSpeedup)
+		fmt.Fprintf(w, "MobileSoC capped at 10%% pixels: MAE %s, speedup %s\n",
+			pct(r.CappedMAE), loadedCell(r.CappedRefLoaded, fmt.Sprintf("%.1fx", r.CappedSpeedup)))
 	}
 	r.Pool.Render(w)
+	r.Pool.renderLoaded(w)
 	r.Faults.Render(w)
 	fmt.Fprintf(w, "(paper: MAE 4.5%% SoC / 15.1%% RTX, ~10x speedup; 50x at 10%% cap with 5.2%% MAE)\n")
 }

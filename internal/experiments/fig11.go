@@ -43,7 +43,7 @@ func Fig11(s Settings) (*Fig11Result, error) {
 	for i, cfg := range cfgs {
 		points[i] = s.baseOptions(cfg, "PARK")
 	}
-	outs, pool, faults := s.runGrid(points, func(i int) string { return "fig11 " + cfgs[i].Name })
+	outs, pool, faults := s.runGrid(points, nil, func(i int) string { return "fig11 " + cfgs[i].Name })
 
 	out := &Fig11Result{
 		Settings: s,

@@ -62,7 +62,7 @@ func Fig20(s Settings, cfg config.Config, scenes []string) (*Fig20Result, error)
 		points[i].NoDownscale = true
 		points[i].Regression = true
 	}
-	outs, pool, faults := s.runGrid(points, func(i int) string { return "fig20 " + scenes[i] })
+	outs, pool, faults := s.runGrid(points, nil, func(i int) string { return "fig20 " + scenes[i] })
 	out.Pool, out.Faults = pool, faults
 	for i, sc := range scenes {
 		o := outs[i]

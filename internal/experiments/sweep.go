@@ -27,8 +27,10 @@ type SweepPoint struct {
 	// full simulation's.
 	SimWall time.Duration
 	RefWall time.Duration
-	// Speedup is RefWall / SimWall.
-	Speedup float64
+	// Speedup is RefWall / SimWall. RefLoaded is set when the reference
+	// was loaded from the store, so RefWall is another process's.
+	Speedup   float64
+	RefLoaded bool
 	// Err is the point's failure after the prediction's own retries and
 	// degradation ran out (nil on success); failed points render as ERR
 	// cells instead of aborting the sweep.
@@ -91,10 +93,11 @@ func PercentSweep(s Settings, cfg config.Config, scenes []string) (*SweepResult,
 			points = append(points, opts)
 		}
 	}
-	if err := s.warm(points); err != nil {
+	refs, err := s.warm(points)
+	if err != nil {
 		return nil, err
 	}
-	outs, pool, faults := s.runGrid(points, func(i int) string {
+	outs, pool, faults := s.runGrid(points, refs, func(i int) string {
 		return fmt.Sprintf("sweep %s@%d%%", scenes[i/np], percents[i%np])
 	})
 	out.Pool, out.Faults = pool, faults
@@ -110,6 +113,7 @@ func PercentSweep(s Settings, cfg config.Config, scenes []string) (*SweepResult,
 				pt.SimWall = o.res.PreprocessTime + o.res.SimWallTime
 				pt.RefWall = o.ref.WallTime
 				pt.Speedup = o.res.Speedup(o.ref)
+				pt.RefLoaded = o.refLoaded
 				pt.work = o.work()
 				if o.res.Intervals != nil {
 					pt.CIHalf = make(map[metrics.Metric]float64, len(o.res.Intervals))
@@ -174,8 +178,9 @@ func (r *SweepResult) RenderFig14(w io.Writer) {
 func (r *SweepResult) RenderFig15(w io.Writer) {
 	fmt.Fprintf(w, "Fig. 15 — running-time speedup per scene (%s, %dx%d)\n",
 		r.Config, r.Settings.Width, r.Settings.Height)
-	r.renderPerScene(w, func(pt SweepPoint) string { return fmt.Sprintf("%.1fx", pt.Speedup) })
+	r.renderPerScene(w, func(pt SweepPoint) string { return loadedCell(pt.RefLoaded, fmt.Sprintf("%.1fx", pt.Speedup)) })
 	r.Pool.Render(w)
+	r.Pool.renderLoaded(w)
 	if r.FitErr != "" {
 		fmt.Fprintf(w, "power fit unavailable: %s   (paper Eq. 4: 181 * perc^-1.15)\n", r.FitErr)
 	} else {

@@ -111,7 +111,7 @@ func Table3(s Settings, cfg config.Config, reps int) (*Table3Result, error) {
 			}
 		}
 	}
-	outs, pool, _ := s.runGrid(points, func(i int) string {
+	outs, pool, _ := s.runGrid(points, nil, func(i int) string {
 		o := points[i]
 		return fmt.Sprintf("table3 %s/%s/32x%d", o.Scene, o.Dist, o.BlockH)
 	})
