@@ -11,6 +11,10 @@ go vet ./...
 go build ./...
 go test -race -timeout 10m ./...
 
+# Simulator benchmark, one iteration per configuration, so it keeps building
+# and running; the timings it prints are not checked here.
+go test -run '^$' -bench BenchmarkRun -benchtime 1x ./internal/gpu
+
 # Docs lint: every package documented, every exported metric name present in
 # OPERATIONS.md.
 ./scripts/lint_docs.sh

@@ -11,11 +11,13 @@
 // simulated timing.
 package flatmap
 
-// slot is one table entry. full distinguishes occupancy so key 0 is valid.
+// slot is one table entry, 16 bytes. It stores key+1 so that the zero
+// slot reads as empty and Clear stays a memclr. That reserves ^uint64(0),
+// the one key whose successor wraps to zero; the simulator's keys are
+// cache-line addresses, which are line-aligned and so never all ones.
 type slot struct {
-	key  uint64
+	key1 uint64 // key+1; 0 marks an empty slot
 	val  uint64
-	full bool
 }
 
 // Map is an open-addressing uint64→uint64 hash table with linear probing
@@ -51,30 +53,36 @@ func (m *Map) home(k uint64) uint64 {
 
 // Get returns the value stored for k and whether it is present.
 func (m *Map) Get(k uint64) (uint64, bool) {
+	k1 := k + 1
 	for i := m.home(k); ; i = (i + 1) & m.mask {
 		s := &m.slots[i]
-		if !s.full {
+		if s.key1 == 0 {
 			return 0, false
 		}
-		if s.key == k {
+		if s.key1 == k1 {
 			return s.val, true
 		}
 	}
 }
 
-// Set inserts or updates the entry for k.
+// Set inserts or updates the entry for k. It panics if k is ^uint64(0),
+// the reserved key (see slot).
 func (m *Map) Set(k, v uint64) {
+	if k == ^uint64(0) {
+		panic("flatmap: key 0xffffffffffffffff is reserved and cannot be stored")
+	}
 	if (m.n+1)*4 > len(m.slots)*3 {
 		m.grow()
 	}
+	k1 := k + 1
 	for i := m.home(k); ; i = (i + 1) & m.mask {
 		s := &m.slots[i]
-		if !s.full {
-			*s = slot{key: k, val: v, full: true}
+		if s.key1 == 0 {
+			*s = slot{key1: k1, val: v}
 			m.n++
 			return
 		}
-		if s.key == k {
+		if s.key1 == k1 {
 			s.val = v
 			return
 		}
@@ -84,13 +92,14 @@ func (m *Map) Set(k, v uint64) {
 // Delete removes the entry for k, reporting whether it was present.
 // Removal backward-shifts the probe chain so lookups never need tombstones.
 func (m *Map) Delete(k uint64) bool {
+	k1 := k + 1
 	i := m.home(k)
 	for {
 		s := &m.slots[i]
-		if !s.full {
+		if s.key1 == 0 {
 			return false
 		}
-		if s.key == k {
+		if s.key1 == k1 {
 			break
 		}
 		i = (i + 1) & m.mask
@@ -105,10 +114,10 @@ func (m *Map) unlink(i uint64) {
 	j := i
 	for {
 		j = (j + 1) & m.mask
-		if !m.slots[j].full {
+		if m.slots[j].key1 == 0 {
 			break
 		}
-		h := m.home(m.slots[j].key)
+		h := m.home(m.slots[j].key1 - 1)
 		// Move slots[j] into the hole at i only if its probe path passes
 		// through i (cyclic interval test).
 		var reachable bool
@@ -134,7 +143,7 @@ func (m *Map) unlink(i uint64) {
 func (m *Map) DeleteIf(pred func(k, v uint64) bool) {
 	for i := uint64(0); i < uint64(len(m.slots)); {
 		s := &m.slots[i]
-		if s.full && pred(s.key, s.val) {
+		if s.key1 != 0 && pred(s.key1-1, s.val) {
 			m.unlink(i)
 			continue // unlink may have shifted a new entry into slot i
 		}
@@ -146,7 +155,7 @@ func (m *Map) DeleteIf(pred func(k, v uint64) bool) {
 // f must not mutate the map.
 func (m *Map) Range(f func(k, v uint64) bool) {
 	for i := range m.slots {
-		if m.slots[i].full && !f(m.slots[i].key, m.slots[i].val) {
+		if s := &m.slots[i]; s.key1 != 0 && !f(s.key1-1, s.val) {
 			return
 		}
 	}
@@ -164,8 +173,8 @@ func (m *Map) grow() {
 	m.mask = uint64(len(m.slots) - 1)
 	m.n = 0
 	for i := range old {
-		if old[i].full {
-			m.Set(old[i].key, old[i].val)
+		if old[i].key1 != 0 {
+			m.Set(old[i].key1-1, old[i].val)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package flatmap
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -132,4 +133,72 @@ func TestNewHint(t *testing.T) {
 	if len(m.slots) != capBefore {
 		t.Fatalf("map sized for 1000 grew from %d to %d", capBefore, len(m.slots))
 	}
+}
+
+// TestEdgeKeys round-trips key 0 and line addresses just below the reserved
+// key ^uint64(0) through every operation, before and after the table grows.
+func TestEdgeKeys(t *testing.T) {
+	const line = 128
+	top := ^uint64(0) &^ (line - 1) // the highest line address
+	edge := []uint64{0, top, top - line, top - 2*line, line}
+	m := New(0)
+	for i, k := range edge {
+		m.Set(k, uint64(i)+100)
+	}
+	check := func(when string) {
+		t.Helper()
+		for i, k := range edge {
+			if v, ok := m.Get(k); !ok || v != uint64(i)+100 {
+				t.Fatalf("%s: Get(%#x) = (%d, %v), want (%d, true)", when, k, v, ok, i+100)
+			}
+		}
+		if _, ok := m.Get(^uint64(0)); ok {
+			t.Fatalf("%s: the reserved key reads as present", when)
+		}
+	}
+	check("before grow")
+	// Fill past the initial capacity so grow rehashes the edge keys.
+	for i := uint64(1); i <= 4*minCapacity; i++ {
+		m.Set(i*line*3, i)
+	}
+	check("after grow")
+
+	if !m.Delete(top) || m.Delete(top) {
+		t.Fatal("Delete of the top line address wrong")
+	}
+	if _, ok := m.Get(top); ok {
+		t.Fatal("deleted top line address still present")
+	}
+	m.Set(top, 7)
+	m.DeleteIf(func(k, _ uint64) bool { return k == 0 || k == top })
+	for _, k := range []uint64{0, top} {
+		if _, ok := m.Get(k); ok {
+			t.Fatalf("DeleteIf left %#x", k)
+		}
+	}
+	if v, ok := m.Get(top - line); !ok || v != 102 {
+		t.Fatalf("DeleteIf took a neighbour: Get(%#x) = (%d, %v)", top-line, v, ok)
+	}
+	m.Clear()
+	for _, k := range edge {
+		if _, ok := m.Get(k); ok {
+			t.Fatalf("Clear left %#x", k)
+		}
+	}
+	m.Set(0, 1)
+	m.Set(top, 2)
+	if v, ok := m.Get(top); !ok || v != 2 || m.Len() != 2 {
+		t.Fatalf("after Clear: Get(top) = (%d, %v), Len %d", v, ok, m.Len())
+	}
+}
+
+func TestSetReservedKeyPanics(t *testing.T) {
+	defer func() {
+		r := recover()
+		msg, _ := r.(string)
+		if !strings.Contains(msg, "0xffffffffffffffff") || !strings.Contains(msg, "reserved") {
+			t.Fatalf("Set(^0) panicked with %v, want a message naming the reserved key", r)
+		}
+	}()
+	New(0).Set(^uint64(0), 1)
 }

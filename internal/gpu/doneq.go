@@ -2,59 +2,26 @@ package gpu
 
 // doneQ is a min-heap of completion cycles used to track MSHR occupancy
 // without scanning the in-flight maps: the heap answers "when does the
-// earliest outstanding fill complete" in O(log n).
+// earliest outstanding fill complete" in O(log n). It holds bare cycles,
+// so its pop sequence is fixed by its contents.
 type doneQ struct {
-	items []uint64
+	minHeap[uint64, struct{}]
 }
 
-func (q *doneQ) push(c uint64) {
-	q.items = append(q.items, c)
-	i := len(q.items) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if q.items[p] <= q.items[i] {
-			break
-		}
-		q.items[p], q.items[i] = q.items[i], q.items[p]
-		i = p
-	}
-}
+func (q *doneQ) push(c uint64) { q.minHeap.push(c, struct{}{}) }
 
 func (q *doneQ) pop() uint64 {
-	top := q.items[0]
-	last := len(q.items) - 1
-	q.items[0] = q.items[last]
-	q.items = q.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < last && q.items[l] < q.items[least] {
-			least = l
-		}
-		if r < last && q.items[r] < q.items[least] {
-			least = r
-		}
-		if least == i {
-			break
-		}
-		q.items[i], q.items[least] = q.items[least], q.items[i]
-		i = least
-	}
-	return top
+	c, _ := q.minHeap.pop()
+	return c
 }
 
-func (q *doneQ) len() int    { return len(q.items) }
-func (q *doneQ) min() uint64 { return q.items[0] }
-
-// reset empties the queue, keeping its backing array for a pooled rerun.
-func (q *doneQ) reset() { q.items = q.items[:0] }
+func (q *doneQ) min() uint64 { return q.keys[0] }
 
 // drain pops all completions at or before cycle now and returns how many
 // were retired.
 func (q *doneQ) drain(now uint64) int {
 	n := 0
-	for len(q.items) > 0 && q.items[0] <= now {
+	for len(q.keys) > 0 && q.keys[0] <= now {
 		q.pop()
 		n++
 	}

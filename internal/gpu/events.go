@@ -1,15 +1,16 @@
 // The simulator is cycle-driven but event-assisted: components schedule
 // wakeups on a global min-heap so the main loop can skip cycles where
-// nothing can happen. The heap is a hand-rolled binary heap over a struct
-// slice (no interface boxing) because tens of millions of events flow
-// through it per simulated frame.
+// nothing can happen. Tens of millions of events flow through it per
+// simulated frame, and popping them was the largest single cost in every
+// CPU profile of a run.
 //
-// Events are packed into 16 bytes (cycle + one payload word) — heap pushes
-// and pops dominated the pre-optimization CPU profile and their cost is
-// almost entirely memory traffic, so halving the element size directly
-// halves it. Packing is invisible to simulated timing: heap order depends
-// only on the cycle field and the push/pop algorithms are unchanged, so
-// the pop sequence (including ties) is identical to the unpacked heap's.
+// An event is a cycle and one packed payload word. The heap keeps the two
+// in parallel arrays (minHeap, heap.go), so its sift loops compare cycles
+// packed eight to a cache line and move a payload word only with its
+// cycle. Heap order depends only on the cycle, and minHeap's bottom-up pop
+// and hole-based push leave the array exactly as the textbook swap-based
+// heap does after every operation, so the pop sequence, ties included, is
+// the one every earlier version of the simulator produced.
 
 package gpu
 
@@ -62,47 +63,16 @@ func (e event) sm() int32    { return int32(e.word >> evSMShift & (evSMLimit - 1
 func (e event) id() int32    { return int32(e.word >> evIDShift & (evIDLimit - 1)) }
 func (e event) uid() uint32  { return uint32(e.word) }
 
+// eventHeap orders events by cycle; see minHeap for the tie order.
 type eventHeap struct {
-	items []event
+	minHeap[uint64, uint64]
 }
 
-func (h *eventHeap) push(e event) {
-	h.items = append(h.items, e)
-	i := len(h.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h.items[parent].cycle <= h.items[i].cycle {
-			break
-		}
-		h.items[parent], h.items[i] = h.items[i], h.items[parent]
-		i = parent
-	}
-}
+func (h *eventHeap) push(e event) { h.minHeap.push(e.cycle, e.word) }
 
 func (h *eventHeap) pop() event {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < last && h.items[l].cycle < h.items[smallest].cycle {
-			smallest = l
-		}
-		if r < last && h.items[r].cycle < h.items[smallest].cycle {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
-		i = smallest
-	}
-	return top
+	c, w := h.minHeap.pop()
+	return event{cycle: c, word: w}
 }
 
-func (h *eventHeap) len() int { return len(h.items) }
-
-func (h *eventHeap) minCycle() uint64 { return h.items[0].cycle }
+func (h *eventHeap) minCycle() uint64 { return h.keys[0] }

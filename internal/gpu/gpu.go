@@ -254,7 +254,7 @@ func newSim(cfg config.Config, src rt.TraceSource) (*Sim, error) {
 // reset restores a pooled simulator to the state newSim leaves it in before
 // start, reusing every allocation.
 func (sim *Sim) reset() {
-	sim.events.items = sim.events.items[:0]
+	sim.events.clear()
 	for _, s := range sim.sms {
 		s.reset()
 	}
@@ -379,6 +379,7 @@ func (sim *Sim) retireWarp(s *sm, slot int32, now uint64) {
 
 // run executes the main loop until every warp retires.
 func (sim *Sim) run() error {
+	issuePerCycle, scheduler := sim.cfg.IssuePerCycle, sim.cfg.Scheduler
 	for sim.retired < sim.totalWarps {
 		now := sim.now
 
@@ -406,28 +407,27 @@ func (sim *Sim) run() error {
 			}
 		}
 
-		// Issue and tick RT units on the active SMs only. During this phase
-		// an SM can only add work to itself (retire→relaunch, RT admit), so
-		// the active list cannot gain members mid-walk and the ascending
-		// walk order matches the full scan it replaces.
+		// Issue and tick RT units on the active SMs only, dropping each SM
+		// the phase drains as the walk passes it (in place, preserving
+		// order). During this phase an SM can only add work to itself
+		// (retire→relaunch, RT admit), so the active list cannot gain
+		// members mid-walk, no SM's ready sets change after the walk has
+		// passed it, and the ascending walk order matches the full scan it
+		// replaces.
+		live := sim.activeSMs[:0]
 		for _, si := range sim.activeSMs {
 			s := sim.sms[si]
-			for k := 0; k < sim.cfg.IssuePerCycle; k++ {
-				slot := s.pickWarp(sim.cfg.Scheduler)
+			for k := 0; k < issuePerCycle; k++ {
+				slot := s.pickWarp(scheduler)
 				if slot < 0 {
 					break
 				}
 				s.lastIssued = slot
 				sim.issueWarp(s, slot, now)
 			}
-			sim.rtTick(s, now)
-		}
-
-		// Deactivate the SMs the issue phase drained (in place, preserving
-		// order).
-		live := sim.activeSMs[:0]
-		for _, si := range sim.activeSMs {
-			s := sim.sms[si]
+			if s.rt.ready.len() > 0 {
+				sim.rtTick(s, now)
+			}
 			if s.ready.len() > 0 || s.rt.ready.len() > 0 {
 				live = append(live, si)
 			} else {

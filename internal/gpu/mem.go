@@ -44,7 +44,7 @@ func (ms *memSystem) reset() {
 	for _, p := range ms.partitions {
 		p.l2.Reset()
 		p.l2Flight.Clear()
-		p.l2Done.reset()
+		p.l2Done.clear()
 		p.l2Out = 0
 		p.nextFree = 0
 		p.channel.Reset()

@@ -116,7 +116,8 @@ func (sim *Sim) releaseRTSlot(s *sm, now uint64) {
 	}
 }
 
-// rtTick advances up to raysPerCycle ready rays by one traversal step.
+// rtTick advances up to raysPerCycle ready rays by one traversal step. The
+// issue walk calls it only when a ray is ready.
 func (sim *Sim) rtTick(s *sm, now uint64) {
 	u := &s.rt
 	budget := u.raysPerCycle

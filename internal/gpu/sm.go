@@ -96,96 +96,37 @@ func (s *sm) reset() {
 	s.lastIssued = -1
 	s.l1.Reset()
 	s.l1Flight.Clear()
-	s.l1Done.reset()
+	s.l1Done.clear()
 	s.l1Out = 0
 	s.lsuNextFree = 0
 	s.rt.reset()
 	s.instructions = 0
 }
 
-// ageHeap is a min-heap of warp slots keyed by warp age. Ages ride in a
-// parallel slice instead of being read back through a closure: the heap is
-// hot in pickWarp and the indirect call dominated its cost. Ages are unique
+// ageHeap is a min-heap of warp slots keyed by warp age. Ages are unique
 // across a run (launch order), so pop order is fully determined by the
 // contents and the internal layout is free to differ from older versions.
 type ageHeap struct {
-	slots []int32
-	ages  []int64
+	minHeap[int64, int32] // age -> slot
 }
 
-func (h *ageHeap) push(slot int32, age int64) {
-	h.slots = append(h.slots, slot)
-	h.ages = append(h.ages, age)
-	i := len(h.slots) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.ages[p] <= h.ages[i] {
-			break
-		}
-		h.swap(p, i)
-		i = p
-	}
-}
-
-func (h *ageHeap) swap(i, j int) {
-	h.slots[i], h.slots[j] = h.slots[j], h.slots[i]
-	h.ages[i], h.ages[j] = h.ages[j], h.ages[i]
-}
+func (h *ageHeap) push(slot int32, age int64) { h.minHeap.push(age, slot) }
 
 func (h *ageHeap) pop() int32 {
-	top := h.slots[0]
-	last := len(h.slots) - 1
-	h.swap(0, last)
-	h.slots = h.slots[:last]
-	h.ages = h.ages[:last]
-	h.siftDown(0)
-	return top
+	_, slot := h.minHeap.pop()
+	return slot
 }
 
+// remove deletes slot from the heap, reporting whether it was present. The
+// scan covers at most one SM's warp slots; the repair is one O(log n) sift.
 func (h *ageHeap) remove(slot int32) bool {
-	for i, s := range h.slots {
+	for i, s := range h.vals {
 		if s == slot {
-			last := len(h.slots) - 1
-			h.swap(i, last)
-			h.slots = h.slots[:last]
-			h.ages = h.ages[:last]
-			h.heapify()
+			h.removeAt(i)
 			return true
 		}
 	}
 	return false
-}
-
-func (h *ageHeap) heapify() {
-	for i := len(h.slots)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
-}
-
-func (h *ageHeap) siftDown(i int) {
-	n := len(h.slots)
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && h.ages[l] < h.ages[least] {
-			least = l
-		}
-		if r < n && h.ages[r] < h.ages[least] {
-			least = r
-		}
-		if least == i {
-			return
-		}
-		h.swap(i, least)
-		i = least
-	}
-}
-
-func (h *ageHeap) len() int { return len(h.slots) }
-
-func (h *ageHeap) clear() {
-	h.slots = h.slots[:0]
-	h.ages = h.ages[:0]
 }
 
 // pickWarp selects the next warp to issue according to the scheduling

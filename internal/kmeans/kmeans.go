@@ -6,6 +6,7 @@ package kmeans
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"zatel/internal/vecmath"
@@ -34,21 +35,41 @@ func Cluster(values []float64, k int, seed uint64, maxIter int) (Result, error) 
 	if maxIter <= 0 {
 		return Result{}, fmt.Errorf("kmeans: maxIter=%d must be positive", maxIter)
 	}
-	distinct := countDistinct(values)
+	pal := newPalette(values)
+	distinct := len(values) // enough distinct values for any sane k
+	if pal.ids != nil {
+		distinct = len(pal.uniq)
+	}
 	if k > distinct {
 		k = distinct
 	}
 
-	centers := seedPlusPlus(values, k, vecmath.NewRNG(seed))
+	closest := nearest
+	if finiteSafe(values) {
+		closest = nearestFinite
+	}
+	centers := seedPlusPlus(values, pal, closest, k, vecmath.NewRNG(seed))
 	assign := make([]int, len(values))
+	centerOf := make([]int, len(pal.uniq)) // nearest center of each distinct value
 	iters := 0
 	for ; iters < maxIter; iters++ {
 		changed := false
-		for i, v := range values {
-			c := nearest(centers, v)
-			if assign[i] != c {
-				assign[i] = c
-				changed = true
+		if pal.ids != nil {
+			for u, v := range pal.uniq {
+				centerOf[u] = closest(centers, v)
+			}
+			for i, id := range pal.ids {
+				if c := centerOf[id]; assign[i] != c {
+					assign[i] = c
+					changed = true
+				}
+			}
+		} else {
+			for i, v := range values {
+				if c := closest(centers, v); assign[i] != c {
+					assign[i] = c
+					changed = true
+				}
 			}
 		}
 		// Recompute centroids.
@@ -89,17 +110,30 @@ func Cluster(values []float64, k int, seed uint64, maxIter int) (Result, error) 
 
 // seedPlusPlus picks k initial centers with the k-means++ rule: the first
 // uniformly, the rest proportional to squared distance from the nearest
-// chosen center.
-func seedPlusPlus(values []float64, k int, rng *vecmath.RNG) []float64 {
+// chosen center, as closest finds it.
+func seedPlusPlus(values []float64, pal palette, closest func([]float64, float64) int, k int, rng *vecmath.RNG) []float64 {
 	centers := make([]float64, 0, k)
 	centers = append(centers, values[rng.Intn(len(values))])
 	d2 := make([]float64, len(values))
+	nearD2 := make([]float64, len(pal.uniq))
 	for len(centers) < k {
+		if pal.ids != nil {
+			for u, v := range pal.uniq {
+				d := v - centers[closest(centers, v)]
+				nearD2[u] = d * d
+			}
+			for i, id := range pal.ids {
+				d2[i] = nearD2[id]
+			}
+		} else {
+			for i, v := range values {
+				d := v - centers[closest(centers, v)]
+				d2[i] = d * d
+			}
+		}
 		var total float64
-		for i, v := range values {
-			d := v - centers[nearest(centers, v)]
-			d2[i] = d * d
-			total += d2[i]
+		for _, w := range d2 {
+			total += w
 		}
 		if total == 0 {
 			// All remaining values coincide with centers; duplicate one.
@@ -121,6 +155,8 @@ func seedPlusPlus(values []float64, k int, rng *vecmath.RNG) []float64 {
 	return centers
 }
 
+// nearest returns the index of the center closest to v, the first one on
+// ties.
 func nearest(centers []float64, v float64) int {
 	best, bestD := 0, -1.0
 	for c, center := range centers {
@@ -135,13 +171,68 @@ func nearest(centers []float64, v float64) int {
 	return best
 }
 
-func countDistinct(values []float64) int {
-	seen := make(map[float64]struct{}, 16)
-	for _, v := range values {
-		seen[v] = struct{}{}
-		if len(seen) > 256 {
-			return len(values) // enough distinct values for any sane k
+// nearestFinite is nearest for inputs that passed finiteSafe. Every
+// distance is then a non-negative float that is not NaN, and such floats
+// order as their bit patterns do as unsigned integers (the sign bit is
+// cleared, so -0 reads as 0), so the comparison compiles to a conditional
+// move instead of a branch that scattered values make the predictor lose.
+// It picks the same center as nearest, ties included.
+func nearestFinite(centers []float64, v float64) int {
+	best, bestD := 0, math.Float64bits(math.Abs(v-centers[0]))
+	for c := 1; c < len(centers); c++ {
+		if d := math.Float64bits(math.Abs(v - centers[c])); d < bestD {
+			best, bestD = c, d
 		}
 	}
-	return len(seen)
+	return best
+}
+
+// finiteSafe reports whether no distance computed from values can be NaN:
+// every value is finite, and small enough that no centroid sum overflows
+// to an infinity that a later subtraction could cancel.
+func finiteSafe(values []float64) bool {
+	limit := math.MaxFloat64 / float64(len(values)+2)
+	for _, v := range values {
+		if !(math.Abs(v) <= limit) { // false for NaN too
+			return false
+		}
+	}
+	return true
+}
+
+// maxPalette bounds the distinct values newPalette indexes; past it a
+// search per distinct value saves little over one per value.
+const maxPalette = 256
+
+// palette lists the distinct input values and maps each value to its
+// index there. Heatmaps of small or flat frames hold a few hundred
+// temperatures across thousands of pixels, so the nearest-center searches
+// run once per distinct value and the per-value passes only look the
+// result up. Those passes keep their order, so every sum, and with it
+// every center and assignment, is what a search per value gives. Values
+// equal under == share an entry; for 0 and -0 that cannot change a
+// distance, as both give equal differences to any center.
+type palette struct {
+	uniq []float64
+	ids  []int32 // nil when the input has more than maxPalette distinct values
+}
+
+// newPalette indexes values. It returns the empty palette when they hold
+// more than maxPalette distinct values.
+func newPalette(values []float64) palette {
+	seen := make(map[float64]int32, 16)
+	pal := palette{ids: make([]int32, len(values))}
+	for i, v := range values {
+		id, ok := seen[v]
+		if !ok {
+			if len(pal.uniq) == maxPalette {
+				return palette{}
+			}
+			id = int32(len(pal.uniq))
+			seen[v] = id
+			pal.uniq = append(pal.uniq, v)
+		}
+		pal.ids[i] = id
+	}
+	return pal
 }
