@@ -59,26 +59,9 @@ func gpuBenchWorkload(tb testing.TB) []rt.ThreadTrace {
 	return gpuBenchTraces
 }
 
-// BenchmarkGPURunWarm measures the steady-state pooled path: the per-config
-// simulator arena is reused across iterations, so allocs/op should be near
-// zero and wall time is pure simulation.
-func BenchmarkGPURunWarm(b *testing.B) {
-	traces := gpuBenchWorkload(b)
-	cfg := config.MobileSoC()
-	if _, err := gpu.Run(gpu.Job{Cfg: cfg, Traces: traces}); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := gpu.Run(gpu.Job{Cfg: cfg, Traces: traces}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkGPURunCold measures the first-run path: the simulator pools are
 // drained before every iteration, so each run pays the full arena build.
+// The warm pooled path is internal/gpu's BenchmarkRun.
 func BenchmarkGPURunCold(b *testing.B) {
 	traces := gpuBenchWorkload(b)
 	cfg := config.MobileSoC()

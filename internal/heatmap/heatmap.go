@@ -8,6 +8,7 @@ package heatmap
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"zatel/internal/kmeans"
 )
@@ -23,7 +24,9 @@ type Heatmap struct {
 
 // FromCost normalises a per-pixel cost profile (as produced by
 // rt.Workload.Cost) into a heatmap. The profile is divided by the longest
-// runtime, exactly as Section III-B describes.
+// runtime, exactly as Section III-B describes. Negative, NaN and infinite
+// costs are rejected: a profile decoded from a peer may hold any float,
+// and the temperatures must lie in [0,1].
 func FromCost(cost []float64, width, height int) (*Heatmap, error) {
 	if width <= 0 || height <= 0 {
 		return nil, fmt.Errorf("heatmap: invalid dimensions %dx%d", width, height)
@@ -33,6 +36,9 @@ func FromCost(cost []float64, width, height int) (*Heatmap, error) {
 	}
 	maxC := 0.0
 	for _, c := range cost {
+		if math.IsNaN(c) || math.IsInf(c, 0) {
+			return nil, fmt.Errorf("heatmap: non-finite cost %v", c)
+		}
 		if c < 0 {
 			return nil, fmt.Errorf("heatmap: negative cost %v", c)
 		}

@@ -3,6 +3,7 @@ package heatmap
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"zatel/internal/rt"
@@ -17,6 +18,15 @@ func TestFromCostValidation(t *testing.T) {
 	}
 	if _, err := FromCost([]float64{-1}, 1, 1); err == nil {
 		t.Error("negative cost accepted")
+	}
+	// A profile decoded from a peer may hold any float; K-means needs
+	// finite temperatures. Before and after the largest cost.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, cost := range [][]float64{{bad, 1}, {1, bad}} {
+			if _, err := FromCost(cost, 2, 1); err == nil || !strings.Contains(err.Error(), "non-finite") {
+				t.Errorf("FromCost(%v) error %v, want a non-finite cost error", cost, err)
+			}
+		}
 	}
 }
 

@@ -23,8 +23,11 @@ type Result struct {
 }
 
 // Cluster groups values into k clusters. Seeding is deterministic for a
-// given seed. k is clamped to the number of distinct values. maxIter bounds
-// the Lloyd iterations (20 is plenty in one dimension).
+// given seed. k is clamped to the number of distinct values when there are
+// at most 256 of them; past that, to the number of values, which leaves any
+// sane k alone. maxIter bounds the Lloyd iterations (20 is plenty in one
+// dimension). The values must be finite, and small enough that their sum
+// is: heatmap temperatures lie in [0,1].
 func Cluster(values []float64, k int, seed uint64, maxIter int) (Result, error) {
 	if len(values) == 0 {
 		return Result{}, fmt.Errorf("kmeans: no values")
@@ -36,40 +39,27 @@ func Cluster(values []float64, k int, seed uint64, maxIter int) (Result, error) 
 		return Result{}, fmt.Errorf("kmeans: maxIter=%d must be positive", maxIter)
 	}
 	pal := newPalette(values)
-	distinct := len(values) // enough distinct values for any sane k
-	if pal.ids != nil {
-		distinct = len(pal.uniq)
+	distinct := len(pal.uniq)
+	if distinct > 256 {
+		distinct = len(values)
 	}
 	if k > distinct {
 		k = distinct
 	}
 
-	closest := nearest
-	if finiteSafe(values) {
-		closest = nearestFinite
-	}
-	centers := seedPlusPlus(values, pal, closest, k, vecmath.NewRNG(seed))
+	centers := seedPlusPlus(values, pal, k, vecmath.NewRNG(seed))
 	assign := make([]int, len(values))
 	centerOf := make([]int, len(pal.uniq)) // nearest center of each distinct value
 	iters := 0
 	for ; iters < maxIter; iters++ {
 		changed := false
-		if pal.ids != nil {
-			for u, v := range pal.uniq {
-				centerOf[u] = closest(centers, v)
-			}
-			for i, id := range pal.ids {
-				if c := centerOf[id]; assign[i] != c {
-					assign[i] = c
-					changed = true
-				}
-			}
-		} else {
-			for i, v := range values {
-				if c := closest(centers, v); assign[i] != c {
-					assign[i] = c
-					changed = true
-				}
+		for u, v := range pal.uniq {
+			centerOf[u] = nearest(centers, v)
+		}
+		for i, id := range pal.ids {
+			if c := centerOf[id]; assign[i] != c {
+				assign[i] = c
+				changed = true
 			}
 		}
 		// Recompute centroids.
@@ -110,30 +100,21 @@ func Cluster(values []float64, k int, seed uint64, maxIter int) (Result, error) 
 
 // seedPlusPlus picks k initial centers with the k-means++ rule: the first
 // uniformly, the rest proportional to squared distance from the nearest
-// chosen center, as closest finds it.
-func seedPlusPlus(values []float64, pal palette, closest func([]float64, float64) int, k int, rng *vecmath.RNG) []float64 {
+// chosen center.
+func seedPlusPlus(values []float64, pal palette, k int, rng *vecmath.RNG) []float64 {
 	centers := make([]float64, 0, k)
 	centers = append(centers, values[rng.Intn(len(values))])
 	d2 := make([]float64, len(values))
 	nearD2 := make([]float64, len(pal.uniq))
 	for len(centers) < k {
-		if pal.ids != nil {
-			for u, v := range pal.uniq {
-				d := v - centers[closest(centers, v)]
-				nearD2[u] = d * d
-			}
-			for i, id := range pal.ids {
-				d2[i] = nearD2[id]
-			}
-		} else {
-			for i, v := range values {
-				d := v - centers[closest(centers, v)]
-				d2[i] = d * d
-			}
+		for u, v := range pal.uniq {
+			d := v - centers[nearest(centers, v)]
+			nearD2[u] = d * d
 		}
 		var total float64
-		for _, w := range d2 {
-			total += w
+		for i, id := range pal.ids {
+			d2[i] = nearD2[id]
+			total += d2[i]
 		}
 		if total == 0 {
 			// All remaining values coincide with centers; duplicate one.
@@ -156,28 +137,12 @@ func seedPlusPlus(values []float64, pal palette, closest func([]float64, float64
 }
 
 // nearest returns the index of the center closest to v, the first one on
-// ties.
+// ties. For finite inputs every distance is a non-negative float that is
+// not NaN, and such floats order as their bit patterns do as unsigned
+// integers (the sign bit is cleared, so -0 reads as 0). The comparison
+// then compiles to a conditional move instead of a branch that scattered
+// values make the predictor lose.
 func nearest(centers []float64, v float64) int {
-	best, bestD := 0, -1.0
-	for c, center := range centers {
-		d := v - center
-		if d < 0 {
-			d = -d
-		}
-		if bestD < 0 || d < bestD {
-			best, bestD = c, d
-		}
-	}
-	return best
-}
-
-// nearestFinite is nearest for inputs that passed finiteSafe. Every
-// distance is then a non-negative float that is not NaN, and such floats
-// order as their bit patterns do as unsigned integers (the sign bit is
-// cleared, so -0 reads as 0), so the comparison compiles to a conditional
-// move instead of a branch that scattered values make the predictor lose.
-// It picks the same center as nearest, ties included.
-func nearestFinite(centers []float64, v float64) int {
 	best, bestD := 0, math.Float64bits(math.Abs(v-centers[0]))
 	for c := 1; c < len(centers); c++ {
 		if d := math.Float64bits(math.Abs(v - centers[c])); d < bestD {
@@ -187,25 +152,8 @@ func nearestFinite(centers []float64, v float64) int {
 	return best
 }
 
-// finiteSafe reports whether no distance computed from values can be NaN:
-// every value is finite, and small enough that no centroid sum overflows
-// to an infinity that a later subtraction could cancel.
-func finiteSafe(values []float64) bool {
-	limit := math.MaxFloat64 / float64(len(values)+2)
-	for _, v := range values {
-		if !(math.Abs(v) <= limit) { // false for NaN too
-			return false
-		}
-	}
-	return true
-}
-
-// maxPalette bounds the distinct values newPalette indexes; past it a
-// search per distinct value saves little over one per value.
-const maxPalette = 256
-
 // palette lists the distinct input values and maps each value to its
-// index there. Heatmaps of small or flat frames hold a few hundred
+// index there. A heatmap holds a few hundred to a few thousand
 // temperatures across thousands of pixels, so the nearest-center searches
 // run once per distinct value and the per-value passes only look the
 // result up. Those passes keep their order, so every sum, and with it
@@ -214,20 +162,15 @@ const maxPalette = 256
 // distance, as both give equal differences to any center.
 type palette struct {
 	uniq []float64
-	ids  []int32 // nil when the input has more than maxPalette distinct values
+	ids  []int32 // index into uniq of each value
 }
 
-// newPalette indexes values. It returns the empty palette when they hold
-// more than maxPalette distinct values.
 func newPalette(values []float64) palette {
 	seen := make(map[float64]int32, 16)
 	pal := palette{ids: make([]int32, len(values))}
 	for i, v := range values {
 		id, ok := seen[v]
 		if !ok {
-			if len(pal.uniq) == maxPalette {
-				return palette{}
-			}
 			id = int32(len(pal.uniq))
 			seen[v] = id
 			pal.uniq = append(pal.uniq, v)

