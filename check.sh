@@ -15,6 +15,13 @@ go test -race -timeout 10m ./...
 # and running; the timings it prints are not checked here.
 go test -run '^$' -bench BenchmarkRun -benchtime 1x ./internal/gpu
 
+# The examples call core.Predict and core.Reference end to end, so running
+# them (a few hundred milliseconds each) keeps the documented entry points
+# working, not just compiling.
+for ex in quickstart archcompare budgetplanner; do
+	go run "./examples/$ex" >/dev/null
+done
+
 # Docs lint: every package documented, every exported metric name present in
 # OPERATIONS.md.
 ./scripts/lint_docs.sh

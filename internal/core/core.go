@@ -28,6 +28,7 @@ import (
 	"zatel/internal/rt"
 	"zatel/internal/runner"
 	"zatel/internal/sampling"
+	"zatel/internal/scene"
 	"zatel/internal/store"
 	"zatel/internal/vecmath"
 )
@@ -95,8 +96,10 @@ type Options struct {
 	// Dist is the colour distribution for pixel selection.
 	Dist sampling.Distribution
 	// Sampling tunes replicate counts, the confidence level and the
-	// adaptive round schedule for the replicated strategies (stratified,
-	// rankedset); ignored for the point-estimate strategies.
+	// adaptive round schedule. Every strategy runs one group loop (see
+	// simulateGroup); only the replicated strategies (stratified,
+	// rankedset) draw replicates and rounds from these settings, but they
+	// are validated for every strategy.
 	Sampling SamplingOptions
 	// TargetCIHalfWidth, when positive, enables adaptive sample sizing:
 	// each group re-draws a Sampling.Growth-times-larger subset per round
@@ -105,10 +108,13 @@ type Options struct {
 	// Sampling.MaxRounds. Requires a replicated strategy.
 	TargetCIHalfWidth float64
 	// FixedFraction forces each group to trace exactly this fraction
-	// (0 = use Eq. 1).
+	// (0 = use Eq. 1). When MaxFraction is also set, FixedFraction may
+	// not exceed it.
 	FixedFraction float64
-	// MaxFraction caps the Eq. 1 budget (0 = no cap); the paper uses 0.1
-	// to reach 50× speedup on PARK.
+	// MaxFraction caps the Eq. 1 budget and the adaptive rounds' growth
+	// (0 = no cap); the paper uses 0.1 to reach 50× speedup on PARK. It is
+	// an upper bound on every group's budget, so a FixedFraction above it
+	// is rejected rather than silently clamped.
 	MaxFraction float64
 	// SingleGroup simulates only the first of the K groups and scales its
 	// throughput by K — the Section IV-E downscaling experiment, where one
@@ -260,19 +266,17 @@ func (o *Options) fillDefaults() {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Dist.Replicated() {
-		if o.Sampling.Replicates == 0 {
-			o.Sampling.Replicates = 5
-		}
-		if o.Sampling.Confidence == 0 {
-			o.Sampling.Confidence = 0.95
-		}
-		if o.Sampling.MaxRounds == 0 {
-			o.Sampling.MaxRounds = 4
-		}
-		if o.Sampling.Growth == 0 {
-			o.Sampling.Growth = 1.5
-		}
+	if o.Sampling.Replicates == 0 {
+		o.Sampling.Replicates = 5
+	}
+	if o.Sampling.Confidence == 0 {
+		o.Sampling.Confidence = 0.95
+	}
+	if o.Sampling.MaxRounds == 0 {
+		o.Sampling.MaxRounds = 4
+	}
+	if o.Sampling.Growth == 0 {
+		o.Sampling.Growth = 1.5
 	}
 }
 
@@ -376,18 +380,32 @@ func Predict(opts Options) (*Result, error) {
 	return PredictContext(context.Background(), opts)
 }
 
-// validate checks every option enum and range up front, before the
-// expensive workload build: an invalid division or distribution must not
-// cost a full path trace first.
+// Validate applies the defaults to a copy of o and checks every option
+// enum, range and combination, without building anything: an invalid
+// division or distribution must not cost a full path trace first. It is
+// the one options check — PredictContext and zateld's request decoding
+// both call it — so it stays cheap enough for every served request.
+func (o Options) Validate() error {
+	o.fillDefaults()
+	return o.validate()
+}
+
+// validate is Validate on options whose defaults are already applied.
 func (o *Options) validate() error {
 	if err := o.Config.Validate(); err != nil {
 		return err
+	}
+	if o.Width < 0 || o.Height < 0 || o.SPP < 0 {
+		return fmt.Errorf("core: negative frame dimensions %dx%d spp=%d", o.Width, o.Height, o.SPP)
 	}
 	if o.FixedFraction < 0 || o.FixedFraction > 1 {
 		return fmt.Errorf("core: FixedFraction %v out of [0,1]", o.FixedFraction)
 	}
 	if o.MaxFraction < 0 || o.MaxFraction > 1 {
 		return fmt.Errorf("core: MaxFraction %v out of [0,1]", o.MaxFraction)
+	}
+	if o.MaxFraction > 0 && o.FixedFraction > o.MaxFraction {
+		return fmt.Errorf("core: FixedFraction %v exceeds MaxFraction %v", o.FixedFraction, o.MaxFraction)
 	}
 	if !o.Division.Valid() {
 		return fmt.Errorf("core: unknown division %d", o.Division)
@@ -401,24 +419,22 @@ func (o *Options) validate() error {
 	if o.TargetCIHalfWidth > 0 && !o.Dist.Replicated() {
 		return fmt.Errorf("core: TargetCIHalfWidth requires a replicated strategy (stratified or rankedset), got %s", o.Dist)
 	}
-	if o.Dist.Replicated() {
-		if o.Regression {
-			return fmt.Errorf("core: Regression and replicated strategy %s are mutually exclusive extrapolation schemes", o.Dist)
-		}
-		if o.Sampling.Replicates < 2 {
-			return fmt.Errorf("core: Sampling.Replicates %d < 2 (a confidence interval needs at least two sub-draws)", o.Sampling.Replicates)
-		}
-		switch o.Sampling.Confidence {
-		case 0.90, 0.95, 0.99:
-		default:
-			return fmt.Errorf("core: Sampling.Confidence %v unsupported (want 0.90, 0.95 or 0.99)", o.Sampling.Confidence)
-		}
-		if o.Sampling.MaxRounds < 1 {
-			return fmt.Errorf("core: Sampling.MaxRounds %d < 1", o.Sampling.MaxRounds)
-		}
-		if o.Sampling.Growth <= 1 {
-			return fmt.Errorf("core: Sampling.Growth %v must exceed 1", o.Sampling.Growth)
-		}
+	if o.Regression && o.Dist.Replicated() {
+		return fmt.Errorf("core: Regression and replicated strategy %s are mutually exclusive extrapolation schemes", o.Dist)
+	}
+	if o.Sampling.Replicates < 2 {
+		return fmt.Errorf("core: Sampling.Replicates %d < 2 (a confidence interval needs at least two sub-draws)", o.Sampling.Replicates)
+	}
+	switch o.Sampling.Confidence {
+	case 0.90, 0.95, 0.99:
+	default:
+		return fmt.Errorf("core: Sampling.Confidence %v unsupported (want 0.90, 0.95 or 0.99)", o.Sampling.Confidence)
+	}
+	if o.Sampling.MaxRounds < 1 {
+		return fmt.Errorf("core: Sampling.MaxRounds %d < 1", o.Sampling.MaxRounds)
+	}
+	if o.Sampling.Growth <= 1 {
+		return fmt.Errorf("core: Sampling.Growth %v must exceed 1", o.Sampling.Growth)
 	}
 	if o.K < 0 {
 		return fmt.Errorf("core: negative downscaling factor %d", o.K)
@@ -432,7 +448,21 @@ func (o *Options) validate() error {
 	if err := o.FT.Inject.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
+	if !knownScene(o.Scene) {
+		return fmt.Errorf("core: unknown scene %q (want one of %s)", o.Scene, strings.Join(scene.Names(), ", "))
+	}
 	return nil
+}
+
+// knownScene reports whether name is a scene-library name. It compares
+// names only: scene.ByName would build and cache the geometry.
+func knownScene(name string) bool {
+	for _, n := range scene.Names() {
+		if n == name {
+			return true
+		}
+	}
+	return false
 }
 
 // PredictContext runs the Zatel pipeline. Cancelling ctx stops group
@@ -528,41 +558,20 @@ func PredictContext(ctx context.Context, opts Options) (*Result, error) {
 		groups = groups[:1]
 	}
 
-	// Step 5: representative pixel selection per group. The replicated
-	// strategies only compute the budget here — their (possibly adaptive)
-	// replicate draws happen inside the step-6 job, interleaved with the
-	// simulations they grow from.
+	// Step 5: each group's traced-pixel budget, the same for every
+	// strategy: FixedFraction, or Eq. 1 capped at MaxFraction. The draws
+	// themselves happen inside the step-6 job, so a retried group redraws
+	// the same pixels and a group's wall time covers its selection.
 	_, sp5 := obs.StartSpan(ctx, "step5_select")
-	rootRNG := vecmath.NewRNG(opts.Seed)
-	type groupPlan struct {
-		pixels   []int32
-		selected map[int32]bool
-		fraction float64
-	}
-	plans := make([]groupPlan, len(groups))
+	budgets := make([]float64, len(groups))
 	for gi := range groups {
-		g := &groups[gi]
-		frac := opts.FixedFraction
-		if frac == 0 {
-			frac = sampling.Budget(quant, g)
-			if opts.MaxFraction > 0 && frac > opts.MaxFraction {
-				frac = opts.MaxFraction
+		budgets[gi] = opts.FixedFraction
+		if budgets[gi] == 0 {
+			budgets[gi] = sampling.Budget(quant, &groups[gi])
+			if opts.MaxFraction > 0 && budgets[gi] > opts.MaxFraction {
+				budgets[gi] = opts.MaxFraction
 			}
 		}
-		if opts.Dist.Replicated() {
-			plans[gi] = groupPlan{pixels: g.AllPixels(), fraction: frac}
-			continue
-		}
-		sel, err := sampling.Select(quant, g, frac, opts.Dist, rootRNG.Split(uint64(gi)+100))
-		if err != nil {
-			sp5.End()
-			return nil, fmt.Errorf("core: group %d: %w", gi, err)
-		}
-		keep := make(map[int32]bool, len(sel.Pixels))
-		for _, p := range sel.Pixels {
-			keep[p] = true
-		}
-		plans[gi] = groupPlan{pixels: g.AllPixels(), selected: keep, fraction: sel.Fraction}
 	}
 	sp5.End()
 
@@ -575,25 +584,12 @@ func PredictContext(ctx context.Context, opts Options) (*Result, error) {
 	if opts.Parallel {
 		workers = runner.PoolSize(opts.Workers)
 	}
-	type groupOut struct {
-		run  GroupRun
-		vals combine.GroupValues
-	}
 	job := func(_ context.Context, gi int) (groupOut, error) {
-		if opts.Dist.Replicated() {
-			run, err := simulateGroupReplicated(wl, cfg, quant, &groups[gi],
-				plans[gi].pixels, plans[gi].fraction, &opts, gi)
-			if err != nil {
-				return groupOut{}, fmt.Errorf("group %d: %w", gi, err)
-			}
-			return groupOut{run: run, vals: run.Intervals.Means()}, nil
-		}
-		run, vals, err := simulateGroup(wl, cfg, plans[gi].pixels,
-			plans[gi].selected, plans[gi].fraction, opts.Regression)
+		out, err := simulateGroup(wl, cfg, quant, &groups[gi], budgets[gi], &opts, gi)
 		if err != nil {
-			return groupOut{}, fmt.Errorf("group %d: %w", gi, err)
+			return out, fmt.Errorf("group %d: %w", gi, err)
 		}
-		return groupOut{run: run, vals: vals}, nil
+		return out, nil
 	}
 	if opts.FT.Inject.Enabled() {
 		inj, err := faults.NewInjector(opts.FT.Inject)
@@ -616,21 +612,20 @@ func PredictContext(ctx context.Context, opts Options) (*Result, error) {
 	sp6.End()
 	elapsed := time.Since(simStart)
 
-	// Grade the fan-out: failed groups are recorded with their plan's
-	// shape so callers can still render them; survivors feed the merge.
+	// Grade the fan-out: a failed group is recorded with its pixels and
+	// budget so callers can still render it; survivors feed the merge.
 	_, sp7 := obs.StartSpan(ctx, "step7_combine")
 	total := len(groups)
 	runs := make([]GroupRun, total)
 	values := make([]combine.GroupValues, 0, total)
-	intervals := make([]combine.GroupIntervals, 0, total)
+	var intervals []combine.GroupIntervals // replicated strategies only
 	var failed []int
 	for gi := range results {
 		r := &results[gi]
 		if r.Err != nil {
 			runs[gi] = GroupRun{
-				Pixels:    len(plans[gi].pixels),
-				Selected:  len(plans[gi].selected),
-				Fraction:  plans[gi].fraction,
+				Pixels:    groups[gi].NumPixels(),
+				Fraction:  budgets[gi],
 				WallTime:  r.WallTime,
 				QueueTime: r.QueueTime,
 				Attempts:  r.Attempts,
@@ -663,21 +658,16 @@ func PredictContext(ctx context.Context, opts Options) (*Result, error) {
 	}
 
 	// Step 7: combine the survivors, re-weighting throughput when groups
-	// are missing.
+	// are missing; replicated strategies' intervals merge alongside.
 	predicted, err := combine.MergeDegraded(values, total)
+	var mergedIntervals combine.GroupIntervals
+	if err == nil && intervals != nil {
+		mergedIntervals, err = combine.MergeIntervals(intervals, total, opts.Sampling.Confidence)
+	}
 	if err != nil {
 		sp7.SetAttr("error", err)
 		sp7.End()
 		return nil, err
-	}
-	var mergedIntervals combine.GroupIntervals
-	if opts.Dist.Replicated() {
-		mergedIntervals, err = combine.MergeIntervals(intervals, total, opts.Sampling.Confidence)
-		if err != nil {
-			sp7.SetAttr("error", err)
-			sp7.End()
-			return nil, err
-		}
 	}
 	if opts.SingleGroup && k > 1 {
 		// One group stands in for all K concurrent GPU slices: total
@@ -804,134 +794,130 @@ func ResultSize(r *Result) int64 {
 	return int64(len(r.Groups))*240 + int64(len(r.Predicted))*32 + int64(intervals)*64 + 256
 }
 
-// simulateGroup runs one group's simulator instance(s) and produces its
-// extrapolated metric values.
-func simulateGroup(wl *rt.Workload, cfg config.Config, pixels []int32,
-	selected map[int32]bool, fraction float64, regression bool) (GroupRun, combine.GroupValues, error) {
-
-	run := GroupRun{Pixels: len(pixels), Selected: len(selected), Fraction: fraction}
-	start := time.Now()
-
-	if !regression {
-		rep, err := gpu.Run(gpu.Job{Cfg: cfg, Source: groupSource{wl: wl, pixels: pixels, selected: selected}})
-		if err != nil {
-			return run, nil, err
-		}
-		run.Report = rep
-		run.WallTime = time.Since(start)
-		vals, err := combine.Linear(rep, fraction)
-		return run, vals, err
-	}
-
-	// Regression mode (Section IV-F): simulate the group at 20/30/40% and
-	// extrapolate each metric to 100% with an exponential fit, falling
-	// back to linear extrapolation of the 40% run when the fit rejects
-	// the samples.
-	fracs := [3]float64{0.2, 0.3, 0.4}
-	var reps [3]metrics.Report
-	var sub map[int32]bool
-	for i, f := range fracs {
-		sub = subsetOf(pixels, selected, f)
-		rep, err := gpu.Run(gpu.Job{Cfg: cfg, Source: groupSource{wl: wl, pixels: pixels, selected: sub}})
-		if err != nil {
-			return run, nil, err
-		}
-		reps[i] = rep
-	}
-	run.Report = reps[2]
-	run.Fraction = fracs[2]
-	// Report the actual subset size of the 40% run: subsetOf rounds, so
-	// recomputing the count by truncation here could disagree by a pixel.
-	run.Selected = len(sub)
-	run.WallTime = time.Since(start)
-
-	vals := make(combine.GroupValues, len(metrics.All()))
-	for _, m := range metrics.All() {
-		ys := [3]float64{reps[0].Value(m), reps[1].Value(m), reps[2].Value(m)}
-		v, err := extrapolate.ExpRegression([3]float64{fracs[0], fracs[1], fracs[2]}, ys)
-		if err != nil {
-			// Fall back to the baseline extrapolation of the 40% run.
-			if m.Absolute() {
-				v, err = extrapolate.Linear(ys[2], fracs[2])
-				if err != nil {
-					return run, nil, err
-				}
-			} else {
-				v = ys[2]
-			}
-		}
-		vals[m] = v
-	}
-	return run, vals, nil
+// groupOut is one group job's result: the run record and the group's
+// extrapolated metric values (the interval means for replicated
+// strategies).
+type groupOut struct {
+	run  GroupRun
+	vals combine.GroupValues
 }
 
-// simulateGroupReplicated runs one group under a replicated strategy: each
-// round draws Sampling.Replicates disjoint sub-selections, simulates every
-// replicate independently, extrapolates each by its own realized fraction,
-// and builds the Student-t interval from the replicate spread. With a CI
-// target set, rounds repeat with a Growth-times-larger fraction until every
-// metric's relative half-width meets the target, the fraction hits its cap,
-// or MaxRounds is exhausted. All draws derive from (seed, group index,
-// round), so retries and re-runs are byte-identical.
-func simulateGroupReplicated(wl *rt.Workload, cfg config.Config, quant *heatmap.Quantized,
-	g *partition.Group, pixels []int32, frac0 float64, opts *Options, gi int) (GroupRun, error) {
+// regressionFracs are the Section IV-F regression mode's nested sample
+// fractions.
+var regressionFracs = [3]float64{0.2, 0.3, 0.4}
 
-	run := GroupRun{Pixels: len(pixels)}
+// simulateGroup runs one group's step-6 round loop. Each round draws its
+// selections from the group's RNG — one Select for the point estimate,
+// three nested subsets of one Select for regression, Sampling.Replicates
+// disjoint SelectReplicates sub-draws for a replicated strategy — runs the
+// simulator once per selection, and extrapolates: linearly, by the
+// exponential fit with its linear fallback, or into Student-t intervals
+// from the replicate spread. Only a replicated strategy with a CI target
+// runs another round, at a Sampling.Growth-times larger fraction, until
+// every metric's relative half-width meets the target, the fraction hits
+// MaxFraction or Sampling.MaxRounds is exhausted. All draws derive from
+// (Seed, group index, round), so retries and re-runs are byte-identical.
+func simulateGroup(wl *rt.Workload, cfg config.Config, quant *heatmap.Quantized,
+	g *partition.Group, frac float64, opts *Options, gi int) (groupOut, error) {
+
 	start := time.Now()
-	sp := opts.Sampling
+	pixels := g.AllPixels()
+	run := GroupRun{Pixels: len(pixels)}
+	rng := vecmath.NewRNG(opts.Seed).Split(uint64(gi) + 100)
 	maxFrac := 1.0
 	if opts.MaxFraction > 0 {
 		maxFrac = opts.MaxFraction
 	}
-	frac := frac0
-	if frac > maxFrac {
-		frac = maxFrac
-	}
-	groupRNG := vecmath.NewRNG(opts.Seed).Split(uint64(gi) + 100)
 	for round := 1; ; round++ {
-		sels, err := sampling.SelectReplicates(quant, g, frac, opts.Dist,
-			sp.Replicates, groupRNG.Split(uint64(round)))
-		if err != nil {
-			return run, err
-		}
-		reps := make([]metrics.Report, len(sels))
-		fracs := make([]float64, len(sels))
-		selected := 0
-		for i, sel := range sels {
-			keep := make(map[int32]bool, len(sel.Pixels))
-			for _, p := range sel.Pixels {
-				keep[p] = true
+		// Draw.
+		var draws []map[int32]bool
+		if opts.Dist.Replicated() {
+			sels, err := sampling.SelectReplicates(quant, g, frac, opts.Dist,
+				opts.Sampling.Replicates, rng.Split(uint64(round)))
+			if err != nil {
+				return groupOut{}, err
 			}
+			for _, sel := range sels {
+				draws = append(draws, pixelSet(sel.Pixels))
+			}
+		} else {
+			sel, err := sampling.Select(quant, g, frac, opts.Dist, rng)
+			if err != nil {
+				return groupOut{}, err
+			}
+			draws = []map[int32]bool{pixelSet(sel.Pixels)}
+			if opts.Regression {
+				draws = []map[int32]bool{subsetOf(pixels, draws[0], regressionFracs[0]),
+					subsetOf(pixels, draws[0], regressionFracs[1]),
+					subsetOf(pixels, draws[0], regressionFracs[2])}
+			}
+		}
+
+		// Run.
+		reps := make([]metrics.Report, len(draws))
+		fracs := make([]float64, len(draws))
+		selected := 0
+		for i, keep := range draws {
 			rep, err := gpu.Run(gpu.Job{Cfg: cfg, Source: groupSource{wl: wl, pixels: pixels, selected: keep}})
 			if err != nil {
-				return run, err
+				return groupOut{}, err
 			}
 			reps[i] = rep
-			fracs[i] = sel.Fraction
-			selected += len(sel.Pixels)
-		}
-		ivs, err := combine.LinearReplicates(reps, fracs, sp.Confidence)
-		if err != nil {
-			return run, err
+			fracs[i] = float64(len(keep)) / float64(len(pixels))
+			selected += len(keep)
 		}
 		run.Report = reps[len(reps)-1]
-		run.Fraction = float64(selected) / float64(len(pixels))
 		run.Selected = selected
-		run.Intervals = ivs
-		run.Replicates = len(sels)
-		run.Rounds = round
-		run.TargetMet = opts.TargetCIHalfWidth == 0 ||
-			ivs.MaxRelHalfWidth() <= opts.TargetCIHalfWidth
-		if run.TargetMet || round >= sp.MaxRounds || frac >= maxFrac {
-			break
+		run.Fraction = float64(selected) / float64(len(pixels))
+
+		// Extrapolate.
+		var vals combine.GroupValues
+		var err error
+		switch {
+		case opts.Regression:
+			// The nested subsets overlap: the group traced the largest.
+			run.Selected, run.Fraction = len(draws[2]), regressionFracs[2]
+			vals, err = expRegression(reps)
+		case !opts.Dist.Replicated():
+			vals, err = combine.Linear(run.Report, run.Fraction)
+		default:
+			run.Intervals, err = combine.LinearReplicates(reps, fracs, opts.Sampling.Confidence)
+			if err != nil {
+				return groupOut{}, err
+			}
+			vals = run.Intervals.Means()
+			run.Replicates, run.Rounds = len(draws), round
+			run.TargetMet = opts.TargetCIHalfWidth == 0 ||
+				run.Intervals.MaxRelHalfWidth() <= opts.TargetCIHalfWidth
+			if !run.TargetMet && round < opts.Sampling.MaxRounds && frac < maxFrac {
+				frac = min(frac*opts.Sampling.Growth, maxFrac)
+				continue
+			}
 		}
-		frac *= sp.Growth
-		if frac > maxFrac {
-			frac = maxFrac
-		}
+		run.WallTime = time.Since(start)
+		return groupOut{run: run, vals: vals}, err
 	}
-	run.WallTime = time.Since(start)
-	return run, nil
+}
+
+// expRegression extrapolates each metric of the regression mode's three
+// runs (Section IV-F) to 100% with an exponential fit, falling back to the
+// linear extrapolation of the largest run when the fit rejects the samples.
+func expRegression(reps []metrics.Report) (combine.GroupValues, error) {
+	vals := make(combine.GroupValues, len(metrics.All()))
+	for _, m := range metrics.All() {
+		ys := [3]float64{reps[0].Value(m), reps[1].Value(m), reps[2].Value(m)}
+		v, err := extrapolate.ExpRegression(regressionFracs, ys)
+		if err != nil {
+			v = ys[2]
+			if m.Absolute() {
+				if v, err = extrapolate.Linear(ys[2], regressionFracs[2]); err != nil {
+					return nil, err
+				}
+			}
+		}
+		vals[m] = v
+	}
+	return vals, nil
 }
 
 // groupSource presents a group's thread list to the simulator without
@@ -955,6 +941,15 @@ func (g groupSource) At(i int) *rt.ThreadTrace {
 		return &g.wl.Traces[p]
 	}
 	return &filteredTrace
+}
+
+// pixelSet returns the set of the given pixels.
+func pixelSet(pixels []int32) map[int32]bool {
+	set := make(map[int32]bool, len(pixels))
+	for _, p := range pixels {
+		set[p] = true
+	}
+	return set
 }
 
 // subsetOf trims a selection down to fraction f of the group, preferring

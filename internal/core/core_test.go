@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"zatel/internal/config"
@@ -38,6 +39,54 @@ func TestPredictValidation(t *testing.T) {
 	opts.K = 3 // does not divide 8 SMs / 4 partitions
 	if _, err := Predict(opts); err == nil {
 		t.Error("non-dividing K accepted")
+	}
+
+	// Validate itself: the checks zateld runs on every request, without a
+	// build.
+	if err := small("PARK").Validate(); err != nil {
+		t.Errorf("valid options rejected: %v", err)
+	}
+	bad := map[string]func(o *Options){
+		"negative width":         func(o *Options) { o.Width = -1 },
+		"negative spp":           func(o *Options) { o.SPP = -2 },
+		"unknown scene":          func(o *Options) { o.Scene = "park" },
+		"missing scene":          func(o *Options) { o.Scene = "" },
+		"fraction above the cap": func(o *Options) { o.FixedFraction, o.MaxFraction = 0.5, 0.1 },
+	}
+	for name, set := range bad {
+		opts := small("PARK")
+		set(&opts)
+		if err := opts.Validate(); err == nil {
+			t.Errorf("%s accepted by Validate", name)
+		}
+		if _, err := Predict(opts); err == nil {
+			t.Errorf("%s accepted by Predict", name)
+		}
+	}
+	// The fraction rule binds only when both are set, and equality is fine.
+	opts = small("PARK")
+	opts.FixedFraction, opts.MaxFraction = 0.1, 0.1
+	if err := opts.Validate(); err != nil {
+		t.Errorf("FixedFraction equal to MaxFraction rejected: %v", err)
+	}
+}
+
+// TestEmptyGroupFailsEveryStrategy: an 8×8 frame on the RTX 2060 (K=6)
+// leaves groups 4 and 5 without a pixel. Step 4 rejects it before any
+// simulation, with the same error for a point and a replicated strategy.
+func TestEmptyGroupFailsEveryStrategy(t *testing.T) {
+	var errs []string
+	for _, dist := range []sampling.Distribution{sampling.Uniform, sampling.Stratified} {
+		opts := Options{Config: config.RTX2060(), Scene: "SPRNG", Width: 8, Height: 8, SPP: 1, Dist: dist}
+		opts.FT.Attempts = 3
+		res, err := Predict(opts)
+		if err == nil || res != nil {
+			t.Fatalf("%s: result %v, error %v; want an empty-group error and no result", dist, res, err)
+		}
+		errs = append(errs, err.Error())
+	}
+	if errs[0] != errs[1] || !strings.Contains(errs[0], "group 4 of 6") {
+		t.Errorf("uniform failed with %q, stratified with %q; want the same error naming group 4", errs[0], errs[1])
 	}
 }
 

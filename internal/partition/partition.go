@@ -64,7 +64,7 @@ func Coarse(width, height, k, blockW, blockH int) ([]Group, error) {
 			groups = append(groups, g)
 		}
 	}
-	return groups, nil
+	return nonEmpty(groups, width, height)
 }
 
 // Fine divides the plane into chunkW×chunkH chunks and deals them to the k
@@ -89,6 +89,21 @@ func Fine(width, height, k, chunkW, chunkH int) ([]Group, error) {
 			cx++
 		}
 		cy++
+	}
+	return nonEmpty(groups, width, height)
+}
+
+// nonEmpty returns groups, or an error naming the first group that got no
+// pixel: a frame too small or too narrow for k (Fine's diagonal deal
+// reaches only chunk-columns + chunk-rows − 1 groups; Coarse's grid can
+// have more rows or columns than the plane has pixels). Every later step
+// needs at least one pixel per group.
+func nonEmpty(groups []Group, width, height int) ([]Group, error) {
+	for gi := range groups {
+		if len(groups[gi].Blocks) == 0 {
+			return nil, fmt.Errorf("partition: group %d of %d gets no pixel of the %dx%d plane",
+				gi, len(groups), width, height)
+		}
 	}
 	return groups, nil
 }

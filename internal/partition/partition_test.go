@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -192,8 +193,11 @@ func TestRaggedDimensions(t *testing.T) {
 	assertPartition(t, groups, 50, 30)
 }
 
-// Property: both division methods produce exact partitions for arbitrary
-// shapes.
+// Property: both division methods produce exact partitions of non-empty
+// groups for arbitrary shapes, and reject exactly the shapes that would
+// leave a group empty: Fine's diagonal deal over C×R chunks reaches C+R−1
+// groups, and Coarse's rows×cols grid needs a pixel row per tile row and a
+// pixel column per tile column.
 func TestPartitionProperty(t *testing.T) {
 	f := func(w8, h8, k8, bw8, bh8 uint8) bool {
 		w := int(w8%40) + 1
@@ -204,13 +208,21 @@ func TestPartitionProperty(t *testing.T) {
 		if k > w*h {
 			return true
 		}
-		for _, fn := range []func(int, int, int, int, int) ([]Group, error){Coarse, Fine} {
-			groups, err := fn(w, h, k, bw, bh)
-			if err != nil {
-				return false
+		rows, cols := gridShape(k)
+		chunks := (w+bw-1)/bw + (h+bh-1)/bh - 1
+		for _, tc := range []struct {
+			divide func(int, int, int, int, int) ([]Group, error)
+			empty  bool
+		}{{Coarse, rows > h || cols > w}, {Fine, chunks < k}} {
+			groups, err := tc.divide(w, h, k, bw, bh)
+			if err != nil || tc.empty {
+				return err != nil && tc.empty
 			}
 			seen := make([]bool, w*h)
 			for _, g := range groups {
+				if g.NumPixels() == 0 {
+					return false
+				}
 				for _, p := range g.AllPixels() {
 					if p < 0 || int(p) >= len(seen) || seen[p] {
 						return false
@@ -229,4 +241,49 @@ func TestPartitionProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestEmptyGroupIsAnError: a plane that leaves some group without a pixel
+// is rejected, naming the first empty group, by both division methods.
+func TestEmptyGroupIsAnError(t *testing.T) {
+	cases := []struct {
+		name             string
+		divide           func(width, height, k, bw, bh int) ([]Group, error)
+		width, height, k int
+		blockW, blockH   int
+		wantGroup        string
+	}{
+		// 64×4 in 32×2 chunks is 2×2 chunks: four chunks, but the diagonal
+		// deal reaches residues 0, 1 and 2 only.
+		{"fine 64x4 k4", Fine, 64, 4, 4, 32, 2, "group 3 of 4"},
+		// 8×8 is one chunk column of four chunk rows: residues 0..3.
+		{"fine 8x8 k6", Fine, 8, 8, 6, 32, 2, "group 4 of 6"},
+		// K=6 is a 3×2 grid; two pixel rows leave the first tile row empty.
+		{"coarse 64x2 k6", Coarse, 64, 2, 6, 32, 2, "group 0 of 6"},
+	}
+	for _, c := range cases {
+		groups, err := c.divide(c.width, c.height, c.k, c.blockW, c.blockH)
+		if err == nil {
+			t.Errorf("%s: accepted with groups of %v pixels", c.name, sizes(groups))
+			continue
+		}
+		if groups != nil || !strings.Contains(err.Error(), c.wantGroup) {
+			t.Errorf("%s: groups %v, error %q does not name %q", c.name, sizes(groups), err, c.wantGroup)
+		}
+	}
+	// The smallest planes that do fill every group stay valid.
+	if _, err := Fine(64, 6, 4, 32, 2); err != nil {
+		t.Errorf("fine 64x6 k4: %v", err)
+	}
+	if _, err := Coarse(64, 3, 6, 32, 2); err != nil {
+		t.Errorf("coarse 64x3 k6: %v", err)
+	}
+}
+
+func sizes(groups []Group) []int {
+	out := make([]int, len(groups))
+	for i := range groups {
+		out[i] = groups[i].NumPixels()
+	}
+	return out
 }

@@ -124,27 +124,6 @@ func TestMapPolicyDeadlineThenRecovery(t *testing.T) {
 	}
 }
 
-func TestPermanentStopsRetries(t *testing.T) {
-	f := newFlaky(0)
-	rs, err := MapPolicy(context.Background(), 1, Policy{Workers: 1, MaxAttempts: 5},
-		func(ctx context.Context, i int) (int, error) {
-			f.run(ctx, i) // count the call
-			return 0, Permanent(errors.New("config rejected"))
-		})
-	if err == nil {
-		t.Fatal("permanent failure reported success")
-	}
-	if rs[0].Attempts != 1 {
-		t.Errorf("permanent error was retried: %d attempts", rs[0].Attempts)
-	}
-	if !errors.Is(rs[0].Err, ErrPermanent) {
-		t.Errorf("error %v does not wrap ErrPermanent", rs[0].Err)
-	}
-	if Permanent(nil) != nil {
-		t.Error("Permanent(nil) != nil")
-	}
-}
-
 func TestBackoffDelayDeterministicAndBounded(t *testing.T) {
 	p := Policy{Backoff: 10 * time.Millisecond, MaxBackoff: 100 * time.Millisecond, JitterSeed: 3}
 	for attempt := 1; attempt <= 6; attempt++ {

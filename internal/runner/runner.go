@@ -89,19 +89,6 @@ func PoolSize(workers int) int {
 	return workers
 }
 
-// ErrPermanent marks an error retries cannot fix; MapPolicy stops retrying
-// a job whose error wraps it.
-var ErrPermanent = errors.New("runner: permanent failure")
-
-// Permanent wraps err so MapPolicy fails the job immediately instead of
-// burning its remaining attempts. A nil err stays nil.
-func Permanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return fmt.Errorf("%w: %w", ErrPermanent, err)
-}
-
 // Policy configures MapPolicy's scheduling and per-job fault tolerance.
 // The zero value reproduces Map: a GOMAXPROCS-sized pool, one attempt per
 // job, no deadline.
@@ -168,8 +155,8 @@ func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context
 // retried up to Policy.MaxAttempts times under Policy.Timeout per-attempt
 // deadlines, with exponential backoff and seeded jitter between attempts.
 // Retries happen in-place on the job's worker, so result ordering stays
-// deterministic by submission index. Errors wrapping ErrPermanent, and
-// parent-context cancellation, stop a job's retries immediately.
+// deterministic by submission index. Parent-context cancellation stops a
+// job's retries immediately.
 func MapPolicy[T any](ctx context.Context, n int, p Policy, fn func(ctx context.Context, index int) (T, error)) ([]Result[T], error) {
 	if n < 0 {
 		return nil, fmt.Errorf("runner: negative job count %d", n)
@@ -264,8 +251,8 @@ feed:
 
 // runAttempts drives one job through the policy's retry loop and reports
 // the value, the number of attempts consumed, and the final error (nil on
-// success). The retry loop stops early on ErrPermanent-wrapped errors and
-// on parent-context cancellation; on failure the returned value is zero.
+// success). The retry loop stops early on parent-context cancellation; on
+// failure the returned value is zero.
 func runAttempts[T any](ctx context.Context, p Policy, i int, fn func(context.Context, int) (T, error)) (T, int, error) {
 	max := p.MaxAttempts
 	if max < 1 {
@@ -296,7 +283,7 @@ func runAttempts[T any](ctx context.Context, p Policy, i int, fn func(context.Co
 			err = fmt.Errorf("runner: job %d attempt %d exceeded %v deadline: %w",
 				i, attempt, p.Timeout, err)
 		}
-		if attempt >= max || errors.Is(err, ErrPermanent) || ctx.Err() != nil {
+		if attempt >= max || ctx.Err() != nil {
 			return zero, attempt, err
 		}
 		if !sleep(ctx, p.backoffDelay(i, attempt)) {

@@ -20,7 +20,6 @@ import (
 	"zatel/internal/metrics"
 	"zatel/internal/obs"
 	"zatel/internal/sampling"
-	"zatel/internal/scene"
 	"zatel/internal/store"
 )
 
@@ -157,92 +156,44 @@ func writeError(w http.ResponseWriter, r *http.Request, code int, msg string) {
 // may not edit) calls it.
 func ConfigByName(name string) (config.Config, error) { return config.ByName(name) }
 
-// optionsFor validates the request and translates it into pipeline options.
-// Every error it returns is a client error (HTTP 400).
+// optionsFor translates the request into pipeline options: it resolves the
+// config, division and distribution names and the deadline, and leaves
+// every range and combination check to core.Options.Validate. Every error
+// it returns is a client error (HTTP 400).
 func (s *Server) optionsFor(req *PredictRequest) (core.Options, error) {
-	var o core.Options
-
-	sceneName := req.Scene
-	if sceneName == "" {
-		return o, errors.New("missing scene")
+	o := core.Options{
+		Scene: req.Scene,
+		Width: req.Width, Height: req.Height, SPP: req.SPP,
+		FixedFraction:     req.Percent,
+		MaxFraction:       req.MaxPercent,
+		K:                 req.K,
+		NoDownscale:       req.NoDownscale,
+		Regression:        req.Regression,
+		QuantLevels:       req.QuantLevels,
+		Seed:              req.Seed,
+		TargetCIHalfWidth: req.TargetCI,
+		Sampling: core.SamplingOptions{
+			Replicates: req.Replicates, Confidence: req.Confidence, MaxRounds: req.MaxRounds,
+		},
+		FT:       core.FaultTolerance{Attempts: req.Attempts, Quorum: req.Quorum},
+		Parallel: s.cfg.Parallel,
+		Workers:  s.cfg.Workers,
+		Store:    s.st,
 	}
-	known := false
-	for _, n := range scene.Names() {
-		if n == sceneName {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return o, fmt.Errorf("unknown scene %q (want one of %s)", sceneName, strings.Join(scene.Names(), ", "))
-	}
-	cfg, err := config.ByName(req.Config)
-	if err != nil {
+	var err error
+	if o.Config, err = config.ByName(req.Config); err != nil {
 		return o, err
 	}
 	if o.Division, err = core.ParseDivision(req.Division); err != nil {
 		return o, err
 	}
-	o.Dist, err = sampling.ParseDistribution(strings.ToLower(req.Dist))
-	if err != nil {
+	if o.Dist, err = sampling.ParseDistribution(strings.ToLower(req.Dist)); err != nil {
 		return o, err
-	}
-	if req.Width < 0 || req.Height < 0 || req.SPP < 0 {
-		return o, fmt.Errorf("negative frame dimensions %dx%d spp=%d", req.Width, req.Height, req.SPP)
-	}
-	if req.Percent < 0 || req.Percent > 1 {
-		return o, fmt.Errorf("percent %v out of [0,1]", req.Percent)
-	}
-	if req.MaxPercent < 0 || req.MaxPercent > 1 {
-		return o, fmt.Errorf("max_percent %v out of [0,1]", req.MaxPercent)
-	}
-	if req.K < 0 {
-		return o, fmt.Errorf("negative downscaling factor %d", req.K)
-	}
-	if req.Attempts < 0 {
-		return o, fmt.Errorf("negative attempts %d", req.Attempts)
 	}
 	if req.TimeoutMs < 0 {
 		return o, fmt.Errorf("negative timeout_ms %d", req.TimeoutMs)
 	}
-	if req.TargetCI < 0 {
-		return o, fmt.Errorf("negative target_ci %v", req.TargetCI)
-	}
-	if req.TargetCI > 0 && !o.Dist.Replicated() {
-		return o, fmt.Errorf("target_ci requires dist stratified or rankedset, got %q", o.Dist)
-	}
-	if req.Replicates < 0 || req.Replicates == 1 {
-		return o, fmt.Errorf("replicates %d must be 0 (default) or at least 2", req.Replicates)
-	}
-	switch req.Confidence {
-	case 0, 0.90, 0.95, 0.99:
-	default:
-		return o, fmt.Errorf("confidence %v unsupported (want 0.90, 0.95 or 0.99)", req.Confidence)
-	}
-	if req.MaxRounds < 0 {
-		return o, fmt.Errorf("negative max_rounds %d", req.MaxRounds)
-	}
-
-	o.Config = cfg
-	o.Scene = sceneName
-	o.Width, o.Height, o.SPP = req.Width, req.Height, req.SPP
-	o.FixedFraction = req.Percent
-	o.MaxFraction = req.MaxPercent
-	o.K = req.K
-	o.NoDownscale = req.NoDownscale
-	o.Regression = req.Regression
-	o.QuantLevels = req.QuantLevels
-	o.Seed = req.Seed
-	o.TargetCIHalfWidth = req.TargetCI
-	o.Sampling.Replicates = req.Replicates
-	o.Sampling.Confidence = req.Confidence
-	o.Sampling.MaxRounds = req.MaxRounds
-	o.FT.Attempts = req.Attempts
-	o.FT.Quorum = req.Quorum
-	o.Parallel = s.cfg.Parallel
-	o.Workers = s.cfg.Workers
-	o.Store = s.st
-	return o, nil
+	return o, o.Validate()
 }
 
 // decodePredict parses and validates a request body. Like optionsFor, every

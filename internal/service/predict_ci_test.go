@@ -79,6 +79,10 @@ func TestPredictCIValidation(t *testing.T) {
 		`{"scene":"SPRNG","config":"mobile","width":40,"height":40,"spp":1,"dist":"stratified","confidence":0.5}`,
 		// unknown strategy name
 		`{"scene":"SPRNG","config":"mobile","width":40,"height":40,"spp":1,"dist":"gaussian"}`,
+		// regression is a second extrapolation scheme
+		`{"scene":"SPRNG","config":"mobile","width":40,"height":40,"spp":1,"dist":"stratified","regression":true}`,
+		// a fixed fraction above the cap
+		`{"scene":"SPRNG","config":"mobile","width":40,"height":40,"spp":1,"dist":"rankedset","percent":0.3,"max_percent":0.2}`,
 	}
 	for _, body := range cases {
 		resp, _, raw := postPredict(t, ts.URL, body)

@@ -220,6 +220,9 @@ func TestPredictBadRequests(t *testing.T) {
 		{"unknown dist", `{"scene":"SPRNG","dist":"gauss"}`},
 		{"bad percent", `{"scene":"SPRNG","percent":1.5}`},
 		{"negative timeout", `{"scene":"SPRNG","timeout_ms":-5}`},
+		{"negative width", `{"scene":"SPRNG","width":-8}`},
+		{"regression with a replicated strategy", `{"scene":"SPRNG","dist":"stratified","regression":true}`},
+		{"percent above max_percent", `{"scene":"SPRNG","percent":0.5,"max_percent":0.1}`},
 	}
 	for _, c := range cases {
 		resp, _, raw := postPredict(t, ts.URL, c.body)
