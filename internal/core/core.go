@@ -290,7 +290,8 @@ type GroupRun struct {
 	// Pixels and Selected count the group's pixels and traced pixels.
 	Pixels   int
 	Selected int
-	// WallTime is the host time this group's simulation(s) took.
+	// WallTime is the host time this group's selection(s) and
+	// simulation(s) took.
 	WallTime time.Duration
 	// QueueTime is how long the group waited for a pool worker — nonzero
 	// when more groups than workers contend for the pool.
