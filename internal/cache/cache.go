@@ -35,14 +35,6 @@ type Stats struct {
 	Evictions     uint64
 }
 
-// MissRate returns load misses over load accesses (0 when idle).
-func (s Stats) MissRate() float64 {
-	if s.LoadAccesses == 0 {
-		return 0
-	}
-	return float64(s.LoadMisses) / float64(s.LoadAccesses)
-}
-
 // Add accumulates other into s.
 func (s *Stats) Add(other Stats) {
 	s.LoadAccesses += other.LoadAccesses

@@ -125,17 +125,6 @@ func TestInstallIdempotent(t *testing.T) {
 	}
 }
 
-func TestMissRate(t *testing.T) {
-	var s Stats
-	if s.MissRate() != 0 {
-		t.Error("idle miss rate non-zero")
-	}
-	s = Stats{LoadAccesses: 4, LoadMisses: 1}
-	if s.MissRate() != 0.25 {
-		t.Errorf("miss rate %v", s.MissRate())
-	}
-}
-
 func TestStatsAdd(t *testing.T) {
 	a := Stats{LoadAccesses: 1, LoadMisses: 2, StoreAccesses: 3, StoreHits: 4, Evictions: 5}
 	b := Stats{LoadAccesses: 10, LoadMisses: 20, StoreAccesses: 30, StoreHits: 40, Evictions: 50}

@@ -366,14 +366,14 @@ var StepSpanNames = []string{
 	"step7_combine",   // grading, degradation decision, extrapolate+merge
 }
 
-// Pipeline metrics, exposed through zateld's /metrics (see OPERATIONS.md).
+// Pipeline metrics. PredictContext counts into the registry its context
+// carries (zateld attaches its server's to every build) and counts nothing
+// without one. Metrics lists them for that registry's declarations.
 var (
-	mPredictions = obs.NewCounter("zatel_predictions_total",
-		"pipeline executions completed successfully (degraded included)")
-	mDegraded = obs.NewCounter("zatel_predict_degraded_total",
-		"predictions that lost groups but met quorum")
-	mGroupFailures = obs.NewCounter("zatel_predict_group_failures_total",
-		"group instances that exhausted their retries")
+	mPredictions   = obs.Desc{Name: "zatel_predictions_total", Type: "counter", Help: "predictions completed, degraded ones included"}
+	mDegraded      = obs.Desc{Name: "zatel_predict_degraded_total", Type: "counter", Help: "predictions merged from a surviving quorum after group failures"}
+	mGroupFailures = obs.Desc{Name: "zatel_predict_group_failures_total", Type: "counter", Help: "group instances lost after retries"}
+	Metrics        = []obs.Desc{mPredictions, mDegraded, mGroupFailures}
 )
 
 // Predict runs the Zatel pipeline.
@@ -422,6 +422,13 @@ func (o *Options) validate() error {
 	}
 	if o.Regression && o.Dist.Replicated() {
 		return fmt.Errorf("core: Regression and replicated strategy %s are mutually exclusive extrapolation schemes", o.Dist)
+	}
+	// Regression traces 20/30/40 % subsets of each group (Sec. IV-F); a
+	// budget below 40 % cannot hold them.
+	for _, f := range []float64{o.FixedFraction, o.MaxFraction} {
+		if o.Regression && f > 0 && f < regressionFracs[2] {
+			return fmt.Errorf("core: Regression traces up to %v of each group, above the %v fraction budget", regressionFracs[2], f)
+		}
 	}
 	if o.Sampling.Replicates < 2 {
 		return fmt.Errorf("core: Sampling.Replicates %d < 2 (a confidence interval needs at least two sub-draws)", o.Sampling.Replicates)
@@ -649,7 +656,8 @@ func PredictContext(ctx context.Context, opts Options) (*Result, error) {
 	// semantics); below quorum the aggregated failure is the result.
 	quorum := opts.FT.quorumFor(total)
 	survivors := total - len(failed)
-	mGroupFailures.Add(uint64(len(failed)))
+	reg := obs.RegistryFrom(ctx)
+	reg.Add(&mGroupFailures, float64(len(failed)))
 	if len(failed) > 0 && survivors < quorum {
 		err := fmt.Errorf("core: %d/%d groups failed, quorum %d unmet: %w",
 			len(failed), total, quorum, jobErr)
@@ -693,9 +701,9 @@ func PredictContext(ctx context.Context, opts Options) (*Result, error) {
 		Quantized:      quant,
 		PreprocessTime: preprocess,
 	}
-	mPredictions.Inc()
+	reg.Add(&mPredictions, 1)
 	if len(failed) > 0 {
-		mDegraded.Inc()
+		reg.Add(&mDegraded, 1)
 		deg := &Degradation{
 			FailedGroups: failed,
 			GroupErrors:  make(map[int]error, len(failed)),

@@ -52,6 +52,8 @@ func TestPredictValidation(t *testing.T) {
 		"unknown scene":          func(o *Options) { o.Scene = "park" },
 		"missing scene":          func(o *Options) { o.Scene = "" },
 		"fraction above the cap": func(o *Options) { o.FixedFraction, o.MaxFraction = 0.5, 0.1 },
+		"regression under a fixed fraction below 0.4": func(o *Options) { o.Regression, o.FixedFraction = true, 0.3 },
+		"regression under a cap below 0.4":            func(o *Options) { o.Regression, o.MaxFraction = true, 0.1 },
 	}
 	for name, set := range bad {
 		opts := small("PARK")
@@ -68,6 +70,14 @@ func TestPredictValidation(t *testing.T) {
 	opts.FixedFraction, opts.MaxFraction = 0.1, 0.1
 	if err := opts.Validate(); err != nil {
 		t.Errorf("FixedFraction equal to MaxFraction rejected: %v", err)
+	}
+	// Regression's 40 % subset fits a budget of exactly 0.4, or none.
+	for _, f := range []float64{0, 0.4, 1} {
+		opts = small("PARK")
+		opts.Regression, opts.FixedFraction, opts.MaxFraction = true, f, f
+		if err := opts.Validate(); err != nil {
+			t.Errorf("regression with fraction %v rejected: %v", f, err)
+		}
 	}
 }
 

@@ -180,19 +180,3 @@ func MAE(errs map[Metric]float64, ms []Metric) float64 {
 	}
 	return sum / float64(len(ms))
 }
-
-// MeanStd returns the mean and population standard deviation of xs.
-func MeanStd(xs []float64) (mean, std float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	for _, x := range xs {
-		d := x - mean
-		std += d * d
-	}
-	return mean, math.Sqrt(std / float64(len(xs)))
-}

@@ -116,13 +116,3 @@ func TestAbsoluteClassification(t *testing.T) {
 		}
 	}
 }
-
-func TestMeanStd(t *testing.T) {
-	mean, std := MeanStd([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if math.Abs(mean-5) > 1e-12 || math.Abs(std-2) > 1e-12 {
-		t.Errorf("MeanStd = %v, %v", mean, std)
-	}
-	if m, s := MeanStd(nil); m != 0 || s != 0 {
-		t.Error("empty MeanStd non-zero")
-	}
-}

@@ -18,10 +18,8 @@ var latencyBuckets = []float64{
 // Histogram is a fixed-bucket latency histogram with lock-free observation,
 // exposed in Prometheus text format. Counts per bucket are non-cumulative
 // internally and summed cumulatively at exposition time, as the format
-// requires. Unlike Counter/Gauge it is not registered process-wide: each
-// owner (the service's per-stage latencies, a cluster's peer-fetch
-// latencies) holds its own instance and writes it with WriteProm, so two
-// servers in one test process never share buckets.
+// requires. A Registry creates one per labelled series, or exposes one its
+// owner keeps (a cluster's peer-fetch latencies, see SetHistogram).
 type Histogram struct {
 	counts []atomic.Uint64 // len(latencyBuckets)+1; last is +Inf
 	count  atomic.Uint64
@@ -51,10 +49,10 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sumNs.Add(int64(d))
 }
 
-// WriteProm emits the histogram under the given metric name with one fixed
-// label pair, e.g. WriteProm(w, "zatel_stage_latency_seconds",
-// `stage="build"`). An empty label emits only the le label.
-func (h *Histogram) WriteProm(w io.Writer, name, label string) {
+// writeProm emits the histogram's series under the family name with the
+// series' rendered label pairs, e.g. `stage="build"`; an empty label emits
+// only the le label.
+func (h *Histogram) writeProm(w io.Writer, name, label string) {
 	sep := ""
 	if label != "" {
 		sep = ","

@@ -1,102 +1,181 @@
 package obs
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"io"
+	"math"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
-	"sync/atomic"
 )
 
-// Counter is a monotonically increasing metric, safe for concurrent use.
-// Obtain one with NewCounter; it registers in the process-wide registry
-// WritePrometheus exposes.
-type Counter struct {
-	name, help string
-	v          atomic.Uint64
+// Desc declares one metric family. It is the one place the family's name,
+// Prometheus type ("counter", "gauge" or "histogram"), help text and label
+// names are written down: a Registry exposes what it declares and nothing
+// else, and zateld's operator documentation is generated from the same
+// declarations.
+type Desc struct {
+	Name, Type, Help string
+	Labels           []string // label names, at most maxLabels
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+// maxLabels bounds a family's label names, so that a series is found by a
+// fixed-size key without allocating.
+const maxLabels = 2
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current total.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a settable signed metric, safe for concurrent use.
-type Gauge struct {
-	name, help string
-	v          atomic.Int64
+// series is one labelled member of a family: a counter or gauge value, or
+// a histogram.
+type series struct {
+	labels string // rendered label pairs, e.g. `handler="predict",code="200"`
+	value  float64
+	hist   *Histogram
 }
 
-// Add moves the gauge by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
+type family struct {
+	desc   Desc
+	series map[[maxLabels]string]*series
+}
 
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// registry is the process-wide metric set. Registration happens at package
-// init across the repo (runner, core), exposition in zateld's /metrics.
-var registry = struct {
+// Registry is one owner's set of metric families: zateld keeps one per
+// server, so two servers in one process never share a series. A series
+// comes into being on its first use and only then appears in the
+// exposition. Every method is safe for concurrent use. Add on a nil
+// Registry does nothing, so code counts unconditionally into the registry
+// its context may carry (see RegistryFrom).
+type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-}{
-	counters: map[string]*Counter{},
-	gauges:   map[string]*Gauge{},
+	families []*family // declaration order, the exposition's order
+	byName   map[string]*family
 }
 
-// NewCounter registers (or returns the already-registered) counter under
-// name. Metric names follow Prometheus conventions and every exported name
-// must be documented in OPERATIONS.md (enforced by scripts/lint_docs.sh).
-func NewCounter(name, help string) *Counter {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	if c, ok := registry.counters[name]; ok {
-		return c
+// NewRegistry returns a registry of the declared families. A name declared
+// twice or a family with more than maxLabels labels is a programming error
+// and panics.
+func NewRegistry(descs ...Desc) *Registry {
+	r := &Registry{byName: make(map[string]*family, len(descs))}
+	for _, d := range descs {
+		if _, dup := r.byName[d.Name]; dup || len(d.Labels) > maxLabels {
+			panic(fmt.Sprintf("obs: metric %s declared twice or with more than %d labels", d.Name, maxLabels))
+		}
+		f := &family{desc: d, series: map[[maxLabels]string]*series{}}
+		r.families = append(r.families, f)
+		r.byName[d.Name] = f
 	}
-	c := &Counter{name: name, help: help}
-	registry.counters[name] = c
-	return c
+	return r
 }
 
-// NewGauge registers (or returns the already-registered) gauge under name.
-func NewGauge(name, help string) *Gauge {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	if g, ok := registry.gauges[name]; ok {
-		return g
+// lookup returns d's series with the given label values, creating it on
+// first use. r.mu must be held. An undeclared family, the wrong kind or the
+// wrong number of label values panics.
+func (r *Registry) lookup(d *Desc, hist bool, labels []string) *series {
+	f := r.byName[d.Name]
+	if f == nil || (f.desc.Type == "histogram") != hist || len(labels) != len(f.desc.Labels) {
+		panic(fmt.Sprintf("obs: %s with %d labels is not declared in this registry", d.Name, len(labels)))
 	}
-	g := &Gauge{name: name, help: help}
-	registry.gauges[name] = g
-	return g
+	var key [maxLabels]string
+	copy(key[:], labels)
+	s := f.series[key]
+	if s == nil {
+		pairs := make([]string, len(labels))
+		for i, v := range labels {
+			pairs[i] = fmt.Sprintf("%s=%q", f.desc.Labels[i], v)
+		}
+		s = &series{labels: strings.Join(pairs, ",")}
+		if hist {
+			s.hist = NewHistogram()
+		}
+		f.series[key] = s
+	}
+	return s
 }
 
-// WritePrometheus writes every registered counter and gauge in Prometheus
-// text exposition format, sorted by name for deterministic output.
-func WritePrometheus(w io.Writer) {
-	registry.mu.Lock()
-	counters := make([]*Counter, 0, len(registry.counters))
-	for _, c := range registry.counters {
-		counters = append(counters, c)
+// Add moves the counter or gauge series of d with the given label values
+// by v (negative to decrease a gauge).
+func (r *Registry) Add(d *Desc, v float64, labels ...string) {
+	if r == nil {
+		return
 	}
-	gauges := make([]*Gauge, 0, len(registry.gauges))
-	for _, g := range registry.gauges {
-		gauges = append(gauges, g)
-	}
-	registry.mu.Unlock()
+	r.mu.Lock()
+	r.lookup(d, false, labels).value += v
+	r.mu.Unlock()
+}
 
-	sort.Slice(counters, func(i, j int) bool { return counters[i].name < counters[j].name })
-	sort.Slice(gauges, func(i, j int) bool { return gauges[i].name < gauges[j].name })
-	for _, c := range counters {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.Value())
+// Set replaces the value of a counter or gauge series, for values read
+// from their owner at scrape time.
+func (r *Registry) Set(d *Desc, v float64, labels ...string) {
+	r.mu.Lock()
+	r.lookup(d, false, labels).value = v
+	r.mu.Unlock()
+}
+
+// Histogram returns the histogram series of d with the given label values,
+// which callers observe without taking the registry's lock.
+func (r *Registry) Histogram(d *Desc, labels ...string) *Histogram {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.lookup(d, true, labels).hist
+}
+
+// SetHistogram exposes h, which its owner keeps observing, as the
+// unlabelled series of d.
+func (r *Registry) SetHistogram(d *Desc, h *Histogram) {
+	r.mu.Lock()
+	r.lookup(d, true, nil).hist = h
+	r.mu.Unlock()
+}
+
+// WritePrometheus writes every family that has a series in Prometheus text
+// exposition format: families in declaration order, a family's series
+// sorted by label values. It renders under the lock and writes after it,
+// so a slow reader never holds up counting.
+func (r *Registry) WritePrometheus(w io.Writer) {
+	var b bytes.Buffer
+	r.mu.Lock()
+	for _, f := range r.families {
+		d := &f.desc
+		if len(f.series) > 0 {
+			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", d.Name, d.Help, d.Name, d.Type)
+		}
+		ss := make([]*series, 0, len(f.series))
+		for _, s := range f.series {
+			ss = append(ss, s)
+		}
+		sort.Slice(ss, func(i, j int) bool { return ss[i].labels < ss[j].labels })
+		for _, s := range ss {
+			switch {
+			case s.hist != nil:
+				s.hist.writeProm(&b, d.Name, s.labels)
+			case s.labels != "":
+				fmt.Fprintf(&b, "%s{%s} %s\n", d.Name, s.labels, formatValue(s.value))
+			default:
+				fmt.Fprintf(&b, "%s %s\n", d.Name, formatValue(s.value))
+			}
+		}
 	}
-	for _, g := range gauges {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", g.name, g.help, g.name, g.name, g.Value())
+	r.mu.Unlock()
+	w.Write(b.Bytes())
+}
+
+// formatValue writes integral values as integers and the rest in the
+// shortest float form.
+func formatValue(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1<<53 {
+		return strconv.FormatInt(int64(v), 10)
 	}
+	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+// WithRegistry attaches r to the context: code below it counts into r.
+func WithRegistry(ctx context.Context, r *Registry) context.Context {
+	return context.WithValue(ctx, registryKey, r)
+}
+
+// RegistryFrom returns the context's registry, or nil when none is
+// attached (the CLIs attach none, and count nothing).
+func RegistryFrom(ctx context.Context) *Registry {
+	r, _ := ctx.Value(registryKey).(*Registry)
+	return r
 }

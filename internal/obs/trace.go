@@ -1,6 +1,6 @@
 // Package obs is the repository's observability layer: span tracing,
-// process-wide Prometheus-style counters and gauges, structured-logging
-// setup, and request-ID propagation — all dependency-free (stdlib only),
+// per-owner Prometheus metric registries, structured-logging setup, and
+// request-ID propagation — all dependency-free (stdlib only),
 // matching the paper's own premise that you cannot optimize what you cannot
 // attribute time to.
 //
@@ -11,9 +11,12 @@
 //     pay nothing when no tracer is attached (nil-span methods no-op). The
 //     recorded spans export as Chrome trace_event JSON, loadable in
 //     chrome://tracing or https://ui.perfetto.dev.
-//   - Metrics. NewCounter/NewGauge register named series in a global
-//     registry that WritePrometheus exposes in text format; the zateld
-//     /metrics handler appends it to its own exposition.
+//   - Metrics. A Registry holds the families its owner declares (Desc:
+//     name, type, help, labels) and is the repository's one Prometheus
+//     text writer. zateld keeps one per server and attaches it to each
+//     build's context (WithRegistry), so the pipeline counts into the
+//     server that did the work; without one (the CLIs) counting is a nil
+//     check, as StartSpan is without a tracer.
 //   - Logging. SetupLogger configures the process-default log/slog logger
 //     (level + text/JSON handler); WithRequestID/RequestID thread the
 //     per-request correlation ID that zateld also returns as
@@ -39,6 +42,7 @@ const (
 	tracerKey ctxKey = iota
 	spanKey
 	requestIDKey
+	registryKey
 )
 
 // Tracer records a tree of timed spans for one traced unit of work (a CLI

@@ -32,18 +32,15 @@ import (
 	"zatel/internal/vecmath"
 )
 
-// Pool metrics, exposed through zateld's /metrics (see OPERATIONS.md for
-// the full reference). They aggregate across every pool in the process:
-// prediction group fan-outs and experiment grids alike.
+// Pool metrics. MapPolicy counts into the registry its context carries
+// (zateld attaches its server's to every build) and counts nothing without
+// one. Metrics lists them for that registry's declarations.
 var (
-	mJobs = obs.NewCounter("zatel_runner_jobs_total",
-		"worker-pool jobs completed (all pools, success or failure)")
-	mRetries = obs.NewCounter("zatel_runner_retries_total",
-		"job attempts beyond each job's first (all pools)")
-	mFailures = obs.NewCounter("zatel_runner_job_failures_total",
-		"jobs that exhausted their attempts (all pools)")
-	mActive = obs.NewGauge("zatel_runner_active_workers",
-		"pool workers currently executing a job")
+	mJobs     = obs.Desc{Name: "zatel_runner_jobs_total", Type: "counter", Help: "jobs executed on a worker pool, success or failure"}
+	mRetries  = obs.Desc{Name: "zatel_runner_retries_total", Type: "counter", Help: "extra attempts beyond each job's first"}
+	mFailures = obs.Desc{Name: "zatel_runner_job_failures_total", Type: "counter", Help: "jobs that failed after all attempts"}
+	mActive   = obs.Desc{Name: "zatel_runner_active_workers", Type: "gauge", Help: "workers executing a job right now"}
+	Metrics   = []obs.Desc{mJobs, mRetries, mFailures, mActive}
 )
 
 // Result records one job's outcome and timing.
@@ -185,6 +182,7 @@ func MapPolicy[T any](ctx context.Context, n int, p Policy, fn func(ctx context.
 	var wg sync.WaitGroup
 	tracer := obs.FromContext(ctx)
 	tracing := p.SpanPrefix != "" && tracer != nil
+	reg := obs.RegistryFrom(ctx)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		var lane int64
@@ -205,18 +203,16 @@ func MapPolicy[T any](ctx context.Context, n int, p Policy, fn func(ctx context.
 					jctx, sp = obs.StartSpan(ctx, fmt.Sprintf("%s[%d]", p.SpanPrefix, i), obs.InLane(lane))
 					sp.SetAttr("queue_us", r.QueueTime.Microseconds())
 				}
-				mActive.Add(1)
+				reg.Add(&mActive, 1)
 				start := time.Now()
 				r.Value, r.Attempts, r.Err = runAttempts(jctx, p, i, fn)
 				r.WallTime = time.Since(start)
-				mActive.Add(-1)
-				mJobs.Inc()
-				if r.Attempts > 1 {
-					mRetries.Add(uint64(r.Attempts - 1))
-				}
+				reg.Add(&mActive, -1)
+				reg.Add(&mJobs, 1)
+				reg.Add(&mRetries, float64(r.Attempts-1))
 				sp.SetAttr("attempts", r.Attempts)
 				if r.Err != nil {
-					mFailures.Inc()
+					reg.Add(&mFailures, 1)
 					sp.SetAttr("error", r.Err)
 				}
 				sp.End()

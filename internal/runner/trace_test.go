@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"zatel/internal/obs"
@@ -72,11 +73,11 @@ func TestMapPolicySpans(t *testing.T) {
 	}
 }
 
-// TestPoolMetricsAdvance asserts the runner's process-wide counters move
-// with the work it executes and the occupancy gauge returns to zero.
+// TestPoolMetricsAdvance asserts the pool counts its work into the registry
+// its context carries, and the occupancy gauge returns to zero.
 func TestPoolMetricsAdvance(t *testing.T) {
-	jobs0, retries0, fails0 := mJobs.Value(), mRetries.Value(), mFailures.Value()
-	_, err := MapPolicy(context.Background(), 4, Policy{
+	reg := obs.NewRegistry(Metrics...)
+	_, err := MapPolicy(obs.WithRegistry(context.Background(), reg), 4, Policy{
 		Workers:     2,
 		MaxAttempts: 2,
 	}, func(_ context.Context, i int) (int, error) {
@@ -88,16 +89,16 @@ func TestPoolMetricsAdvance(t *testing.T) {
 	if err == nil {
 		t.Fatalf("want aggregated error")
 	}
-	if got := mJobs.Value() - jobs0; got != 4 {
-		t.Errorf("jobs counter advanced %d, want 4", got)
-	}
-	if got := mRetries.Value() - retries0; got != 1 {
-		t.Errorf("retries counter advanced %d, want 1 (job 3's second attempt)", got)
-	}
-	if got := mFailures.Value() - fails0; got != 1 {
-		t.Errorf("failures counter advanced %d, want 1", got)
-	}
-	if v := mActive.Value(); v != 0 {
-		t.Errorf("active-workers gauge = %d after pool drained, want 0", v)
+	var b strings.Builder
+	reg.WritePrometheus(&b)
+	for _, want := range []string{
+		"zatel_runner_jobs_total 4",
+		"zatel_runner_retries_total 1", // job 3's second attempt
+		"zatel_runner_job_failures_total 1",
+		"zatel_runner_active_workers 0",
+	} {
+		if !strings.Contains(b.String(), "\n"+want+"\n") {
+			t.Errorf("pool metrics lack %q:\n%s", want, b.String())
+		}
 	}
 }

@@ -37,12 +37,6 @@ func volatileMetric(series string, fleet bool) bool {
 	if name == "zatel_uptime_seconds" || strings.HasSuffix(name, "_bytes") && !strings.HasSuffix(name, "_max_bytes") {
 		return true
 	}
-	// The runner and core series are process-wide: every test in the
-	// package that predicts moves them.
-	if strings.HasPrefix(name, "zatel_runner_") || name == "zatel_predictions_total" ||
-		name == "zatel_predict_degraded_total" || name == "zatel_predict_group_failures_total" {
-		return true
-	}
 	for _, suffix := range []string{"_bucket", "_sum"} {
 		if base, ok := strings.CutSuffix(name, suffix); ok && strings.HasSuffix(base, "_seconds") {
 			return true

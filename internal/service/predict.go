@@ -308,10 +308,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			ctx = obs.WithTracer(ctx, stepTracer)
 		}
 		buildStart := time.Now()
-		res, err := core.PredictContext(ctx, opts)
-		s.histBuild.Observe(time.Since(buildStart))
+		res, err := core.PredictContext(obs.WithRegistry(ctx, s.reg), opts)
+		s.reg.Histogram(&stageLatency, "build").Observe(time.Since(buildStart))
 		if err != nil {
 			return nil, 0, err
+		}
+		if res.Intervals != nil {
+			s.reg.Histogram(&ciHalfwidth, "relative").ObserveValue(res.Intervals.MaxRelHalfWidth())
 		}
 		// Cache what a response needs and no more: the heatmap stays the
 		// store's quant/v1 artifact, not a per-prediction copy.
@@ -323,7 +326,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		durations := stepTracer.Durations()
 		for _, name := range core.StepSpanNames {
 			if d, ok := durations[name]; ok {
-				s.histStep[name].Observe(d)
+				s.reg.Histogram(&stepLatency, name).Observe(d)
 			}
 		}
 	}
@@ -408,7 +411,6 @@ func (s *Server) writePredictOK(w http.ResponseWriter, r *http.Request, opts *co
 				resp.Replicates = iv.Replicates
 			}
 		}
-		s.histCI.ObserveValue(res.Intervals.MaxRelHalfWidth())
 	}
 	for gi, g := range res.Groups {
 		info := GroupInfo{

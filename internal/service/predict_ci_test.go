@@ -9,7 +9,8 @@ import (
 
 // TestPredictCIResponse: a replicated-strategy request returns per-metric
 // ci_low/ci_high brackets, the replicate count, per-group round info, and
-// feeds the zatel_ci_halfwidth histogram.
+// feeds the zatel_ci_halfwidth histogram once per build: the repeats are
+// hits and observe nothing.
 func TestPredictCIResponse(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	const body = `{"scene":"SPRNG","config":"mobile","width":40,"height":40,"spp":1,
@@ -38,7 +39,13 @@ func TestPredictCIResponse(t *testing.T) {
 		}
 	}
 
-	// The CI histogram observed the prediction.
+	for i := 0; i < 2; i++ {
+		if resp, pr, raw := postPredict(t, ts.URL, body); resp.StatusCode != http.StatusOK || pr.Cache != "hit" {
+			t.Fatalf("repeat %d: status %d cache %q\n%s", i, resp.StatusCode, pr.Cache, raw)
+		}
+	}
+
+	// The CI histogram observed the one build.
 	mresp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

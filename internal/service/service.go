@@ -24,14 +24,11 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"zatel/internal/cluster"
 	"zatel/internal/config"
-	"zatel/internal/core"
 	"zatel/internal/obs"
 	"zatel/internal/scene"
 	"zatel/internal/store"
@@ -110,44 +107,23 @@ type Server struct {
 	running  atomic.Int64
 	draining atomic.Bool
 
-	reqMu     sync.Mutex
-	reqCounts map[reqKey]uint64
-
-	histRequest *obs.Histogram // end-to-end predict request latency
-	histBuild   *obs.Histogram // cold pipeline executions only
-	histWait    *obs.Histogram // admission-queue wait of builders
-	histCI      *obs.Histogram // worst relative CI half-width of replicated predictions
-
-	// histStep holds one latency histogram per pipeline step span name
-	// (core.StepSpanNames), fed from the per-build tracer; exposed as
-	// zatel_step_latency_seconds{step="..."}.
-	histStep map[string]*obs.Histogram
-}
-
-type reqKey struct {
-	handler string
-	code    int
+	// reg holds every series this server exports. histRequest, its
+	// end-to-end predict latency, is kept at hand for the hit path.
+	reg         *obs.Registry
+	histRequest *obs.Histogram
 }
 
 // New returns a ready-to-serve server.
 func New(cfg Config) *Server {
 	cfg.fillDefaults()
 	s := &Server{
-		cfg:         cfg,
-		st:          cfg.Store,
-		mux:         http.NewServeMux(),
-		start:       time.Now(),
-		sem:         make(chan struct{}, cfg.MaxConcurrent),
-		reqCounts:   make(map[reqKey]uint64),
-		histRequest: obs.NewHistogram(),
-		histBuild:   obs.NewHistogram(),
-		histWait:    obs.NewHistogram(),
-		histCI:      obs.NewHistogram(),
-		histStep:    make(map[string]*obs.Histogram, len(core.StepSpanNames)),
+		cfg:   cfg,
+		st:    cfg.Store,
+		mux:   http.NewServeMux(),
+		start: time.Now(),
+		sem:   make(chan struct{}, cfg.MaxConcurrent),
 	}
-	for _, name := range core.StepSpanNames {
-		s.histStep[name] = obs.NewHistogram()
-	}
+	s.newRegistry()
 	s.mux.HandleFunc("/v1/predict", s.handlePredict)
 	s.mux.HandleFunc("/v1/scenes", s.handleScenes)
 	s.mux.HandleFunc("/v1/configs", s.handleConfigs)
@@ -230,21 +206,9 @@ func (s *statusWriter) WriteHeader(code int) {
 	s.ResponseWriter.WriteHeader(code)
 }
 
-// Store exposes the artifact store (tests and metrics).
-func (s *Server) Store() *store.Store { return s.st }
-
 // SetDraining flips drain mode: /healthz turns 503 so load balancers stop
 // routing here, and new predictions are refused while in-flight ones finish.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
-
-// Draining reports drain mode.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-func (s *Server) countRequest(handler string, code int) {
-	s.reqMu.Lock()
-	s.reqCounts[reqKey{handler, code}]++
-	s.reqMu.Unlock()
-}
 
 // errTooBusy is the load-shedding sentinel: the admission queue is full.
 var errTooBusy = errors.New("service: admission queue full")
@@ -267,7 +231,7 @@ func (s *Server) acquire(ctx context.Context) error {
 	waitStart := time.Now()
 	select {
 	case s.sem <- struct{}{}:
-		s.histWait.Observe(time.Since(waitStart))
+		s.reg.Histogram(&stageLatency, "admission_wait").Observe(time.Since(waitStart))
 		s.running.Add(1)
 		return nil
 	case <-ctx.Done():
@@ -378,139 +342,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	body["status"] = "ok"
 	s.countRequest("healthz", http.StatusOK)
 	writeJSON(w, http.StatusOK, body)
-}
-
-// handleMetrics is the Prometheus text exposition: store counters, admission
-// state, per-handler request totals and the per-stage latency histograms.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.methodNotAllowed(w, r, "metrics", http.MethodGet)
-		return
-	}
-	s.countRequest("metrics", http.StatusOK)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-
-	stats := s.st.Stats()
-	c := stats.Mem
-	counter := func(name string, v uint64, help string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name string, v int64, help string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("zatel_store_hits_total", c.Hits, "artifact lookups served from residency")
-	counter("zatel_store_misses_total", c.Misses, "artifact lookups that built")
-	counter("zatel_store_coalesced_total", c.Coalesced, "lookups that joined an in-flight build")
-	counter("zatel_store_builds_total", c.Builds, "artifact build executions")
-	counter("zatel_store_build_errors_total", c.BuildErrors, "failed artifact builds")
-	counter("zatel_store_evictions_total", c.Evictions, "artifacts evicted for the byte budget")
-	gauge("zatel_store_entries", int64(c.Entries), "resident artifacts")
-	gauge("zatel_store_bytes", c.Bytes, "resident artifact bytes")
-	gauge("zatel_store_max_bytes", c.MaxBytes, "artifact byte budget (0 = unbounded)")
-	gauge("zatel_store_inflight", int64(c.Inflight), "artifact builds executing")
-
-	// Disk tier. zatel_store_disk_enabled stays 0 when no -store-dir was
-	// given so dashboards can distinguish "off" from "degraded".
-	if dc := stats.Disk; stats.DiskEnabled {
-		gauge("zatel_store_disk_enabled", 1, "1 when a disk tier is attached")
-		gauge("zatel_store_disk_degraded", boolGauge(dc.State == store.DiskDegraded.String()), "1 while the disk tier sheds writes (memory-only)")
-		counter("zatel_store_disk_hits_total", dc.Hits, "lookups served from the disk tier")
-		counter("zatel_store_disk_misses_total", dc.Misses, "disk-tier lookups that found no valid entry")
-		counter("zatel_store_disk_read_errors_total", dc.ReadErrors, "disk-tier read failures (I/O, not corruption)")
-		counter("zatel_store_disk_writes_total", dc.Writes, "entries persisted by the write-behind queue")
-		counter("zatel_store_disk_write_errors_total", dc.WriteErrors, "failed disk-tier writes")
-		counter("zatel_store_disk_writes_dropped_total", dc.WritesDropped, "writes shed while degraded or queue-full")
-		counter("zatel_store_disk_quarantined_total", dc.Quarantined, "corrupt entries renamed aside")
-		counter("zatel_store_disk_evictions_total", dc.Evictions, "disk entries evicted for the byte budget")
-		counter("zatel_store_disk_degraded_total", dc.DegradedCount, "transitions into degraded mode")
-		gauge("zatel_store_disk_entries", int64(dc.Entries), "valid entries on disk")
-		gauge("zatel_store_disk_bytes", dc.Bytes, "bytes of valid entries on disk")
-		gauge("zatel_store_disk_max_bytes", dc.MaxBytes, "disk byte budget (0 = unbounded)")
-	} else {
-		gauge("zatel_store_disk_enabled", 0, "1 when a disk tier is attached")
-	}
-
-	// Cluster tier. Fetch outcomes are disjoint (hits + misses + errors +
-	// rejects == fetches issued); the store-level peer counters above
-	// (zatel_store_peer_*) count the same events from the tier chain's
-	// point of view and include self-owned/unhealthy-skipped consultations
-	// as misses.
-	counter("zatel_store_peer_hits_total", c.PeerHits, "lookups served from the peer tier")
-	counter("zatel_store_peer_misses_total", c.PeerMisses, "peer-tier consultations that returned nothing")
-	if cl := s.cfg.Cluster; cl != nil && stats.PeerEnabled {
-		pc := stats.Peer
-		gauge("zatel_cluster_enabled", 1, "1 when this node is part of a fleet")
-		gauge("zatel_cluster_peers", int64(pc.Peers), "fleet size including this node")
-		gauge("zatel_cluster_peers_healthy", int64(pc.Healthy), "peers currently considered reachable (self included)")
-		counter("zatel_cluster_fetch_hits_total", pc.Hits, "peer artifact fetches that returned a verified artifact")
-		counter("zatel_cluster_fetch_misses_total", pc.Misses, "peer artifact fetches the owner 404ed")
-		counter("zatel_cluster_fetch_errors_total", pc.Errors, "peer artifact fetches that failed in transport")
-		counter("zatel_cluster_fetch_rejects_total", pc.Rejects, "peer artifacts rejected by frame verification or codec decode")
-		counter("zatel_cluster_fetch_skipped_total", pc.Skipped, "peer fetches skipped because the owner was unhealthy")
-		counter("zatel_cluster_proxied_total", pc.Proxied, "predict requests forwarded to the owning peer")
-		counter("zatel_cluster_proxy_errors_total", pc.ProxyErrors, "forwards that failed and fell back to a local build")
-		counter("zatel_cluster_local_fallbacks_total", pc.LocalFallbacks, "predicts built locally because the owner was unavailable")
-		fmt.Fprintf(w, "# HELP zatel_cluster_fetch_seconds latency of successful peer artifact fetches\n# TYPE zatel_cluster_fetch_seconds histogram\n")
-		cl.FetchLatency().WriteProm(w, "zatel_cluster_fetch_seconds", "")
-		fmt.Fprintf(w, "# HELP zatel_cluster_proxy_seconds latency of successful forwarded predict requests\n# TYPE zatel_cluster_proxy_seconds histogram\n")
-		cl.ProxyLatency().WriteProm(w, "zatel_cluster_proxy_seconds", "")
-	} else {
-		gauge("zatel_cluster_enabled", 0, "1 when this node is part of a fleet")
-	}
-
-	gauge("zatel_predict_running", s.running.Load(), "predictions building now")
-	gauge("zatel_predict_queued", s.queued.Load(), "builders waiting for an admission slot")
-	gauge("zatel_predict_capacity", int64(s.cfg.MaxConcurrent), "admission slots")
-	gauge("zatel_draining", boolGauge(s.draining.Load()), "1 while the server drains")
-	fmt.Fprintf(w, "# HELP zatel_uptime_seconds time since server start\n# TYPE zatel_uptime_seconds gauge\nzatel_uptime_seconds %g\n",
-		time.Since(s.start).Seconds())
-
-	s.reqMu.Lock()
-	keys := make([]reqKey, 0, len(s.reqCounts))
-	for k := range s.reqCounts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].handler != keys[j].handler {
-			return keys[i].handler < keys[j].handler
-		}
-		return keys[i].code < keys[j].code
-	})
-	fmt.Fprintf(w, "# HELP zatel_http_requests_total requests by handler and status\n# TYPE zatel_http_requests_total counter\n")
-	for _, k := range keys {
-		fmt.Fprintf(w, "zatel_http_requests_total{handler=%q,code=\"%d\"} %d\n", k.handler, k.code, s.reqCounts[k])
-	}
-	s.reqMu.Unlock()
-
-	fmt.Fprintf(w, "# HELP zatel_stage_latency_seconds per-stage latency\n# TYPE zatel_stage_latency_seconds histogram\n")
-	s.histRequest.WriteProm(w, "zatel_stage_latency_seconds", `stage="request"`)
-	s.histBuild.WriteProm(w, "zatel_stage_latency_seconds", `stage="build"`)
-	s.histWait.WriteProm(w, "zatel_stage_latency_seconds", `stage="admission_wait"`)
-
-	// Prediction quality: the worst relative CI half-width across metrics
-	// of every served replicated (stratified/rankedset) prediction. The
-	// bucket bounds are reused from the latency histograms and read as
-	// unitless ratios here (0.05 = ±5%).
-	fmt.Fprintf(w, "# HELP zatel_ci_halfwidth worst relative confidence-interval half-width of served replicated predictions\n# TYPE zatel_ci_halfwidth histogram\n")
-	s.histCI.WriteProm(w, "zatel_ci_halfwidth", `kind="relative"`)
-
-	// Per-pipeline-step latencies, one series per step span of DESIGN.md's
-	// taxonomy, fed from the tracer of each request that ran a build.
-	fmt.Fprintf(w, "# HELP zatel_step_latency_seconds per-pipeline-step latency of cold builds\n# TYPE zatel_step_latency_seconds histogram\n")
-	for _, name := range core.StepSpanNames {
-		s.histStep[name].WriteProm(w, "zatel_step_latency_seconds", fmt.Sprintf("step=%q", name))
-	}
-
-	// Process-wide registry: runner pool occupancy/retries and core
-	// pipeline counters (see internal/obs and OPERATIONS.md).
-	obs.WritePrometheus(w)
-}
-
-func boolGauge(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 func (s *Server) methodNotAllowed(w http.ResponseWriter, r *http.Request, handler string, allow string) {

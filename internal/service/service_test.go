@@ -152,7 +152,7 @@ func TestPredictCoalescing(t *testing.T) {
 	// The service store holds exactly two artifacts for this workload: the
 	// quantized heatmap and the prediction — so exactly two builds ran no
 	// matter how many requests raced.
-	if c := s.Store().Snapshot(); c.Builds != 2 {
+	if c := s.st.Snapshot(); c.Builds != 2 {
 		t.Errorf("store builds = %d, want 2 (quant + predict): %+v", c.Builds, c)
 	}
 }
@@ -223,6 +223,8 @@ func TestPredictBadRequests(t *testing.T) {
 		{"negative width", `{"scene":"SPRNG","width":-8}`},
 		{"regression with a replicated strategy", `{"scene":"SPRNG","dist":"stratified","regression":true}`},
 		{"percent above max_percent", `{"scene":"SPRNG","percent":0.5,"max_percent":0.1}`},
+		{"regression under a percent below 0.4", `{"scene":"SPRNG","regression":true,"percent":0.3}`},
+		{"regression under a max_percent below 0.4", `{"scene":"SPRNG","regression":true,"max_percent":0.1}`},
 	}
 	for _, c := range cases {
 		resp, _, raw := postPredict(t, ts.URL, c.body)

@@ -82,7 +82,7 @@ func TestCachedPredictionIsResponseSized(t *testing.T) {
 	if fresh, err := core.Predict(opts); err != nil || fresh.Quantized == nil {
 		t.Fatalf("direct PredictContext: err %v, Quantized %v — direct callers must keep the heatmap", err, fresh)
 	}
-	if r := cachedResult(t, srv.Store(), key); r.Quantized != nil {
+	if r := cachedResult(t, srv.st, key); r.Quantized != nil {
 		t.Error("the memory tier retains a per-prediction heatmap copy")
 	}
 
@@ -110,7 +110,7 @@ func TestCachedPredictionIsResponseSized(t *testing.T) {
 	if got := predictedJSON(t, rawWarm); got != want {
 		t.Errorf("disk hit rendered a different predicted object:\n%s\nvs miss:\n%s", got, want)
 	}
-	if r := cachedResult(t, srv2.Store(), key); r.Quantized != nil {
+	if r := cachedResult(t, srv2.st, key); r.Quantized != nil {
 		t.Error("a disk hit decoded a heatmap")
 	}
 }

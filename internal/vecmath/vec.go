@@ -23,9 +23,6 @@ func (v Vec3) Add(u Vec3) Vec3 { return Vec3{v.X + u.X, v.Y + u.Y, v.Z + u.Z} }
 // Sub returns v - u.
 func (v Vec3) Sub(u Vec3) Vec3 { return Vec3{v.X - u.X, v.Y - u.Y, v.Z - u.Z} }
 
-// Mul returns the component-wise product v ⊙ u.
-func (v Vec3) Mul(u Vec3) Vec3 { return Vec3{v.X * u.X, v.Y * u.Y, v.Z * u.Z} }
-
 // Scale returns s·v.
 func (v Vec3) Scale(s float32) Vec3 { return Vec3{v.X * s, v.Y * s, v.Z * s} }
 
@@ -92,11 +89,6 @@ func (v Vec3) MaxAxis() int {
 	default:
 		return 2
 	}
-}
-
-// Lerp returns v + t·(u−v), the linear interpolation between v and u.
-func (v Vec3) Lerp(u Vec3, t float32) Vec3 {
-	return v.Add(u.Sub(v).Scale(t))
 }
 
 // Reflect returns the reflection of the incident direction v about the

@@ -26,9 +26,6 @@ func TestVecBasicOps(t *testing.T) {
 	if got := b.Sub(a); got != V(3, 3, 3) {
 		t.Errorf("Sub = %v", got)
 	}
-	if got := a.Mul(b); got != V(4, 10, 18) {
-		t.Errorf("Mul = %v", got)
-	}
 	if got := a.Scale(2); got != V(2, 4, 6) {
 		t.Errorf("Scale = %v", got)
 	}
@@ -78,19 +75,6 @@ func TestMinMaxAxis(t *testing.T) {
 		if got := V(7, 8, 9).Axis(i); got != want {
 			t.Errorf("Axis(%d) = %v, want %v", i, got, want)
 		}
-	}
-}
-
-func TestLerp(t *testing.T) {
-	a, b := V(0, 0, 0), V(10, 20, 30)
-	if got := a.Lerp(b, 0.5); got != V(5, 10, 15) {
-		t.Errorf("Lerp = %v", got)
-	}
-	if got := a.Lerp(b, 0); got != a {
-		t.Errorf("Lerp t=0 = %v", got)
-	}
-	if got := a.Lerp(b, 1); got != b {
-		t.Errorf("Lerp t=1 = %v", got)
 	}
 }
 
