@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -25,6 +26,9 @@ func TestCounterGaugeRegistry(t *testing.T) {
 				r.Add(&events, 1, "a")
 				r.Add(&depth, 1)
 				r.Add(&depth, -1)
+				if j%10 == 0 {
+					r.WritePrometheus(io.Discard) // a scrape racing the counting
+				}
 			}
 		}()
 	}
