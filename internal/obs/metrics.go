@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -149,23 +148,14 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			case s.hist != nil:
 				s.hist.writeProm(&b, d.Name, s.labels)
 			case s.labels != "":
-				fmt.Fprintf(&b, "%s{%s} %s\n", d.Name, s.labels, formatValue(s.value))
+				fmt.Fprintf(&b, "%s{%s} %s\n", d.Name, s.labels, strconv.FormatFloat(s.value, 'f', -1, 64))
 			default:
-				fmt.Fprintf(&b, "%s %s\n", d.Name, formatValue(s.value))
+				fmt.Fprintf(&b, "%s %s\n", d.Name, strconv.FormatFloat(s.value, 'f', -1, 64))
 			}
 		}
 	}
 	r.mu.Unlock()
 	w.Write(b.Bytes())
-}
-
-// formatValue writes integral values as integers and the rest in the
-// shortest float form.
-func formatValue(v float64) string {
-	if v == math.Trunc(v) && math.Abs(v) < 1<<53 {
-		return strconv.FormatInt(int64(v), 10)
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // WithRegistry attaches r to the context: code below it counts into r.
