@@ -86,8 +86,9 @@ func TestRTWorkCharged(t *testing.T) {
 	traces := make([]rt.ThreadTrace, 64)
 	for i := range traces {
 		traces[i] = rt.ThreadTrace{
-			Ops:  []rt.Op{{Kind: rt.OpTrace, Arg: 0}},
-			Rays: []rt.RayTrace{{Steps: []uint32{rt.PackStep(1, 0), rt.PackStep(2, 4)}}},
+			Ops:   []rt.Op{{Kind: rt.OpTrace, Arg: 0}},
+			Rays:  []rt.RayTrace{{End: 2}},
+			Steps: []uint32{rt.PackStep(1, 0), rt.PackStep(2, 4)},
 		}
 	}
 	p, err := Predict(config.MobileSoC(), traces)

@@ -8,7 +8,6 @@ package bvh
 import (
 	"fmt"
 	"math"
-	"unsafe"
 
 	"zatel/internal/scene"
 	"zatel/internal/vecmath"
@@ -58,16 +57,6 @@ func NodeAddr(i int32) uint64 { return NodeBase + uint64(i)*NodeBytes }
 
 // TriAddr returns the simulated byte address of leaf-order triangle slot i.
 func TriAddr(i int32) uint64 { return TriBase + uint64(i)*TriBytes }
-
-// SizeBytes returns the structure's exact resident size for artifact-store
-// byte accounting. Tris aliases the scene's triangle slice but is counted
-// here because the BVH keeps it alive.
-func (b *BVH) SizeBytes() int64 {
-	return int64(unsafe.Sizeof(*b)) +
-		int64(len(b.Nodes))*int64(unsafe.Sizeof(Node{})) +
-		int64(len(b.TriIndex))*int64(unsafe.Sizeof(int32(0))) +
-		int64(len(b.Tris))*int64(unsafe.Sizeof(scene.Triangle{}))
-}
 
 // Options configures the builder.
 type Options struct {

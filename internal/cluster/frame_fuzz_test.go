@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"zatel/internal/config"
 	"zatel/internal/core"
+	"zatel/internal/gpu"
 	"zatel/internal/heatmap"
 	"zatel/internal/metrics"
 	"zatel/internal/rt"
@@ -17,9 +19,15 @@ import (
 // kind. Whatever the input, DecodeFramed must not panic, and a frame it
 // accepts must decode to a value that frames again and decodes to the same
 // kind: no kind has a decode path that yields a value its own codec cannot
-// carry.
+// carry. An accepted workload must also replay through the simulator
+// without panicking: the decoder, not gpu.Run, rejects traces that do not
+// hold together.
 func FuzzDecodeFramed(f *testing.F) {
 	s, err := scene.ByName("SPRNG")
+	if err != nil {
+		f.Fatal(err)
+	}
+	soc, err := config.MobileSoC().Downscale(4)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -50,6 +58,11 @@ func FuzzDecodeFramed(f *testing.F) {
 		}
 		if _, _, kind3, err := store.DecodeFramed(again); err != nil || kind3 != kind {
 			t.Fatalf("re-encoded %s frame decodes as %q: %v", kind, kind3, err)
+		}
+		if w, ok := v.(*rt.Workload); ok {
+			// A run may fail (a frame can exceed the event limits); it
+			// must not panic.
+			_, _ = gpu.Run(gpu.Job{Cfg: soc, Traces: w.Traces})
 		}
 	})
 }

@@ -839,7 +839,7 @@ func simulateGroup(wl *rt.Workload, cfg config.Config, quant *heatmap.Quantized,
 	}
 	for round := 1; ; round++ {
 		// Draw.
-		var draws []map[int32]bool
+		var draws []pixelSet
 		if opts.Dist.Replicated() {
 			sels, err := sampling.SelectReplicates(quant, g, frac, opts.Dist,
 				opts.Sampling.Replicates, rng.Split(uint64(round)))
@@ -847,16 +847,16 @@ func simulateGroup(wl *rt.Workload, cfg config.Config, quant *heatmap.Quantized,
 				return groupOut{}, err
 			}
 			for _, sel := range sels {
-				draws = append(draws, pixelSet(sel.Pixels))
+				draws = append(draws, pixelSetOf(wl.Pixels(), sel.Pixels))
 			}
 		} else {
 			sel, err := sampling.Select(quant, g, frac, opts.Dist, rng)
 			if err != nil {
 				return groupOut{}, err
 			}
-			draws = []map[int32]bool{pixelSet(sel.Pixels)}
+			draws = []pixelSet{pixelSetOf(wl.Pixels(), sel.Pixels)}
 			if opts.Regression {
-				draws = []map[int32]bool{subsetOf(pixels, draws[0], regressionFracs[0]),
+				draws = []pixelSet{subsetOf(pixels, draws[0], regressionFracs[0]),
 					subsetOf(pixels, draws[0], regressionFracs[1]),
 					subsetOf(pixels, draws[0], regressionFracs[2])}
 			}
@@ -872,8 +872,8 @@ func simulateGroup(wl *rt.Workload, cfg config.Config, quant *heatmap.Quantized,
 				return groupOut{}, err
 			}
 			reps[i] = rep
-			fracs[i] = float64(len(keep)) / float64(len(pixels))
-			selected += len(keep)
+			fracs[i] = float64(keep.n) / float64(len(pixels))
+			selected += keep.n
 		}
 		run.Report = reps[len(reps)-1]
 		run.Selected = selected
@@ -885,7 +885,7 @@ func simulateGroup(wl *rt.Workload, cfg config.Config, quant *heatmap.Quantized,
 		switch {
 		case opts.Regression:
 			// The nested subsets overlap: the group traced the largest.
-			run.Selected, run.Fraction = len(draws[2]), regressionFracs[2]
+			run.Selected, run.Fraction = draws[2].n, regressionFracs[2]
 			vals, err = expRegression(reps)
 		case !opts.Dist.Replicated():
 			vals, err = combine.Linear(run.Report, run.Fraction)
@@ -938,7 +938,7 @@ func expRegression(reps []metrics.Report) (combine.GroupValues, error) {
 type groupSource struct {
 	wl       *rt.Workload
 	pixels   []int32
-	selected map[int32]bool
+	selected pixelSet
 }
 
 // Len implements rt.TraceSource.
@@ -946,43 +946,62 @@ func (g groupSource) Len() int { return len(g.pixels) }
 
 // At implements rt.TraceSource.
 func (g groupSource) At(i int) *rt.ThreadTrace {
-	if p := g.pixels[i]; g.selected[p] {
+	if p := g.pixels[i]; g.selected.has(p) {
 		return &g.wl.Traces[p]
 	}
 	return &filteredTrace
 }
 
-// pixelSet returns the set of the given pixels.
-func pixelSet(pixels []int32) map[int32]bool {
-	set := make(map[int32]bool, len(pixels))
+// pixelSet is a draw: a set of a frame's pixels, one bit per pixel, so the
+// simulator's per-thread membership test is a shift and a mask.
+type pixelSet struct {
+	bits []uint64
+	n    int // members
+}
+
+// newPixelSet returns an empty set over a frame of the given pixel count.
+func newPixelSet(framePixels int) pixelSet {
+	return pixelSet{bits: make([]uint64, (framePixels+63)/64)}
+}
+
+// pixelSetOf returns the set of the given pixels of a frame.
+func pixelSetOf(framePixels int, pixels []int32) pixelSet {
+	set := newPixelSet(framePixels)
 	for _, p := range pixels {
-		set[p] = true
+		set.add(p)
 	}
 	return set
 }
 
+// has reports whether p is in the set.
+func (s *pixelSet) has(p int32) bool { return s.bits[p>>6]&(1<<(p&63)) != 0 }
+
+// add inserts p.
+func (s *pixelSet) add(p int32) {
+	if !s.has(p) {
+		s.bits[p>>6] |= 1 << (p & 63)
+		s.n++
+	}
+}
+
 // subsetOf trims a selection down to fraction f of the group, preferring
 // already-selected pixels so the three regression runs nest.
-func subsetOf(pixels []int32, selected map[int32]bool, f float64) map[int32]bool {
+func subsetOf(pixels []int32, selected pixelSet, f float64) pixelSet {
 	target := int(f*float64(len(pixels)) + 0.5)
-	out := make(map[int32]bool, target)
+	out := pixelSet{bits: make([]uint64, len(selected.bits))}
 	for _, p := range pixels {
-		if len(out) >= target {
+		if out.n >= target {
 			break
 		}
-		if selected[p] {
-			out[p] = true
+		if selected.has(p) {
+			out.add(p)
 		}
 	}
-	if len(out) < target {
-		for _, p := range pixels {
-			if len(out) >= target {
-				break
-			}
-			if !out[p] {
-				out[p] = true
-			}
+	for _, p := range pixels {
+		if out.n >= target {
+			break
 		}
+		out.add(p)
 	}
 	return out
 }

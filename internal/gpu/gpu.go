@@ -301,9 +301,9 @@ func (sim *Sim) scrub() {
 			for j := range threads {
 				threads[j].tr = nil
 			}
-			refs := w.rayRefs[:cap(w.rayRefs)]
-			for j := range refs {
-				refs[j] = nil
+			steps := w.raySteps[:cap(w.raySteps)]
+			for j := range steps {
+				steps[j] = nil
 			}
 		}
 		rays := s.rt.rays[:cap(s.rt.rays)]
@@ -345,10 +345,10 @@ func (sim *Sim) launchWarp(s *sm, slot int32) {
 		threads = threads[:n]
 	}
 	*w = warp{
-		uid:     sim.nextWarpUID,
-		age:     sim.nextWarpAge,
-		threads: threads,
-		rayRefs: w.rayRefs[:0],
+		uid:      sim.nextWarpUID,
+		age:      sim.nextWarpAge,
+		threads:  threads,
+		raySteps: w.raySteps[:0],
 	}
 	sim.nextWarpUID++
 	sim.nextWarpAge++
@@ -549,10 +549,10 @@ func (sim *Sim) issueWarp(s *sm, slot int32, now uint64) {
 		sim.block(s, slot, now+1)
 
 	case rt.OpTrace:
-		w.rayRefs = w.rayRefs[:0]
+		w.raySteps = w.raySteps[:0]
 		for _, li := range lanes {
 			t := &w.threads[li]
-			w.rayRefs = append(w.rayRefs, &t.tr.Rays[t.tr.Ops[t.op].Arg])
+			w.raySteps = append(w.raySteps, t.tr.RaySteps(int(t.tr.Ops[t.op].Arg)))
 			t.op++
 			if t.finished() {
 				w.live--

@@ -80,16 +80,16 @@ func (sim *Sim) tryAdmit(s *sm, slot int32, now uint64) bool {
 	sim.residentWarpsTotal++
 	w.phase = wRTWait
 	created := int32(0)
-	for _, ray := range w.rayRefs {
-		if len(ray.Steps) == 0 {
+	for _, steps := range w.raySteps {
+		if len(steps) == 0 {
 			// Root-miss ray: the root AABB test rejects it immediately.
 			continue
 		}
-		rid := u.allocRay(slot, ray.Steps)
+		rid := u.allocRay(slot, steps)
 		u.ready.push(rid)
 		created++
 	}
-	w.rayRefs = w.rayRefs[:0]
+	w.raySteps = w.raySteps[:0]
 	w.pendingRays = created
 	u.activeRays += int(created)
 	sim.activeRaysTotal += int(created)

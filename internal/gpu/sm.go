@@ -39,9 +39,9 @@ type warp struct {
 	live        int32
 	threads     []thread
 	pendingRays int32 // outstanding RT-unit rays for the blocking trace op
-	// rayRefs stages the rays of an issued trace op until the RT unit
-	// admits the warp.
-	rayRefs []*rt.RayTrace
+	// raySteps stages the step sequences of an issued trace op's rays
+	// until the RT unit admits the warp.
+	raySteps [][]uint32
 }
 
 // sm is one streaming multiprocessor: warp slots, a GTO/RR scheduler, an

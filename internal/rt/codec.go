@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"zatel/internal/bvh"
 	"zatel/internal/scene"
 	"zatel/internal/store"
 )
@@ -30,10 +29,10 @@ const WorkloadCodecKind = "rt.workload/v1"
 //	u8  opKind[nOps], u32 opArg[nOps]        (ops arena, split SoA)
 //	u32 step[nSteps]                         (steps arena)
 //
-// The scene and BVH are not serialized: the scene library is addressed by
-// name and the BVH build is deterministic, so decode rebuilds both and
-// re-homes the traces into fresh arenas (the same three-allocation layout
-// compaction produces).
+// The scene is not serialized: the scene library is addressed by name, so
+// decode re-derives only the scene and re-homes the traces into fresh
+// arenas (the same three-allocation layout compaction produces). No BVH is
+// built: replay never reads one (see Workload).
 type workloadCodec struct{}
 
 func init() { store.RegisterCodec(workloadCodec{}) }
@@ -69,9 +68,7 @@ func (workloadCodec) Encode(v any) ([]byte, error) {
 		t := &w.Traces[i]
 		nOps += len(t.Ops)
 		nRays += len(t.Rays)
-		for j := range t.Rays {
-			nSteps += len(t.Rays[j].Steps)
-		}
+		nSteps += len(t.Steps)
 	}
 
 	size := 4 + len(w.Scene.Name) + 3*4 + // name + dims
@@ -98,10 +95,11 @@ func (workloadCodec) Encode(v any) ([]byte, error) {
 		buf = le.AppendUint32(buf, uint32(len(t.Rays)))
 	}
 	for i := range w.Traces {
-		for j := range w.Traces[i].Rays {
-			r := &w.Traces[i].Rays[j]
+		var start uint32
+		for _, r := range w.Traces[i].Rays {
 			buf = append(buf, byte(r.Kind))
-			buf = le.AppendUint32(buf, uint32(len(r.Steps)))
+			buf = le.AppendUint32(buf, r.End-start)
+			start = r.End
 		}
 	}
 	for i := range w.Traces {
@@ -115,10 +113,8 @@ func (workloadCodec) Encode(v any) ([]byte, error) {
 		}
 	}
 	for i := range w.Traces {
-		for j := range w.Traces[i].Rays {
-			for _, s := range w.Traces[i].Rays[j].Steps {
-				buf = le.AppendUint32(buf, s)
-			}
+		for _, s := range w.Traces[i].Steps {
+			buf = le.AppendUint32(buf, s)
 		}
 	}
 	return buf, nil
@@ -170,10 +166,10 @@ func (r *wlReader) u64() (uint64, error) {
 // overflow; Decode bounds the count itself by the payload's length.
 const wlMaxDim = 1 << 16
 
-// Decode implements store.Codec: it parses the payload, rebuilds the
-// scene and BVH from the library (both deterministic), and re-homes every
-// trace into fresh arenas via three-index slicing, yielding the same
-// zero-copy layout BuildWorkload's compaction produces.
+// Decode implements store.Codec: it parses the payload, looks the scene up
+// in the library, and re-homes every trace into fresh arenas via
+// three-index slicing, yielding the same zero-copy layout BuildWorkload's
+// compaction produces. Every trace op must name a ray of its own pixel.
 func (workloadCodec) Decode(data []byte) (any, int64, error) {
 	r := &wlReader{data: data}
 	nameLen, err := r.u32()
@@ -213,10 +209,6 @@ func (workloadCodec) Decode(data []byte) (any, int64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("rt: workload scene %q: %w", name, err)
 	}
-	accel, err := bvh.Build(s, bvh.DefaultOptions())
-	if err != nil {
-		return nil, 0, err
-	}
 
 	cost := make([]float64, pixels)
 	for i := range cost {
@@ -239,9 +231,12 @@ func (workloadCodec) Decode(data []byte) (any, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	// The remaining payload must hold at least one byte per declared
-	// element; this rejects absurd totals before allocation.
-	if nOps64*5+nRays64*5+nSteps64*4 > uint64(len(data)) {
+	// The payload must hold every declared element; this rejects absurd
+	// totals before allocation. Each total is bounded on its own first, so
+	// the sum cannot wrap.
+	limit := uint64(len(data))
+	if nOps64 > limit/5 || nRays64 > limit/5 || nSteps64 > limit/4 ||
+		nOps64*5+nRays64*5+nSteps64*4 > limit {
 		return nil, 0, fmt.Errorf("rt: workload totals (%d ops, %d rays, %d steps) exceed payload", nOps64, nRays64, nSteps64)
 	}
 	nOps, nRays, nSteps := int(nOps64), int(nRays64), int(nSteps64)
@@ -312,10 +307,10 @@ func (workloadCodec) Decode(data []byte) (any, int64, error) {
 	}
 
 	// Re-home: the flat arenas are carved back into per-trace slices with
-	// capped capacity, exactly like Workload.compact.
+	// capped capacity, exactly like Workload.compact, and each ray's step
+	// count becomes its end offset within its trace's steps.
 	w := &Workload{
 		Scene:      s,
-		BVH:        accel,
 		Width:      int(width),
 		Height:     int(height),
 		SPP:        int(spp),
@@ -328,15 +323,22 @@ func (workloadCodec) Decode(data []byte) (any, int64, error) {
 	opOff, rayOff, stepOff := 0, 0, 0
 	for i := 0; i < pixels; i++ {
 		oEnd := opOff + int(opCounts[i])
+		for _, op := range ops[opOff:oEnd] {
+			if op.Kind == OpTrace && op.Arg >= rayCounts[i] {
+				return nil, 0, fmt.Errorf("rt: pixel %d traces ray %d of %d", i, op.Arg, rayCounts[i])
+			}
+		}
 		rEnd := rayOff + int(rayCounts[i])
-		w.Traces[i].Ops = ops[opOff:oEnd:oEnd]
-		w.Traces[i].Rays = rays[rayOff:rEnd:rEnd]
+		s0 := stepOff
+		for j := rayOff; j < rEnd; j++ {
+			stepOff += int(stepCounts[j])
+			rays[j].End = uint32(stepOff - s0)
+		}
+		t := &w.Traces[i]
+		t.Ops = ops[opOff:oEnd:oEnd]
+		t.Rays = rays[rayOff:rEnd:rEnd]
+		t.Steps = steps[s0:stepOff:stepOff]
 		opOff, rayOff = oEnd, rEnd
-	}
-	for i := 0; i < nRays; i++ {
-		end := stepOff + int(stepCounts[i])
-		rays[i].Steps = steps[stepOff:end:end]
-		stepOff = end
 	}
 	return w, w.SizeBytes(), nil
 }

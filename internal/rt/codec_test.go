@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"zatel/internal/scene"
+	"zatel/internal/store"
 )
 
 func buildCodecWorkload(t *testing.T) *Workload {
@@ -44,9 +46,9 @@ func workloadsEqual(t *testing.T, a, b *Workload) {
 	}
 	for i := range a.Traces {
 		ta, tb := &a.Traces[i], &b.Traces[i]
-		if len(ta.Ops) != len(tb.Ops) || len(ta.Rays) != len(tb.Rays) {
-			t.Fatalf("trace %d shape mismatch: %d/%d ops, %d/%d rays",
-				i, len(ta.Ops), len(tb.Ops), len(ta.Rays), len(tb.Rays))
+		if len(ta.Ops) != len(tb.Ops) || len(ta.Rays) != len(tb.Rays) || len(ta.Steps) != len(tb.Steps) {
+			t.Fatalf("trace %d shape mismatch: %d/%d ops, %d/%d rays, %d/%d steps",
+				i, len(ta.Ops), len(tb.Ops), len(ta.Rays), len(tb.Rays), len(ta.Steps), len(tb.Steps))
 		}
 		for j := range ta.Ops {
 			if ta.Ops[j] != tb.Ops[j] {
@@ -54,15 +56,13 @@ func workloadsEqual(t *testing.T, a, b *Workload) {
 			}
 		}
 		for j := range ta.Rays {
-			ra, rb := &ta.Rays[j], &tb.Rays[j]
-			if ra.Kind != rb.Kind || len(ra.Steps) != len(rb.Steps) {
-				t.Fatalf("trace %d ray %d mismatch: kind %d/%d, %d/%d steps",
-					i, j, ra.Kind, rb.Kind, len(ra.Steps), len(rb.Steps))
+			if ta.Rays[j] != tb.Rays[j] {
+				t.Fatalf("trace %d ray %d mismatch: %+v vs %+v", i, j, ta.Rays[j], tb.Rays[j])
 			}
-			for k := range ra.Steps {
-				if ra.Steps[k] != rb.Steps[k] {
-					t.Fatalf("trace %d ray %d step %d mismatch", i, j, k)
-				}
+		}
+		for k := range ta.Steps {
+			if ta.Steps[k] != tb.Steps[k] {
+				t.Fatalf("trace %d step %d mismatch", i, k)
 			}
 		}
 	}
@@ -84,9 +84,6 @@ func TestWorkloadCodecRoundTrip(t *testing.T) {
 	}
 	got := v.(*Workload)
 	workloadsEqual(t, w, got)
-	if got.BVH == nil {
-		t.Fatal("decoded workload has no BVH")
-	}
 	if size != got.SizeBytes() {
 		t.Fatalf("reported size %d != SizeBytes %d", size, got.SizeBytes())
 	}
@@ -158,5 +155,78 @@ func TestWorkloadCodecRejectsOversizedHeader(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Errorf("rejecting the header allocated %d bytes", grew)
+	}
+}
+
+// TestWorkloadCodecRejectsRayIndexPastPixel: a trace op naming a ray its
+// pixel did not trace passes the frame checksum (a peer computes its own)
+// and every length check, and would index out of range in the simulator.
+// Decode must reject it.
+func TestWorkloadCodecRejectsRayIndexPastPixel(t *testing.T) {
+	s, err := scene.ByName("SPRNG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := BuildWorkload(s, 8, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := store.DecodeFramed(mustFrame(t, w)); err != nil {
+		t.Fatalf("intact frame rejected: %v", err)
+	}
+	ops := w.Traces[0].Ops
+	for i := range ops {
+		if ops[i].Kind == OpTrace {
+			ops[i].Arg = 999
+			break
+		}
+	}
+	if _, _, _, err := store.DecodeFramed(mustFrame(t, w)); err == nil {
+		t.Fatal("frame with a trace op naming ray 999 of a pixel was accepted")
+	}
+}
+
+func mustFrame(t *testing.T, w *Workload) []byte {
+	t.Helper()
+	data, _, err := store.EncodeFramed(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestWorkloadSizeBytesExact: SizeBytes equals an independent count of
+// what a workload holds, for a built workload and its decoded copy. The
+// count walks the traces, so it also proves the arenas are trimmed to the
+// traced sizes and that nothing else (no BVH) is charged.
+func TestWorkloadSizeBytesExact(t *testing.T) {
+	if n := unsafe.Sizeof(RayTrace{}); n > 8 {
+		t.Errorf("RayTrace is %d bytes, want at most 8", n)
+	}
+	built := buildCodecWorkload(t)
+	v, _, _, err := store.DecodeFramed(mustFrame(t, built))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, w := range map[string]*Workload{"built": built, "decoded": v.(*Workload)} {
+		var ops, rays, steps int
+		for i := range w.Traces {
+			ops += len(w.Traces[i].Ops)
+			rays += len(w.Traces[i].Rays)
+			steps += len(w.Traces[i].Steps)
+		}
+		if cap(w.opsArena) != ops || cap(w.raysArena) != rays || cap(w.stepsArena) != steps {
+			t.Errorf("%s: arena capacities %d/%d/%d, traces hold %d ops, %d rays, %d steps",
+				name, cap(w.opsArena), cap(w.raysArena), cap(w.stepsArena), ops, rays, steps)
+		}
+		want := int64(unsafe.Sizeof(Workload{})) +
+			int64(len(w.Traces))*int64(unsafe.Sizeof(ThreadTrace{})) +
+			int64(len(w.Cost))*8 +
+			int64(ops)*int64(unsafe.Sizeof(Op{})) +
+			int64(rays)*int64(unsafe.Sizeof(RayTrace{})) +
+			int64(steps)*4
+		if got := w.SizeBytes(); got != want {
+			t.Errorf("%s: SizeBytes = %d, independent count %d", name, got, want)
+		}
 	}
 }

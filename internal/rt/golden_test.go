@@ -17,7 +17,8 @@ import (
 
 // workloadGoldenPath pins step 1 byte for byte: for every library scene at
 // 48² and 128², spp 1, the SHA-256 of the encoded rt.workload/v1 bytes, of
-// the Cost float64 bits and of the BVH node array plus TriIndex. Builder and
+// the Cost float64 bits and of the BVH node array plus TriIndex of the tree
+// bvh.Build makes for the scene (the workload does not keep it). Builder and
 // traversal optimisations must leave every digest unchanged; regenerate only
 // when the functional trace intentionally changes, via
 //
@@ -36,10 +37,15 @@ func sha(b []byte) string {
 	return hex.EncodeToString(s[:])
 }
 
-// digestWorkload computes w's pinned digests.
+// digestWorkload computes w's pinned digests, building w's scene's BVH
+// afresh for the tree digest.
 func digestWorkload(t testing.TB, w *Workload) workloadDigest {
 	t.Helper()
 	enc, err := workloadCodec{}.Encode(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accel, err := bvh.Build(w.Scene, bvh.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +53,7 @@ func digestWorkload(t testing.TB, w *Workload) workloadDigest {
 	for _, c := range w.Cost {
 		cost = binary.LittleEndian.AppendUint64(cost, math.Float64bits(c))
 	}
-	return workloadDigest{Workload: sha(enc), Cost: sha(cost), BVH: sha(encodeBVH(w.BVH))}
+	return workloadDigest{Workload: sha(enc), Cost: sha(cost), BVH: sha(encodeBVH(accel))}
 }
 
 // encodeBVH serialises every field of every node, then TriIndex.

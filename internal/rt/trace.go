@@ -34,7 +34,8 @@ const (
 	OpLoad
 	// OpStore issues a global memory write of the byte address Arg.
 	OpStore
-	// OpTrace hands ray Rays[Arg] to the RT unit and waits for it.
+	// OpTrace hands ray Arg (see ThreadTrace.RaySteps) to the RT unit and
+	// waits for it.
 	OpTrace
 )
 
@@ -88,18 +89,33 @@ const (
 	RayBounce
 )
 
-// RayTrace is the recorded traversal of one ray.
+// RayTrace is the recorded traversal of one ray: its kind and where its
+// steps end in the owning ThreadTrace's Steps. A ray's steps begin where
+// the previous ray's end (at 0 for the first ray), so a ray costs 8 bytes
+// and no slice header of its own.
 type RayTrace struct {
 	Kind RayKind
-	// Steps is the packed per-node traversal sequence (see PackStep).
-	Steps []uint32
+	// End is the offset just past the ray's last step in ThreadTrace.Steps.
+	End uint32
 }
 
 // ThreadTrace is the full recorded execution of one pixel's thread: a flat
-// operation list referencing the rays it traced.
+// operation list referencing the rays it traced, and the packed per-node
+// traversal steps (see PackStep) of all those rays back to back.
 type ThreadTrace struct {
-	Ops  []Op
-	Rays []RayTrace
+	Ops   []Op
+	Rays  []RayTrace
+	Steps []uint32
+}
+
+// RaySteps returns ray i's packed traversal steps, a view into t.Steps.
+func (t *ThreadTrace) RaySteps(i int) []uint32 {
+	var start uint32
+	if i > 0 {
+		start = t.Rays[i-1].End
+	}
+	end := t.Rays[i].End
+	return t.Steps[start:end:end]
 }
 
 // TraceSource supplies threads to a simulation in warp order without
@@ -145,14 +161,11 @@ func (t *ThreadTrace) Instructions() uint64 {
 // TraversalWork returns the total node visits and triangle tests across the
 // thread's rays — the scalar the heatmap is built from.
 func (t *ThreadTrace) TraversalWork() (nodes, triTests uint64) {
-	for _, r := range t.Rays {
-		nodes += uint64(len(r.Steps))
-		for _, s := range r.Steps {
-			_, tt := UnpackStep(s)
-			triTests += uint64(tt)
-		}
+	for _, s := range t.Steps {
+		_, tt := UnpackStep(s)
+		triTests += uint64(tt)
 	}
-	return nodes, triTests
+	return uint64(len(t.Steps)), triTests
 }
 
 // FilteredTrace returns the trace executed by a pixel that the Zatel filter

@@ -16,10 +16,12 @@ import (
 
 // Workload is a fully traced frame: one ThreadTrace per pixel plus the
 // per-pixel cost profile. It is immutable once built and safe to share
-// across concurrent simulator instances.
+// across concurrent simulator instances. It holds only what replay reads:
+// the simulator turns traversal steps into addresses with bvh.NodeAddr and
+// bvh.TriAddr, so the BVH the frame was traced against is dropped once
+// tracing ends.
 type Workload struct {
 	Scene  *scene.Scene
-	BVH    *bvh.BVH
 	Width  int
 	Height int
 	SPP    int
@@ -53,10 +55,9 @@ const (
 
 // SizeBytes returns the workload's exact resident size for the artifact
 // store's byte accounting. For compacted workloads the three arenas hold
-// every op, ray and traversal step, so the count is exact rather than the
-// pre-arena estimate; hand-assembled workloads are walked trace by trace.
-// The BVH and scene data are counted here because the workload keeps them
-// alive.
+// every op, ray and traversal step, so the count is exact; hand-assembled
+// workloads are walked trace by trace. The scene is not counted: the scene
+// library keeps one copy per name however many workloads share it.
 func (w *Workload) SizeBytes() int64 {
 	n := int64(unsafe.Sizeof(*w))
 	n += int64(len(w.Cost)) * 8
@@ -68,15 +69,9 @@ func (w *Workload) SizeBytes() int64 {
 	} else {
 		for i := range w.Traces {
 			t := &w.Traces[i]
-			n += int64(len(t.Ops)) * opBytes
-			n += int64(len(t.Rays)) * rayBytes
-			for j := range t.Rays {
-				n += int64(len(t.Rays[j].Steps)) * stepBytes
-			}
+			n += int64(len(t.Ops))*opBytes + int64(len(t.Rays))*rayBytes +
+				int64(len(t.Steps))*stepBytes
 		}
-	}
-	if w.BVH != nil {
-		n += w.BVH.SizeBytes()
 	}
 	return n
 }
@@ -85,34 +80,30 @@ func (w *Workload) SizeBytes() int64 {
 // row-major pixel order. The per-worker tracing arenas over-allocate and
 // interleave pixels by row ownership; compaction restores determinism of
 // layout, trims capacity to exactly the traced sizes, and drops the
-// oversized worker arenas.
+// oversized worker arenas. Ray end offsets are relative to their trace's
+// Steps, so rays copy unchanged.
 func (w *Workload) compact() {
 	var nOps, nRays, nSteps int
 	for i := range w.Traces {
 		t := &w.Traces[i]
 		nOps += len(t.Ops)
 		nRays += len(t.Rays)
-		for j := range t.Rays {
-			nSteps += len(t.Rays[j].Steps)
-		}
+		nSteps += len(t.Steps)
 	}
 	ops := make([]Op, 0, nOps)
 	rays := make([]RayTrace, 0, nRays)
 	steps := make([]uint32, 0, nSteps)
 	for i := range w.Traces {
 		t := &w.Traces[i]
-		o0 := len(ops)
+		o0, r0, s0 := len(ops), len(rays), len(steps)
 		ops = append(ops, t.Ops...)
-		r0 := len(rays)
-		for j := range t.Rays {
-			s0 := len(steps)
-			steps = append(steps, t.Rays[j].Steps...)
-			rays = append(rays, RayTrace{Kind: t.Rays[j].Kind, Steps: steps[s0:len(steps):len(steps)]})
-		}
+		rays = append(rays, t.Rays...)
+		steps = append(steps, t.Steps...)
 		// Three-index slicing caps capacity so an accidental append by a
 		// consumer cannot silently overwrite the next pixel's data.
 		t.Ops = ops[o0:len(ops):len(ops)]
 		t.Rays = rays[r0:len(rays):len(rays)]
+		t.Steps = steps[s0:len(steps):len(steps)]
 	}
 	w.opsArena, w.raysArena, w.stepsArena = ops, rays, steps
 }
@@ -128,7 +119,8 @@ func BuildWorkload(s *scene.Scene, width, height, spp int) (*Workload, error) {
 // BuildWorkloadContext is BuildWorkload honouring ctx: cancellation before
 // or during the BVH build skips the trace, cancellation during the trace
 // stops it between rows, and either returns ctx's error instead of a
-// workload.
+// workload. The BVH lives only as long as the trace: the workload does not
+// keep it.
 func BuildWorkloadContext(ctx context.Context, s *scene.Scene, width, height, spp int) (*Workload, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -152,7 +144,6 @@ func BuildWorkloadContext(ctx context.Context, s *scene.Scene, width, height, sp
 
 	w := &Workload{
 		Scene:  s,
-		BVH:    accel,
 		Width:  width,
 		Height: height,
 		SPP:    spp,
@@ -226,8 +217,8 @@ type tracer struct {
 // retired chunks, which is fine — contents are immutable once a pixel
 // finishes, and compaction re-homes everything.
 func (tr *tracer) tracePixel(x, y, width, height, spp int, rng *vecmath.RNG) ThreadTrace {
-	tr.ops, tr.rays = reserve(tr.ops, 1<<8), reserve(tr.rays, 1<<6)
-	opsStart, raysStart := len(tr.ops), len(tr.rays)
+	tr.ops, tr.rays, tr.steps = reserve(tr.ops, 1<<8), reserve(tr.rays, 1<<6), reserve(tr.steps, 1<<12)
+	opsStart, raysStart, stepsStart := len(tr.ops), len(tr.rays), len(tr.steps)
 	pix := uint32(y*width + x)
 	fbAddr := uint32(FBBase + uint64(pix)*FBBytes)
 
@@ -243,8 +234,6 @@ func (tr *tracer) tracePixel(x, y, width, height, spp int, rng *vecmath.RNG) Thr
 	store := func(addr uint32) { tr.ops = append(tr.ops, Op{Kind: OpStore, Arg: addr}) }
 
 	traceRay := func(r vecmath.Ray, kind RayKind, any bool) (bvh.Hit, bool) {
-		tr.steps = reserve(tr.steps, 1<<12)
-		stepsStart := len(tr.steps)
 		var hit bvh.Hit
 		var ok bool
 		if any {
@@ -253,7 +242,7 @@ func (tr *tracer) tracePixel(x, y, width, height, spp int, rng *vecmath.RNG) Thr
 			hit, ok = tr.bvh.IntersectPacked(r, &tr.steps)
 		}
 		tr.ops = append(tr.ops, Op{Kind: OpTrace, Arg: uint32(len(tr.rays) - raysStart)})
-		tr.rays = append(tr.rays, RayTrace{Kind: kind, Steps: tr.steps[stepsStart:len(tr.steps)]})
+		tr.rays = append(tr.rays, RayTrace{Kind: kind, End: uint32(len(tr.steps) - stepsStart)})
 		return hit, ok
 	}
 
@@ -316,15 +305,15 @@ func (tr *tracer) tracePixel(x, y, width, height, spp int, rng *vecmath.RNG) Thr
 			break
 		}
 	}
-	return ThreadTrace{Ops: tr.ops[opsStart:], Rays: tr.rays[raysStart:]}
+	return ThreadTrace{Ops: tr.ops[opsStart:], Rays: tr.rays[raysStart:], Steps: tr.steps[stepsStart:]}
 }
 
 // reserve returns s if it has room for n more elements, or else a fresh
 // empty chunk with room for 64n. A tracer arena thus grows chunk by chunk
 // instead of copying everything traced so far on each doubling; a pixel's
-// ops and rays, and a ray's steps, still share one backing array because
+// ops, its rays and its steps each still share one backing array because
 // they are reserved for up front (append copies only in the rare case
-// that a pixel or ray outgrows its reservation).
+// that a pixel outgrows its reservation).
 func reserve[T any](s []T, n int) []T {
 	if cap(s)-len(s) >= n {
 		return s

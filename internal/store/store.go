@@ -181,7 +181,7 @@ var errAbsent = errors.New("store: artifact absent")
 // build returns the artifact and its resident size in bytes, which is what
 // the LRU budget accounts. When build reports a non-positive size and the
 // artifact implements Sizer, the store asks the artifact itself — types
-// with arena-backed storage (rt.Workload, bvh.BVH) report exact footprints
+// with arena-backed storage (rt.Workload) report exact footprints
 // that a builder-side estimate would only approximate. Artifacts larger
 // than the whole budget are returned but not retained.
 func (s *Store) GetOrBuild(ctx context.Context, key Digest, build func(ctx context.Context) (any, int64, error)) (any, Outcome, error) {

@@ -6,7 +6,9 @@
 # histograms), SIGTERM-drain, then RESTART the daemon on the same -store-dir
 # and assert the same request is served warm from disk ("cache": "disk") —
 # the cross-restart persistence promise — out of a prediction entry that
-# stayed response-sized (under 8 KB on disk).
+# stayed response-sized (under 8 KB on disk). A second prediction on the
+# same frame with another percent must then build only itself: the
+# persisted workload and heatmap decode from disk and simulate.
 # Finally boot a TWO-NODE fleet (-peers/-self) and assert an artifact built
 # on the owning node is served by the other as "cache": "peer" with zero
 # local builds — the cluster tier's fetch-not-rebuild promise.
@@ -135,6 +137,25 @@ METRICS2="$(curl -fsS "http://$ADDR/metrics")"
 echo "$METRICS2" | grep -Eq '^zatel_store_disk_hits_total [1-9]' \
 	|| { echo "smoke: /metrics shows no disk hit after restart" >&2; exit 1; }
 
+# metric <exposition> <name>: the value of an unlabelled series.
+metric() { echo "$1" | awk -v n="$2" '$1 == n { print $2 }'; }
+
+BODY4='{"scene":"SPRNG","config":"mobile","width":48,"height":48,"spp":1,"percent":0.2}'
+R4="$(curl -fsS -X POST -d "$BODY4" "http://$ADDR/v1/predict")"
+echo "$R4" | grep -q '"cache": "miss"' \
+	|| { echo "smoke: post-restart predict at another percent not a miss: $R4" >&2; exit 1; }
+echo "$R4" | grep -q '"GPU IPC"' \
+	|| { echo "smoke: post-restart prediction missing metrics: $R4" >&2; exit 1; }
+METRICS3="$(curl -fsS "http://$ADDR/metrics")"
+BUILDS2="$(metric "$METRICS2" zatel_store_builds_total)"
+BUILDS3="$(metric "$METRICS3" zatel_store_builds_total)"
+DISK2="$(metric "$METRICS2" zatel_store_disk_hits_total)"
+DISK3="$(metric "$METRICS3" zatel_store_disk_hits_total)"
+awk -v a="$BUILDS2" -v b="$BUILDS3" 'BEGIN { exit !(b == a + 1) }' \
+	|| { echo "smoke: new prediction ran $BUILDS2 -> $BUILDS3 builds, want exactly one (workload or heatmap rebuilt, not read from disk)" >&2; cat "$TMP/zateld2.log" >&2; exit 1; }
+awk -v a="$DISK2" -v b="$DISK3" 'BEGIN { exit !(b >= a + 2) }' \
+	|| { echo "smoke: new prediction took disk hits $DISK2 -> $DISK3, want the workload and the heatmap from disk" >&2; ls -l "$TMP/store" >&2; exit 1; }
+
 kill -TERM "$PID"
 if ! wait "$PID"; then
 	echo "smoke: zateld second drain exited non-zero" >&2
@@ -199,4 +220,4 @@ if ! wait "$PID_B"; then
 	exit 1
 fi
 PID_B=""
-echo "zateld smoke: OK (including cross-restart disk warm hit and two-node peer fetch)"
+echo "zateld smoke: OK (including cross-restart disk warm hits and two-node peer fetch)"
