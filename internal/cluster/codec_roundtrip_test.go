@@ -79,8 +79,8 @@ func TestFrameRoundTripWorkload(t *testing.T) {
 			if got.Width != w.Width || got.Height != w.Height || got.SPP != w.SPP {
 				t.Fatalf("shape mismatch after round trip: %dx%d spp=%d", got.Width, got.Height, got.SPP)
 			}
-			if got.Scene.Name != w.Scene.Name {
-				t.Fatalf("scene mismatch: %q vs %q", got.Scene.Name, w.Scene.Name)
+			if got.Scene != w.Scene {
+				t.Fatalf("scene mismatch: %q vs %q", got.Scene, w.Scene)
 			}
 			if !reflect.DeepEqual(w.Cost, got.Cost) {
 				t.Fatal("cost map changed in round trip")

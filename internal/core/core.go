@@ -456,21 +456,10 @@ func (o *Options) validate() error {
 	if err := o.FT.Inject.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if !knownScene(o.Scene) {
+	if !scene.Known(o.Scene) {
 		return fmt.Errorf("core: unknown scene %q (want one of %s)", o.Scene, strings.Join(scene.Names(), ", "))
 	}
 	return nil
-}
-
-// knownScene reports whether name is a scene-library name. It compares
-// names only: scene.ByName would build and cache the geometry.
-func knownScene(name string) bool {
-	for _, n := range scene.Names() {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }
 
 // PredictContext runs the Zatel pipeline. Cancelling ctx stops group

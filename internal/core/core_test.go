@@ -347,3 +347,21 @@ func TestDivisionString(t *testing.T) {
 		t.Error("division names wrong")
 	}
 }
+
+// FuzzParseDivision: every name ParseDivision accepts yields a valid
+// division whose String parses back to the same division.
+func FuzzParseDivision(f *testing.F) {
+	for _, name := range []string{"", "fine", "coarse", "COARSE", "Fine", "tiles"} {
+		f.Add(name)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		d, err := ParseDivision(name)
+		if err != nil {
+			return
+		}
+		back, err := ParseDivision(d.String())
+		if !d.Valid() || err != nil || back != d {
+			t.Fatalf("ParseDivision(%q) = %v, but its String %q parses to %v, %v", name, d, d.String(), back, err)
+		}
+	})
+}

@@ -29,10 +29,10 @@ const WorkloadCodecKind = "rt.workload/v1"
 //	u8  opKind[nOps], u32 opArg[nOps]        (ops arena, split SoA)
 //	u32 step[nSteps]                         (steps arena)
 //
-// The scene is not serialized: the scene library is addressed by name, so
-// decode re-derives only the scene and re-homes the traces into fresh
-// arenas (the same three-allocation layout compaction produces). No BVH is
-// built: replay never reads one (see Workload).
+// The scene is recorded by its library name only: a workload keeps no
+// geometry, so decode checks the name, builds neither scene nor BVH, and
+// re-homes the traces into fresh arenas (the same three-allocation layout
+// compaction produces).
 type workloadCodec struct{}
 
 func init() { store.RegisterCodec(workloadCodec{}) }
@@ -53,11 +53,8 @@ func (workloadCodec) Encode(v any) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("rt: codec cannot encode %T", v)
 	}
-	if w.Scene == nil || w.Scene.Name == "" {
-		return nil, fmt.Errorf("rt: cannot serialize a workload without a named library scene")
-	}
-	if _, err := scene.ByName(w.Scene.Name); err != nil {
-		return nil, fmt.Errorf("rt: workload scene not in the library: %w", err)
+	if !scene.Known(w.Scene) {
+		return nil, fmt.Errorf("rt: workload scene %q is not in the library", w.Scene)
 	}
 	if len(w.Traces) != w.Width*w.Height || len(w.Cost) != w.Width*w.Height {
 		return nil, fmt.Errorf("rt: workload shape %dx%d disagrees with %d traces / %d costs",
@@ -71,15 +68,15 @@ func (workloadCodec) Encode(v any) ([]byte, error) {
 		nSteps += len(t.Steps)
 	}
 
-	size := 4 + len(w.Scene.Name) + 3*4 + // name + dims
+	size := 4 + len(w.Scene) + 3*4 + // name + dims
 		len(w.Cost)*8 + 3*8 + // cost + totals
 		len(w.Traces)*8 + nRays*5 + // boundaries
 		nOps*5 + nSteps*4 // arenas
 	buf := make([]byte, 0, size)
 	le := binary.LittleEndian
 
-	buf = le.AppendUint32(buf, uint32(len(w.Scene.Name)))
-	buf = append(buf, w.Scene.Name...)
+	buf = le.AppendUint32(buf, uint32(len(w.Scene)))
+	buf = append(buf, w.Scene...)
 	buf = le.AppendUint32(buf, uint32(w.Width))
 	buf = le.AppendUint32(buf, uint32(w.Height))
 	buf = le.AppendUint32(buf, uint32(w.SPP))
@@ -166,8 +163,8 @@ func (r *wlReader) u64() (uint64, error) {
 // overflow; Decode bounds the count itself by the payload's length.
 const wlMaxDim = 1 << 16
 
-// Decode implements store.Codec: it parses the payload, looks the scene up
-// in the library, and re-homes every trace into fresh arenas via
+// Decode implements store.Codec: it parses the payload, checks the scene
+// name against the library, and re-homes every trace into fresh arenas via
 // three-index slicing, yielding the same zero-copy layout BuildWorkload's
 // compaction produces. Every trace op must name a ray of its own pixel.
 func (workloadCodec) Decode(data []byte) (any, int64, error) {
@@ -205,9 +202,8 @@ func (workloadCodec) Decode(data []byte) (any, int64, error) {
 		return nil, 0, fmt.Errorf("rt: workload of %dx%d pixels exceeds its %d-byte payload", width, height, len(data))
 	}
 
-	s, err := scene.ByName(name)
-	if err != nil {
-		return nil, 0, fmt.Errorf("rt: workload scene %q: %w", name, err)
+	if !scene.Known(name) {
+		return nil, 0, fmt.Errorf("rt: workload scene %q is not in the library", name)
 	}
 
 	cost := make([]float64, pixels)
@@ -310,7 +306,7 @@ func (workloadCodec) Decode(data []byte) (any, int64, error) {
 	// capped capacity, exactly like Workload.compact, and each ray's step
 	// count becomes its end offset within its trace's steps.
 	w := &Workload{
-		Scene:      s,
+		Scene:      name,
 		Width:      int(width),
 		Height:     int(height),
 		SPP:        int(spp),

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"zatel/internal/scene"
@@ -30,8 +32,8 @@ func workloadsEqual(t *testing.T, a, b *Workload) {
 		t.Fatalf("shape mismatch: %dx%d spp=%d vs %dx%d spp=%d",
 			a.Width, a.Height, a.SPP, b.Width, b.Height, b.SPP)
 	}
-	if a.Scene.Name != b.Scene.Name {
-		t.Fatalf("scene mismatch: %q vs %q", a.Scene.Name, b.Scene.Name)
+	if a.Scene != b.Scene {
+		t.Fatalf("scene mismatch: %q vs %q", a.Scene, b.Scene)
 	}
 	if len(a.Cost) != len(b.Cost) {
 		t.Fatalf("cost length mismatch: %d vs %d", len(a.Cost), len(b.Cost))
@@ -128,8 +130,8 @@ func TestWorkloadCodecRejectsUnknownScene(t *testing.T) {
 	}
 	// Corrupt the scene name in place (nameLen stays valid).
 	data[4] = 'x'
-	if _, _, err := c.Decode(data); err == nil {
-		t.Fatal("Decode with unknown scene name succeeded")
+	if _, _, err := c.Decode(data); err == nil || !strings.Contains(err.Error(), "not in the library") {
+		t.Fatalf("Decode with unknown scene name: %v, want a scene-library error", err)
 	}
 }
 
@@ -229,4 +231,54 @@ func TestWorkloadSizeBytesExact(t *testing.T) {
 			t.Errorf("%s: SizeBytes = %d, independent count %d", name, got, want)
 		}
 	}
+}
+
+// TestWorkloadPinsNoScene: a workload keeps its scene's name, not its
+// geometry. A finalizer on the scene's triangle array runs while a built
+// workload and its decoded copy are both still held, and decoding builds
+// no scene: it allocates far less than the scene's triangles take.
+func TestWorkloadPinsNoScene(t *testing.T) {
+	s, err := scene.ByName("BUNNY")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sceneBytes := uint64(len(s.Tris)) * uint64(unsafe.Sizeof(s.Tris[0]))
+	freed := make(chan struct{})
+	runtime.SetFinalizer(&s.Tris[0], func(*scene.Triangle) { close(freed) })
+	built, err := BuildWorkload(s, 8, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s = nil
+	frame := mustFrame(t, built)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	v, _, _, err := store.DecodeFramed(frame)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded := v.(*Workload)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= sceneBytes/4 {
+		t.Errorf("decoding an 8x8 frame allocated %d bytes; the BUNNY triangles take %d", grew, sceneBytes)
+	}
+
+	deadline := time.Now().Add(2 * time.Second)
+	for done := false; !done; {
+		runtime.GC()
+		select {
+		case <-freed:
+			done = true
+		case <-time.After(10 * time.Millisecond):
+			if time.Now().After(deadline) {
+				t.Fatal("the scene's triangles stayed reachable while its workloads were held")
+			}
+		}
+	}
+	if built.Scene != "BUNNY" || decoded.Scene != "BUNNY" {
+		t.Errorf("scene names %q and %q, want BUNNY", built.Scene, decoded.Scene)
+	}
+	runtime.KeepAlive(built)
+	runtime.KeepAlive(decoded)
 }

@@ -37,15 +37,19 @@ func sha(b []byte) string {
 	return hex.EncodeToString(s[:])
 }
 
-// digestWorkload computes w's pinned digests, building w's scene's BVH
-// afresh for the tree digest.
+// digestWorkload computes w's pinned digests, building w's scene and its
+// BVH afresh for the tree digest (the workload keeps only the scene's name).
 func digestWorkload(t testing.TB, w *Workload) workloadDigest {
 	t.Helper()
 	enc, err := workloadCodec{}.Encode(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	accel, err := bvh.Build(w.Scene, bvh.DefaultOptions())
+	s, err := scene.ByName(w.Scene)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accel, err := bvh.Build(s, bvh.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,10 +18,11 @@ import (
 // per-pixel cost profile. It is immutable once built and safe to share
 // across concurrent simulator instances. It holds only what replay reads:
 // the simulator turns traversal steps into addresses with bvh.NodeAddr and
-// bvh.TriAddr, so the BVH the frame was traced against is dropped once
-// tracing ends.
+// bvh.TriAddr and never reads a triangle, so the scene and the BVH the
+// frame was traced against are dropped once tracing ends.
 type Workload struct {
-	Scene  *scene.Scene
+	// Scene is the name of the library scene the frame was traced from.
+	Scene  string
 	Width  int
 	Height int
 	SPP    int
@@ -56,8 +57,8 @@ const (
 // SizeBytes returns the workload's exact resident size for the artifact
 // store's byte accounting. For compacted workloads the three arenas hold
 // every op, ray and traversal step, so the count is exact; hand-assembled
-// workloads are walked trace by trace. The scene is not counted: the scene
-// library keeps one copy per name however many workloads share it.
+// workloads are walked trace by trace. A workload keeps no geometry, so
+// this is all it holds.
 func (w *Workload) SizeBytes() int64 {
 	n := int64(unsafe.Sizeof(*w))
 	n += int64(len(w.Cost)) * 8
@@ -119,8 +120,8 @@ func BuildWorkload(s *scene.Scene, width, height, spp int) (*Workload, error) {
 // BuildWorkloadContext is BuildWorkload honouring ctx: cancellation before
 // or during the BVH build skips the trace, cancellation during the trace
 // stops it between rows, and either returns ctx's error instead of a
-// workload. The BVH lives only as long as the trace: the workload does not
-// keep it.
+// workload. The scene and its BVH live only as long as the trace: the
+// workload keeps the scene's name, not its geometry.
 func BuildWorkloadContext(ctx context.Context, s *scene.Scene, width, height, spp int) (*Workload, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -143,7 +144,7 @@ func BuildWorkloadContext(ctx context.Context, s *scene.Scene, width, height, sp
 	}
 
 	w := &Workload{
-		Scene:  s,
+		Scene:  s.Name,
 		Width:  width,
 		Height: height,
 		SPP:    spp,
@@ -350,6 +351,8 @@ func CachedWorkload(name string, width, height, spp int) (*Workload, error) {
 // CachedWorkloadContext is CachedWorkload honouring ctx: cancellation
 // interrupts both a build this caller runs and a wait on another caller's
 // in-flight build (which keeps running for the callers still interested).
+// Its build closure is where a prediction builds its scene, once per
+// workload build; the scene is garbage once the trace ends.
 func CachedWorkloadContext(ctx context.Context, name string, width, height, spp int) (*Workload, error) {
 	v, _, err := store.Default().GetOrBuild(ctx, WorkloadKey(name, width, height, spp),
 		func(ctx context.Context) (any, int64, error) {

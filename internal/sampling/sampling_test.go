@@ -272,6 +272,24 @@ func TestParseDistribution(t *testing.T) {
 	}
 }
 
+// FuzzParseDistribution: every name ParseDistribution accepts yields a
+// valid strategy whose String parses back to the same strategy.
+func FuzzParseDistribution(f *testing.F) {
+	for _, name := range []string{"", "uniform", "lintmp", "exptmp", "stratified", "rankedset", "ranked-set", "Uniform", "gaussian"} {
+		f.Add(name)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		d, err := ParseDistribution(name)
+		if err != nil {
+			return
+		}
+		back, err := ParseDistribution(d.String())
+		if !d.Valid() || err != nil || back != d {
+			t.Fatalf("ParseDistribution(%q) = %v, but its String %q parses to %v, %v", name, d, d.String(), back, err)
+		}
+	})
+}
+
 func TestReplicatedClassification(t *testing.T) {
 	for _, d := range []Distribution{Uniform, LinTmp, ExpTmp} {
 		if d.Replicated() {

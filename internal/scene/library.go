@@ -3,7 +3,6 @@ package scene
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"zatel/internal/vecmath"
 )
@@ -37,19 +36,16 @@ var registry = map[string]func() (*Scene, error){
 	"BATH":  Bath,
 }
 
-var (
-	cacheMu sync.Mutex
-	cache   = map[string]*Scene{}
-)
+// Known reports whether name is a scene-library name. It builds nothing.
+func Known(name string) bool {
+	_, ok := registry[name]
+	return ok
+}
 
-// ByName returns the named scene, building it on first use and caching the
-// result. The returned scene is shared and must be treated as read-only.
+// ByName builds the named scene. Every call builds afresh and nothing in
+// the process keeps the geometry: a caller holds the scene only as long as
+// it needs it (rt.BuildWorkload, for the length of one trace).
 func ByName(name string) (*Scene, error) {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if s, ok := cache[name]; ok {
-		return s, nil
-	}
 	ctor, ok := registry[name]
 	if !ok {
 		known := make([]string, 0, len(registry))
@@ -59,12 +55,7 @@ func ByName(name string) (*Scene, error) {
 		sort.Strings(known)
 		return nil, fmt.Errorf("scene: unknown name %q (known: %v)", name, known)
 	}
-	s, err := ctor()
-	if err != nil {
-		return nil, err
-	}
-	cache[name] = s
-	return s, nil
+	return ctor()
 }
 
 // Park is the hardest path-tracing workload: a foliage field over diffuse

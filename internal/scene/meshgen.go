@@ -2,6 +2,7 @@ package scene
 
 import (
 	"math"
+	"slices"
 
 	"zatel/internal/vecmath"
 )
@@ -26,6 +27,10 @@ func (b *Builder) AddMaterial(m Material) int32 {
 	return int32(len(b.mats) - 1)
 }
 
+// grow makes room for n more triangles, so a primitive that knows its
+// triangle count appends them without reallocating part-way.
+func (b *Builder) grow(n int) { b.tris = slices.Grow(b.tris, n) }
+
 // Tri appends one triangle.
 func (b *Builder) Tri(v0, v1, v2 vecmath.Vec3, mat int32) {
 	b.tris = append(b.tris, Triangle{V0: v0, V1: v1, V2: v2, Mat: mat})
@@ -42,6 +47,7 @@ func (b *Builder) Quad(v0, v1, v2, v3 vecmath.Vec3, mat int32) {
 // spatially local leaves under the camera.
 func (b *Builder) GroundPlane(y, half float32, n int, mat int32) {
 	step := 2 * half / float32(n)
+	b.grow(2 * n * n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			x0 := -half + float32(i)*step
@@ -70,7 +76,7 @@ func (b *Builder) Sphere(center vecmath.Vec3, radius float32, lat, lon int, mat 
 func (b *Builder) Blob(center vecmath.Vec3, radius float32, lat, lon int, bump float32, mat int32) {
 	point := func(i, j int) vecmath.Vec3 {
 		theta := math.Pi * float64(i) / float64(lat)
-		phi := 2 * math.Pi * float64(j%lon) / float64(lon)
+		phi := 2 * math.Pi * float64(j) / float64(lon)
 		dir := vecmath.V(
 			float32(math.Sin(theta)*math.Cos(phi)),
 			float32(math.Cos(theta)),
@@ -83,12 +89,25 @@ func (b *Builder) Blob(center vecmath.Vec3, radius float32, lat, lon int, bump f
 		}
 		return center.Add(dir.Scale(r))
 	}
+	// Each vertex is evaluated once: rows i and i+1 of the grid are kept
+	// in two buffers, and longitude lon wraps to 0.
+	row := func(dst []vecmath.Vec3, i int) {
+		for j := range dst {
+			dst[j] = point(i, j)
+		}
+	}
+	b.grow(2 * lon * max(lat-1, 0))
+	cur, next := make([]vecmath.Vec3, lon), make([]vecmath.Vec3, lon)
+	row(cur, 0)
 	for i := 0; i < lat; i++ {
+		row(next, i+1)
 		for j := 0; j < lon; j++ {
-			p00 := point(i, j)
-			p10 := point(i+1, j)
-			p01 := point(i, j+1)
-			p11 := point(i+1, j+1)
+			j1 := j + 1
+			if j1 == lon {
+				j1 = 0
+			}
+			p00, p01 := cur[j], cur[j1]
+			p10, p11 := next[j], next[j1]
 			if i > 0 {
 				b.Tri(p00, p10, p01, mat)
 			}
@@ -96,6 +115,7 @@ func (b *Builder) Blob(center vecmath.Vec3, radius float32, lat, lon int, bump f
 				b.Tri(p10, p11, p01, mat)
 			}
 		}
+		cur, next = next, cur
 	}
 }
 
@@ -104,6 +124,7 @@ func (b *Builder) Blob(center vecmath.Vec3, radius float32, lat, lon int, bump f
 // [minSize, maxSize]. High divergence: neighbouring rays entering a cluster
 // visit very different BVH subtrees.
 func (b *Builder) Cluster(center vecmath.Vec3, radius float32, count int, minSize, maxSize float32, mat int32) {
+	b.grow(count)
 	for i := 0; i < count; i++ {
 		p := center.Add(b.rng.UnitSphere().Scale(radius * b.rng.Float32()))
 		size := b.rng.Range(minSize, maxSize)
@@ -116,6 +137,7 @@ func (b *Builder) Cluster(center vecmath.Vec3, radius float32, count int, minSiz
 // Spikes adds count thin elongated triangles radiating from center — the
 // chestnut-burr primitive driving extreme traversal divergence.
 func (b *Builder) Spikes(center vecmath.Vec3, radius, length float32, count int, mat int32) {
+	b.grow(count)
 	for i := 0; i < count; i++ {
 		dir := b.rng.UnitSphere()
 		base := center.Add(dir.Scale(radius))
@@ -143,6 +165,7 @@ func (b *Builder) Box(bb vecmath.AABB, inward bool, mat int32) {
 		{3, 2, 6, 7}, // top
 		{4, 5, 1, 0}, // bottom
 	}
+	b.grow(2 * len(faces))
 	for _, f := range faces {
 		if inward {
 			b.Quad(v[f[3]], v[f[2]], v[f[1]], v[f[0]], mat)
@@ -157,6 +180,7 @@ func (b *Builder) Box(bb vecmath.AABB, inward bool, mat int32) {
 func (b *Builder) Columns(area vecmath.AABB, nx, nz int, width, height float32, mat int32) {
 	dx := (area.Hi.X - area.Lo.X) / float32(nx+1)
 	dz := (area.Hi.Z - area.Lo.Z) / float32(nz+1)
+	b.grow(12 * nx * nz)
 	for i := 1; i <= nx; i++ {
 		for j := 1; j <= nz; j++ {
 			cx := area.Lo.X + float32(i)*dx

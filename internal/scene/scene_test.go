@@ -1,6 +1,7 @@
 package scene
 
 import (
+	"reflect"
 	"testing"
 
 	"zatel/internal/vecmath"
@@ -155,17 +156,51 @@ func TestByNameUnknown(t *testing.T) {
 	}
 }
 
-func TestByNameCaches(t *testing.T) {
-	a, err := ByName("BUNNY")
-	if err != nil {
-		t.Fatal(err)
+// TestByNameBuildsFresh: ByName keeps no scene. Two calls build deeply
+// equal scenes that share no backing array, so a caller that drops its
+// scene frees its geometry.
+func TestByNameBuildsFresh(t *testing.T) {
+	for _, name := range Names() {
+		a, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: two builds differ", name)
+		}
+		if a == b || &a.Tris[0] == &b.Tris[0] || &a.Mats[0] == &b.Mats[0] {
+			t.Errorf("%s: two builds share a scene or a backing array", name)
+		}
 	}
-	b, err := ByName("BUNNY")
-	if err != nil {
-		t.Fatal(err)
+}
+
+func TestKnown(t *testing.T) {
+	for _, name := range Names() {
+		if !Known(name) {
+			t.Errorf("Known(%q) = false", name)
+		}
 	}
-	if a != b {
-		t.Error("ByName rebuilt a cached scene")
+	for _, name := range []string{"", "NOPE", "park", "PARK "} {
+		if Known(name) {
+			t.Errorf("Known(%q) = true", name)
+		}
+	}
+}
+
+// BenchmarkByName builds all eight library scenes per op: the cost every
+// workload build pays for its scene.
+func BenchmarkByName(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, name := range Names() {
+			if _, err := ByName(name); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

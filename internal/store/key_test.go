@@ -1,6 +1,9 @@
 package store
 
 import (
+	"math/big"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -117,6 +120,11 @@ func TestParseSize(t *testing.T) {
 		{"", 0, true},
 		{"-1", 0, true},
 		{"12XB", 0, true},
+		{"9223372036854775807", 1<<63 - 1, false},
+		{"8388607T", 8388607 << 40, false},
+		{"16777216T", 0, true},
+		{"8388608T", 0, true},
+		{"9223372036854775807K", 0, true},
 	}
 	for _, c := range cases {
 		got, err := ParseSize(c.in)
@@ -128,4 +136,53 @@ func TestParseSize(t *testing.T) {
 			t.Errorf("ParseSize(%q) = %d, want %d", c.in, got, c.want)
 		}
 	}
+}
+
+// FuzzParseSize: a size ParseSize accepts is never negative and equals the
+// exact product of its number and its suffix's multiple; a size whose
+// product does not fit int64 is rejected instead of wrapping.
+func FuzzParseSize(f *testing.F) {
+	for _, s := range []string{"16777216T", "8388608T", "9223372036854775807K", "0", "64KiB", "2g", " 7 MB ", "8388607T"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseSize(s)
+		n, mult, parsed := splitSize(s)
+		if !parsed {
+			if err == nil {
+				t.Fatalf("ParseSize(%q) = %d, want an error", s, got)
+			}
+			return
+		}
+		want := new(big.Int).Mul(big.NewInt(n), big.NewInt(mult))
+		if !want.IsInt64() {
+			if err == nil {
+				t.Fatalf("ParseSize(%q) = %d, want an overflow error (exact %s)", s, got, want)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("ParseSize(%q): %v, want %s", s, err, want)
+		}
+		if got < 0 || got != want.Int64() {
+			t.Fatalf("ParseSize(%q) = %d, want %s", s, got, want)
+		}
+	})
+}
+
+// splitSize is the fuzz oracle's reading of a size: the number before a
+// binary suffix and the suffix's multiple. parsed is false for anything
+// that is not a non-negative base-10 integer with an optional suffix.
+func splitSize(s string) (n, mult int64, parsed bool) {
+	t := strings.TrimSpace(strings.ToUpper(s))
+	mult = 1
+	for _, suf := range []string{"TIB", "TB", "T", "GIB", "GB", "G", "MIB", "MB", "M", "KIB", "KB", "K", "B"} {
+		if strings.HasSuffix(t, suf) {
+			mult = map[byte]int64{'T': 1 << 40, 'G': 1 << 30, 'M': 1 << 20, 'K': 1 << 10, 'B': 1}[suf[0]]
+			t = strings.TrimSpace(strings.TrimSuffix(t, suf))
+			break
+		}
+	}
+	n, err := strconv.ParseInt(t, 10, 64)
+	return n, mult, err == nil && n >= 0
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -461,7 +462,8 @@ func (s *Store) Stats() Stats {
 
 // ParseSize parses a human byte-size flag value: a plain integer is bytes,
 // and the suffixes are binary multiples ("64K"/"64KiB"/"64KB" = 64·1024,
-// likewise M/G/T). "0" means unbounded.
+// likewise M/G/T). "0" means unbounded. A size that overflows int64 is an
+// error, never a wrapped value.
 func ParseSize(s string) (int64, error) {
 	t := strings.TrimSpace(strings.ToUpper(s))
 	if t == "" {
@@ -490,6 +492,9 @@ func ParseSize(s string) (int64, error) {
 	}
 	if n < 0 {
 		return 0, fmt.Errorf("store: negative size %q", s)
+	}
+	if n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("store: size %q overflows int64", s)
 	}
 	return n * mult, nil
 }
