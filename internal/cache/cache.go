@@ -2,7 +2,10 @@
 // simulated L1D caches (fully associative, per Table II) and L2 slices
 // (16-way). The cache is a pure state machine over line addresses — hit
 // latencies, MSHR timing and fill scheduling are orchestrated by the timing
-// model in internal/gpu, which keeps this package trivially testable.
+// model in internal/gpu, which keeps this package trivially testable. Each
+// resident line carries the cycle its fill completes, an opaque number the
+// timing model sets at Install and reads back from Load, so one probe
+// answers both "is the line here" and "has its data arrived".
 //
 // Internally the tag array is a preallocated node pool with int32 LRU links
 // plus one flatmap over all sets: no per-fill allocation, no pointer
@@ -47,10 +50,17 @@ func (s *Stats) Add(other Stats) {
 // nilNode terminates LRU chains and the freelist.
 const nilNode = int32(-1)
 
+// Line is a resident line: its address and the fill cycle it was
+// installed with.
+type Line struct {
+	Addr uint64
+	Fill uint64
+}
+
 // node is one resident line; prev/next are indices into Cache.nodes, which
 // doubles as the freelist chain (via next) when the node is unused.
 type node struct {
-	line       uint64
+	Line
 	prev, next int32
 	set        int32
 }
@@ -79,6 +89,9 @@ type Cache struct {
 func New(cfg Config) (*Cache, error) {
 	if cfg.LineBytes <= 0 || cfg.SizeBytes <= 0 {
 		return nil, fmt.Errorf("cache: non-positive size or line (%d, %d)", cfg.SizeBytes, cfg.LineBytes)
+	}
+	if cfg.LineBytes&(cfg.LineBytes-1) != 0 {
+		return nil, fmt.Errorf("cache: line %d not a power of two", cfg.LineBytes)
 	}
 	if cfg.SizeBytes%cfg.LineBytes != 0 {
 		return nil, fmt.Errorf("cache: size %d not a multiple of line %d", cfg.SizeBytes, cfg.LineBytes)
@@ -130,17 +143,17 @@ func (c *Cache) setOf(line uint64) int32 {
 }
 
 // Load probes the cache for the line containing addr, updating LRU order
-// and statistics. It reports whether the line was present; on a miss the
-// caller is responsible for fetching and later calling Install.
-func (c *Cache) Load(addr uint64) bool {
-	line := c.LineAddr(addr)
+// and statistics. It reports whether the line was present and, if so, the
+// fill cycle it was installed with; on a miss the caller is responsible for
+// fetching and later calling Install.
+func (c *Cache) Load(addr uint64) (fill uint64, hit bool) {
 	c.stats.LoadAccesses++
-	if ni, ok := c.table.Get(line); ok {
+	if ni, ok := c.table.Get(c.LineAddr(addr)); ok {
 		c.touch(int32(ni))
-		return true
+		return c.nodes[ni].Fill, true
 	}
 	c.stats.LoadMisses++
-	return false
+	return 0, false
 }
 
 // Store probes for a write-through store. Hits refresh LRU order; misses do
@@ -162,33 +175,33 @@ func (c *Cache) Contains(addr uint64) bool {
 	return ok
 }
 
-// Install places the line containing addr into its set as MRU, evicting the
-// LRU victim if the set is full. Installing a line already present just
-// refreshes it.
-func (c *Cache) Install(addr uint64) {
+// Install places the line containing addr into its set as MRU with the
+// given fill cycle. If the set is full it evicts the LRU victim and returns
+// it. Installing a line already present refreshes it and replaces its fill.
+func (c *Cache) Install(addr, fill uint64) (victim Line, evicted bool) {
 	line := c.LineAddr(addr)
 	if ni, ok := c.table.Get(line); ok {
+		c.nodes[ni].Fill = fill
 		c.touch(int32(ni))
-		return
+		return Line{}, false
 	}
 	si := c.setOf(line)
 	s := &c.sets[si]
-	if int(s.count) >= c.assoc {
-		victim := s.tail
-		c.unlink(victim)
-		c.table.Delete(c.nodes[victim].line)
-		c.stats.Evictions++
-		// Recycle the victim node directly.
-		c.nodes[victim] = node{line: line, set: si}
-		c.pushFront(victim)
-		c.table.Set(line, uint64(victim))
-		return
-	}
 	ni := c.free
-	c.free = c.nodes[ni].next
-	c.nodes[ni] = node{line: line, set: si}
+	if int(s.count) >= c.assoc {
+		// Recycle the victim node directly.
+		ni = s.tail
+		c.unlink(ni)
+		victim, evicted = c.nodes[ni].Line, true
+		c.table.Delete(victim.Addr)
+		c.stats.Evictions++
+	} else {
+		c.free = c.nodes[ni].next
+	}
+	c.nodes[ni] = node{Line: Line{Addr: line, Fill: fill}, set: si}
 	c.pushFront(ni)
 	c.table.Set(line, uint64(ni))
+	return victim, evicted
 }
 
 // Stats returns a copy of the counters.

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -20,6 +21,7 @@ func TestNewValidation(t *testing.T) {
 		{SizeBytes: 1024, LineBytes: 0},
 		{SizeBytes: 1000, LineBytes: 128},           // size not line multiple
 		{SizeBytes: 1024, LineBytes: 128, Assoc: 3}, // 8 lines not divisible by 3
+		{SizeBytes: 96 * 512, LineBytes: 96},        // LineAddr masks: line must be a power of two
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -38,14 +40,29 @@ func TestLineAddr(t *testing.T) {
 	}
 }
 
+// TestLineAddrNonPowerOfTwo pins why New rejects a 96-byte line: LineAddr
+// masks with LineBytes-1, which for 96 maps address 96 to line 32 and
+// address 64 to line 0, so distinct lines alias and lines straddle.
+func TestLineAddrNonPowerOfTwo(t *testing.T) {
+	if _, err := New(Config{SizeBytes: 96 * 512, LineBytes: 96}); err == nil ||
+		!strings.Contains(err.Error(), "power of two") {
+		t.Fatalf("96-byte line: err = %v, want a power-of-two error", err)
+	}
+	for _, line := range []int{1, 2, 64, 128, 256} {
+		if _, err := New(Config{SizeBytes: line * 8, LineBytes: line}); err != nil {
+			t.Errorf("%d-byte line rejected: %v", line, err)
+		}
+	}
+}
+
 func TestMissThenInstallThenHit(t *testing.T) {
 	c := mustNew(t, Config{SizeBytes: 1024, LineBytes: 128, Assoc: 2})
-	if c.Load(0x1000) {
+	if _, hit := c.Load(0x1000); hit {
 		t.Fatal("cold load hit")
 	}
-	c.Install(0x1000)
-	if !c.Load(0x1040) { // same line, different offset
-		t.Fatal("load after install missed")
+	c.Install(0x1000, 77)
+	if fill, hit := c.Load(0x1040); !hit || fill != 77 { // same line, different offset
+		t.Fatalf("load after install = (%d, %v), want (77, true)", fill, hit)
 	}
 	st := c.Stats()
 	if st.LoadAccesses != 2 || st.LoadMisses != 1 {
@@ -59,10 +76,12 @@ func TestLRUEviction(t *testing.T) {
 	// With 4 lines and 2-way assoc there are 2 sets; stride of
 	// 2*128 keeps addresses in set 0.
 	a, b, d := uint64(0), uint64(256), uint64(512)
-	c.Install(a)
-	c.Install(b)
+	c.Install(a, 1)
+	c.Install(b, 2)
 	c.Load(a) // a becomes MRU
-	c.Install(d)
+	if v, ok := c.Install(d, 3); !ok || v != (Line{Addr: b, Fill: 2}) {
+		t.Errorf("Install(d) evicted (%+v, %v), want b with its fill", v, ok)
+	}
 	if c.Contains(b) {
 		t.Error("LRU victim b survived")
 	}
@@ -78,14 +97,16 @@ func TestFullyAssociativeUsesWholeCapacity(t *testing.T) {
 	// Fully associative: any 8 distinct lines fit regardless of address.
 	c := mustNew(t, Config{SizeBytes: 8 * 128, LineBytes: 128, Assoc: 0})
 	for i := 0; i < 8; i++ {
-		c.Install(uint64(i) * 128 * 977) // scattered addresses
+		if _, ok := c.Install(uint64(i)*128*977, 0); ok { // scattered addresses
+			t.Fatalf("install %d evicted from a non-full cache", i)
+		}
 	}
 	for i := 0; i < 8; i++ {
 		if !c.Contains(uint64(i) * 128 * 977) {
 			t.Fatalf("line %d evicted from non-full fully-assoc cache", i)
 		}
 	}
-	c.Install(9 * 128 * 977)
+	c.Install(9*128*977, 0)
 	if c.Stats().Evictions != 1 {
 		t.Errorf("expected exactly one eviction, got %d", c.Stats().Evictions)
 	}
@@ -99,7 +120,7 @@ func TestStoreNoAllocate(t *testing.T) {
 	if c.Contains(0x2000) {
 		t.Error("store allocated a line")
 	}
-	c.Install(0x2000)
+	c.Install(0x2000, 0)
 	if !c.Store(0x2000) {
 		t.Error("store to resident line missed")
 	}
@@ -115,13 +136,12 @@ func TestStoreNoAllocate(t *testing.T) {
 
 func TestInstallIdempotent(t *testing.T) {
 	c := mustNew(t, Config{SizeBytes: 1024, LineBytes: 128, Assoc: 2})
-	c.Install(0x100)
-	c.Install(0x100)
-	if c.Stats().Evictions != 0 {
+	c.Install(0x100, 5)
+	if _, ok := c.Install(0x100, 9); ok || c.Stats().Evictions != 0 {
 		t.Error("double install evicted")
 	}
-	if !c.Contains(0x100) {
-		t.Error("line lost after double install")
+	if fill, hit := c.Load(0x100); !hit || fill != 9 {
+		t.Errorf("after double install Load = (%d, %v), want the second fill", fill, hit)
 	}
 }
 
@@ -146,9 +166,9 @@ func TestCapacityProperty(t *testing.T) {
 		resident := 0
 		for _, a := range addrs {
 			addr := uint64(a)
-			if !c.Load(addr) {
-				c.Install(addr)
-				if !c.Load(addr) {
+			if _, hit := c.Load(addr); !hit {
+				c.Install(addr, 0)
+				if _, hit := c.Load(addr); !hit {
 					return false
 				}
 			}
@@ -182,11 +202,11 @@ func TestLRUInclusionProperty(t *testing.T) {
 		}
 		for _, a := range addrs {
 			addr := uint64(a)
-			if !small.Load(addr) {
-				small.Install(addr)
+			if _, hit := small.Load(addr); !hit {
+				small.Install(addr, 0)
 			}
-			if !big.Load(addr) {
-				big.Install(addr)
+			if _, hit := big.Load(addr); !hit {
+				big.Install(addr, 0)
 			}
 			// Inclusion check.
 			included := true
@@ -212,8 +232,8 @@ func TestResetRestoresFreshState(t *testing.T) {
 	replay := func(c *Cache) Stats {
 		for i := 0; i < 200; i++ {
 			addr := uint64(i%23) * 64 * 3
-			if !c.Load(addr) {
-				c.Install(addr)
+			if _, hit := c.Load(addr); !hit {
+				c.Install(addr, uint64(i))
 			}
 			if i%7 == 0 {
 				c.Store(addr + 64)

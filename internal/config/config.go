@@ -212,6 +212,10 @@ func (c Config) Validate() error {
 	if c.L1DAssoc < 0 {
 		return fmt.Errorf("config %s: negative L1DAssoc", c.Name)
 	}
+	if c.LineBytes&(c.LineBytes-1) != 0 {
+		// Line addresses are taken by masking with LineBytes-1.
+		return fmt.Errorf("config %s: LineBytes %d not a power of two", c.Name, c.LineBytes)
+	}
 	if c.L1DBytes%c.LineBytes != 0 {
 		return fmt.Errorf("config %s: L1DBytes %d not a multiple of line size %d",
 			c.Name, c.L1DBytes, c.LineBytes)

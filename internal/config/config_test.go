@@ -119,6 +119,7 @@ func TestValidateCatchesBrokenConfigs(t *testing.T) {
 		{"zero SMs", func(c *Config) { c.NumSMs = 0 }},
 		{"zero warp size", func(c *Config) { c.WarpSize = 0 }},
 		{"L1 not line multiple", func(c *Config) { c.L1DBytes = 100 }},
+		{"line not a power of two", func(c *Config) { c.LineBytes, c.L1DBytes = 96, 96*512 }},
 		{"L2 indivisible", func(c *Config) { c.TotalL2Bytes = (3 << 20) + 1 }},
 		{"zero partitions", func(c *Config) { c.NumMemPartitions = 0 }},
 		{"negative row miss", func(c *Config) { c.DRAMRowMissLat = -1 }},

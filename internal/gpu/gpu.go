@@ -29,7 +29,6 @@ import (
 	"zatel/internal/cache"
 	"zatel/internal/config"
 	"zatel/internal/dram"
-	"zatel/internal/flatmap"
 	"zatel/internal/metrics"
 	"zatel/internal/noc"
 	"zatel/internal/rt"
@@ -208,7 +207,7 @@ func newSim(cfg config.Config, src rt.TraceSource) (*Sim, error) {
 		}
 		sim.mem.partitions = append(sim.mem.partitions, &partition{
 			l2:       l2,
-			l2Flight: flatmap.New(8 * cfg.L2MSHRs),
+			l2Flight: newEvictedFills(cfg.L2MSHRs),
 			channel:  ch,
 		})
 	}
@@ -227,7 +226,7 @@ func newSim(cfg config.Config, src rt.TraceSource) (*Sim, error) {
 			id:         i,
 			warps:      make([]warp, cfg.MaxWarpsPerSM),
 			l1:         l1,
-			l1Flight:   flatmap.New(8 * cfg.L1DMSHRs),
+			l1Flight:   newEvictedFills(cfg.L1DMSHRs),
 			l1MSHRs:    cfg.L1DMSHRs,
 			lastIssued: -1,
 			rt: rtUnit{
@@ -579,16 +578,14 @@ func (sim *Sim) loadLine(s *sm, addr uint64, now uint64) uint64 {
 	at := max(now, s.lsuNextFree)
 	s.lsuNextFree = at + 1
 
-	// Single flight-map probe; see l2Load for why this is exact.
-	fd, inFlight := s.l1Flight.Get(line)
-	if inFlight && fd <= at {
-		s.l1Flight.Delete(line)
-		inFlight = false
+	// One tag probe; see evictedFills for why this is exact.
+	fill, hit := s.l1.Load(line)
+	if !hit {
+		fill = s.l1Flight.get(line, at)
 	}
-	hit := s.l1.Load(line)
-	if inFlight {
+	if fill > at {
 		// Merged into an outstanding fill.
-		return max(fd, at+sim.l1Latency)
+		return max(fill, at+sim.l1Latency)
 	}
 	if hit {
 		return at + sim.l1Latency
@@ -605,13 +602,11 @@ func (sim *Sim) loadLine(s *sm, addr uint64, now uint64) uint64 {
 		start = max(start, m)
 	}
 	done := sim.mem.l2Load(s.id, line, start)
-	s.l1.Install(line)
-	s.l1Flight.Set(line, done)
+	if victim, ok := s.l1.Install(line, done); ok {
+		s.l1Flight.add(victim, at)
+	}
 	s.l1Done.push(done)
 	s.l1Out++
-	if s.l1Flight.Len() > 8*s.l1MSHRs {
-		s.l1Flight.DeleteIf(func(_, v uint64) bool { return v <= at })
-	}
 	return done
 }
 

@@ -88,14 +88,39 @@ func (h *minHeap[K, V]) up(i uint, k K, v V) {
 // climbs back toward top while the parent is not smaller. The entries it
 // passes return to where they were, so the result is the top-down sift's.
 //
-// Which child is smaller is a coin flip the branch predictor loses half the
-// time, so the walk computes the step as a 0/1 offset (a SETcc, not a jump)
-// and reloads the chosen key from L1.
+// The walk is a chain of dependent loads: which child's children to read
+// next depends on the comparison just made. Where both levels below the
+// hole are full, it reads both children and all four grandchildren at
+// once, picks along the path the one-level walk would take, and moves the
+// hole two levels; the ragged bottom falls back to one level per step.
+// Which child is smaller is a coin flip the branch predictor loses half
+// the time, so each pick is a 0/1 offset (a SETcc, not a jump).
 func (h *minHeap[K, V]) down(top uint, k K, v V) {
 	keys := h.keys
 	vals := h.vals[:len(keys)]
 	n := uint(len(keys))
 	i := top
+	for g := 4*i + 3; g+3 < n; g = 4*i + 3 {
+		c := 2*i + 1
+		c0, c1 := keys[c], keys[c+1]
+		g0, g1, g2, g3 := keys[g], keys[g+1], keys[g+2], keys[g+3]
+		right := uint(0)
+		if c1 < c0 {
+			right = 1
+		}
+		if right != 0 { // a CMOV: loading g2, g3 here would compile to a jump
+			g0, g1 = g2, g3
+		}
+		below := uint(0)
+		if g1 < g0 {
+			below = 1
+		}
+		c += right
+		g += 2*right + below
+		keys[i], vals[i] = keys[c], vals[c]
+		keys[c], vals[c] = keys[g], vals[g]
+		i = g
+	}
 	for {
 		c := 2*i + 1
 		if c+1 >= n {

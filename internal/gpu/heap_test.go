@@ -104,7 +104,10 @@ func (o *heapOracle) step(op string) {
 // TestEventHeapMatchesReference replays random interleavings of pushes and
 // pops, each round with its own cycle window (1 to 12) and push share, and
 // requires the same pops and the same array as the reference after every
-// operation.
+// operation. Three more rounds keep at least 1 000 events live in a 1- to
+// 3-cycle window, as a full RTX 2060 does (about 2 200): then nearly every
+// pop ties, and its descent takes the two-level step down to the last full
+// level and the one-level fallback below it.
 func TestEventHeapMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 60; round++ {
@@ -113,6 +116,22 @@ func TestEventHeapMatchesReference(t *testing.T) {
 		pushShare := 40 + rng.Intn(25) // percent; above 50 the heap grows
 		for i := 0; i < 4000; i++ {
 			if rng.Intn(100) < pushShare {
+				o.push(uint64(rng.Intn(window)))
+			} else {
+				o.pop()
+			}
+		}
+		for o.ref.len() > 0 {
+			o.pop()
+		}
+	}
+	for window := 1; window <= 3; window++ {
+		o := heapOracle{t: t}
+		for o.ref.len() < 1200 {
+			o.push(uint64(rng.Intn(window)))
+		}
+		for i := 0; i < 4000; i++ {
+			if o.ref.len() <= 1000 || rng.Intn(2) == 0 {
 				o.push(uint64(rng.Intn(window)))
 			} else {
 				o.pop()
@@ -131,6 +150,16 @@ func FuzzEventHeapOrder(f *testing.F) {
 	f.Add([]byte{0, 0xff, 0xff, 0xff, 0x00, 0xff, 0x00, 0x00})
 	f.Add([]byte{3, 0x80, 0x91, 0xa2, 0xb3, 0xc4, 0x10, 0xd5, 0x20, 0xe6, 0x30, 0x40, 0x50})
 	f.Add([]byte{11, 0xfe, 0xfd, 0xfc, 0xfb, 0xfa, 0xf9, 0xf8, 0xf7, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06})
+	// 40 pushes over a 3-cycle window fill five levels; then pops and pushes
+	// alternate, so pops descend by two levels and finish at the ragged one.
+	deep := []byte{2}
+	for i := byte(0); i < 40; i++ {
+		deep = append(deep, 0x60+i)
+	}
+	for i := byte(0); i < 20; i++ {
+		deep = append(deep, i, 0x60+3*i)
+	}
+	f.Add(deep)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

@@ -3,7 +3,6 @@ package gpu
 import (
 	"zatel/internal/cache"
 	"zatel/internal/config"
-	"zatel/internal/flatmap"
 	"zatel/internal/rt"
 )
 
@@ -60,7 +59,7 @@ type sm struct {
 	lastIssued int32
 
 	l1       *cache.Cache
-	l1Flight *flatmap.Map // line -> data-arrival cycle
+	l1Flight evictedFills
 	l1MSHRs  int
 	// l1Done/l1Out track MSHR occupancy: l1Out fills are outstanding and
 	// l1Done holds their completion cycles.
@@ -95,7 +94,7 @@ func (s *sm) reset() {
 	s.ready.clear()
 	s.lastIssued = -1
 	s.l1.Reset()
-	s.l1Flight.Clear()
+	s.l1Flight.reset()
 	s.l1Done.clear()
 	s.l1Out = 0
 	s.lsuNextFree = 0
