@@ -22,7 +22,8 @@ for ex in quickstart archcompare budgetplanner; do
 	go run "./examples/$ex" >/dev/null
 done
 
-# Docs lint: every package documented. (That OPERATIONS.md's metric tables
+# Docs lint: every package documented, and every Test/Benchmark/Fuzz name
+# the user-facing docs mention defined. (That OPERATIONS.md's metric tables
 # match the declared series is TestOperationsMetricTables, run above.)
 ./scripts/lint_docs.sh
 

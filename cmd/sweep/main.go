@@ -8,7 +8,7 @@
 //	      [-cpuprofile cpu.pprof] [-memprofile mem.pprof] <experiment>
 //
 // Experiments: fig10 fig11 table3 fig13 fig14 fig15 fig16 fig17 fig18
-// fig19 fig20 all
+// fig19 fig20 ablations all
 //
 // Fault-injection flags (-inject-*) soak the experiment grids: failed
 // cells render as ERR, degraded predictions are marked †, and SIGINT
@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -67,7 +68,7 @@ func main() {
 	names := []string{strings.ToLower(flag.Arg(0))}
 	if names[0] == "all" {
 		names = []string{"fig10", "fig11", "table3", "fig13", "fig14",
-			"fig15", "fig16", "fig17", "fig18", "fig19", "fig20"}
+			"fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "ablations"}
 	}
 	for _, name := range names {
 		if err := runExperiment(name, settings, cfg, *reps); err != nil {
@@ -92,25 +93,20 @@ var (
 
 func runExperiment(name string, s experiments.Settings, cfg config.Config, reps int) error {
 	out := os.Stdout
+	// show renders a driver's table, or passes its error on.
+	show := func(r interface{ Render(io.Writer) }, err error) error {
+		if err == nil {
+			r.Render(out)
+		}
+		return err
+	}
 	switch name {
 	case "fig10":
-		r, err := experiments.Fig10(s)
-		if err != nil {
-			return err
-		}
-		r.Render(out)
+		return show(experiments.Fig10(s))
 	case "fig11":
-		r, err := experiments.Fig11(s)
-		if err != nil {
-			return err
-		}
-		r.Render(out)
+		return show(experiments.Fig11(s))
 	case "table3":
-		r, err := experiments.Table3(s, cfg, reps)
-		if err != nil {
-			return err
-		}
-		r.Render(out)
+		return show(experiments.Table3(s, cfg, reps))
 	case "fig13", "fig14", "fig15", "fig16":
 		if sweepCache == nil {
 			r, err := experiments.PercentSweep(s, cfg, nil)
@@ -152,11 +148,9 @@ func runExperiment(name string, s experiments.Settings, cfg config.Config, reps 
 			downscaleAll.RenderSpeedup(out)
 		}
 	case "fig20":
-		r, err := experiments.Fig20(s, cfg, nil)
-		if err != nil {
-			return err
-		}
-		r.Render(out)
+		return show(experiments.Fig20(s, cfg, nil))
+	case "ablations":
+		return show(experiments.Ablations(s))
 	default:
 		usage()
 	}
@@ -164,7 +158,7 @@ func runExperiment(name string, s experiments.Settings, cfg config.Config, reps 
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: sweep [flags] <fig10|fig11|table3|fig13|fig14|fig15|fig16|fig17|fig18|fig19|fig20|all>")
+	fmt.Fprintln(os.Stderr, "usage: sweep [flags] <fig10|fig11|table3|fig13|fig14|fig15|fig16|fig17|fig18|fig19|fig20|ablations|all>")
 	flag.PrintDefaults()
 	os.Exit(2)
 }

@@ -102,9 +102,9 @@ func TestRTWorkCharged(t *testing.T) {
 
 func TestAnalyticOnRealWorkload(t *testing.T) {
 	// The model must produce finite, positive predictions on a real
-	// traced scene; accuracy against the cycle-level simulator is
-	// evaluated in the baseline benchmark, where high error is the
-	// expected (and paper-matching) outcome.
+	// traced scene; accuracy against the cycle-level simulator is the
+	// analytic row of `sweep ablations`, where high error is the expected
+	// (and paper-matching) outcome.
 	wl, err := rt.CachedWorkload("SPRNG", 48, 48, 1)
 	if err != nil {
 		t.Fatal(err)

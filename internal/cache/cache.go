@@ -85,24 +85,37 @@ type Cache struct {
 	sets  []lruSet
 }
 
-// New validates cfg and returns an empty cache.
-func New(cfg Config) (*Cache, error) {
+// Validate checks that cfg describes a whole number of lines of a
+// power-of-two size, split into whole sets.
+func (cfg Config) Validate() error {
 	if cfg.LineBytes <= 0 || cfg.SizeBytes <= 0 {
-		return nil, fmt.Errorf("cache: non-positive size or line (%d, %d)", cfg.SizeBytes, cfg.LineBytes)
+		return fmt.Errorf("cache: non-positive size or line (%d, %d)", cfg.SizeBytes, cfg.LineBytes)
 	}
 	if cfg.LineBytes&(cfg.LineBytes-1) != 0 {
-		return nil, fmt.Errorf("cache: line %d not a power of two", cfg.LineBytes)
+		// Line addresses are taken by masking with LineBytes-1.
+		return fmt.Errorf("cache: line %d not a power of two", cfg.LineBytes)
 	}
 	if cfg.SizeBytes%cfg.LineBytes != 0 {
-		return nil, fmt.Errorf("cache: size %d not a multiple of line %d", cfg.SizeBytes, cfg.LineBytes)
+		return fmt.Errorf("cache: size %d not a multiple of line %d", cfg.SizeBytes, cfg.LineBytes)
+	}
+	if cfg.Assoc < 0 {
+		return fmt.Errorf("cache: negative associativity %d", cfg.Assoc)
+	}
+	if numLines := cfg.SizeBytes / cfg.LineBytes; cfg.Assoc > 0 && numLines%cfg.Assoc != 0 {
+		return fmt.Errorf("cache: %d lines not divisible by associativity %d", numLines, cfg.Assoc)
+	}
+	return nil
+}
+
+// New validates cfg and returns an empty cache.
+func New(cfg Config) (*Cache, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	numLines := cfg.SizeBytes / cfg.LineBytes
 	assoc := cfg.Assoc
 	if assoc == 0 {
 		assoc = numLines // fully associative
-	}
-	if numLines%assoc != 0 {
-		return nil, fmt.Errorf("cache: %d lines not divisible by associativity %d", numLines, assoc)
 	}
 	c := &Cache{
 		cfg:     cfg,

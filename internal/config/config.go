@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strings"
 
+	"zatel/internal/cache"
 	"zatel/internal/store"
 )
 
@@ -159,6 +160,16 @@ func (c Config) L2BytesPerPartition() int {
 	return c.TotalL2Bytes / c.NumMemPartitions
 }
 
+// L1D returns the geometry of each SM's L1 data cache.
+func (c Config) L1D() cache.Config {
+	return cache.Config{SizeBytes: c.L1DBytes, LineBytes: c.LineBytes, Assoc: c.L1DAssoc}
+}
+
+// L2Slice returns the geometry of each memory partition's L2 slice.
+func (c Config) L2Slice() cache.Config {
+	return cache.Config{SizeBytes: c.L2BytesPerPartition(), LineBytes: c.LineBytes, Assoc: c.L2Assoc}
+}
+
 // DRAMBytesPerCoreCycle returns the peak per-partition DRAM bandwidth
 // expressed in bytes per core clock cycle (DDR transfers two bus widths per
 // memory clock).
@@ -188,12 +199,9 @@ func (c Config) Validate() error {
 		{"RTBoxCycles", c.RTBoxCycles},
 		{"RTTriCycles", c.RTTriCycles},
 		{"RTRaysPerCycle", c.RTRaysPerCycle},
-		{"L1DBytes", c.L1DBytes},
 		{"L1DLatency", c.L1DLatency},
 		{"L1DMSHRs", c.L1DMSHRs},
-		{"LineBytes", c.LineBytes},
 		{"NumMemPartitions", c.NumMemPartitions},
-		{"TotalL2Bytes", c.TotalL2Bytes},
 		{"L2Assoc", c.L2Assoc},
 		{"L2Latency", c.L2Latency},
 		{"L2MSHRs", c.L2MSHRs},
@@ -209,20 +217,16 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
-	if c.L1DAssoc < 0 {
-		return fmt.Errorf("config %s: negative L1DAssoc", c.Name)
-	}
-	if c.LineBytes&(c.LineBytes-1) != 0 {
-		// Line addresses are taken by masking with LineBytes-1.
-		return fmt.Errorf("config %s: LineBytes %d not a power of two", c.Name, c.LineBytes)
-	}
-	if c.L1DBytes%c.LineBytes != 0 {
-		return fmt.Errorf("config %s: L1DBytes %d not a multiple of line size %d",
-			c.Name, c.L1DBytes, c.LineBytes)
-	}
 	if c.TotalL2Bytes%c.NumMemPartitions != 0 {
 		return fmt.Errorf("config %s: L2 %dB does not divide across %d partitions",
 			c.Name, c.TotalL2Bytes, c.NumMemPartitions)
+	}
+	// The caches' own rule, so that gpu.Run cannot reject what passes here.
+	if err := c.L1D().Validate(); err != nil {
+		return fmt.Errorf("config %s: L1D: %w", c.Name, err)
+	}
+	if err := c.L2Slice().Validate(); err != nil {
+		return fmt.Errorf("config %s: L2 slice: %w", c.Name, err)
 	}
 	if c.DRAMRowMissLat < 0 {
 		return fmt.Errorf("config %s: negative DRAMRowMissLat", c.Name)

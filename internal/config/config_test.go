@@ -1,6 +1,11 @@
 package config
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"zatel/internal/store"
+)
 
 func TestTableIIValues(t *testing.T) {
 	soc := MobileSoC()
@@ -124,6 +129,12 @@ func TestValidateCatchesBrokenConfigs(t *testing.T) {
 		{"zero partitions", func(c *Config) { c.NumMemPartitions = 0 }},
 		{"negative row miss", func(c *Config) { c.DRAMRowMissLat = -1 }},
 		{"zero mem clock", func(c *Config) { c.MemClockMHz = 0 }},
+		{"negative L1 associativity", func(c *Config) { c.L1DAssoc = -1 }},
+		// Each passed before the caches' own rule ran here, and failed
+		// later inside gpu.Run.
+		{"L2 slice not line multiple", func(c *Config) { c.TotalL2Bytes = 4 * 1000 }},
+		{"L2 sets indivisible", func(c *Config) { c.L2Assoc = 5 }},
+		{"L1 sets indivisible", func(c *Config) { c.L1DAssoc = 5 }},
 	}
 	for _, tc := range cases {
 		c := MobileSoC()
@@ -157,5 +168,31 @@ func TestGCD(t *testing.T) {
 func TestSchedulerString(t *testing.T) {
 	if GTO.String() != "gto" || RoundRobin.String() != "rr" {
 		t.Error("scheduler names wrong")
+	}
+}
+
+// TestKeyToCoversEveryField: references are stored under KeyTo's digest,
+// so a field KeyTo skipped would let two configs that simulate differently
+// (an ablation's variant, say) share one reference.
+func TestKeyToCoversEveryField(t *testing.T) {
+	digest := func(c Config) store.Digest { return c.KeyTo(store.NewKey("test")).Digest() }
+	base := MobileSoC()
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		c := base
+		f := reflect.ValueOf(&c).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString(f.String() + "x")
+		case reflect.Int:
+			f.SetInt(f.Int() + 1)
+		case reflect.Uint8:
+			f.SetUint(f.Uint() + 1)
+		default:
+			t.Fatalf("field %s: kind %s not perturbed", typ.Field(i).Name, f.Kind())
+		}
+		if digest(c) == digest(base) {
+			t.Errorf("KeyTo ignores field %s", typ.Field(i).Name)
+		}
 	}
 }

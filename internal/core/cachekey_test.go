@@ -67,7 +67,7 @@ func TestCacheKeyExecutionStrategyInvariant(t *testing.T) {
 func TestCacheKeySamplingNormalised(t *testing.T) {
 	base := Options{Config: config.MobileSoC(), Scene: "PARK"}
 	variant := base
-	variant.Sampling = SamplingOptions{Replicates: 9, Confidence: 0.99, MaxRounds: 7, Growth: 3}
+	variant.Sampling = SamplingOptions{Replicates: 9, Confidence: 0.99, MaxRounds: 7}
 	if base.CacheKey() != variant.CacheKey() {
 		t.Error("sampling knobs split the cache for a point-estimate strategy")
 	}
@@ -94,7 +94,6 @@ func TestCacheKeySensitivity(t *testing.T) {
 		"replicates":  func(o *Options) { o.Dist = sampling.Stratified; o.Sampling.Replicates = 8 },
 		"confidence":  func(o *Options) { o.Dist = sampling.Stratified; o.Sampling.Confidence = 0.99 },
 		"rounds":      func(o *Options) { o.Dist = sampling.Stratified; o.Sampling.MaxRounds = 6 },
-		"growth":      func(o *Options) { o.Dist = sampling.Stratified; o.Sampling.Growth = 2 },
 		"targetci":    func(o *Options) { o.Dist = sampling.Stratified; o.TargetCIHalfWidth = 0.05 },
 	}
 	seen := map[store.Digest]string{base.CacheKey(): "base"}

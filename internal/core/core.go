@@ -102,10 +102,10 @@ type Options struct {
 	// are validated for every strategy.
 	Sampling SamplingOptions
 	// TargetCIHalfWidth, when positive, enables adaptive sample sizing:
-	// each group re-draws a Sampling.Growth-times-larger subset per round
-	// until every metric's relative CI half-width (half-width divided by
-	// |mean|) is at most this target, bounded by MaxFraction and
-	// Sampling.MaxRounds. Requires a replicated strategy.
+	// each group re-draws a 1.5-times-larger subset per round until every
+	// metric's relative CI half-width (half-width divided by |mean|) is at
+	// most this target, bounded by MaxFraction and Sampling.MaxRounds.
+	// Requires a replicated strategy.
 	TargetCIHalfWidth float64
 	// FixedFraction forces each group to trace exactly this fraction
 	// (0 = use Eq. 1). When MaxFraction is also set, FixedFraction may
@@ -161,10 +161,10 @@ type SamplingOptions struct {
 	// set (default 4); the last round's interval stands even if the target
 	// was not met (GroupRun.TargetMet reports which).
 	MaxRounds int
-	// Growth multiplies the traced fraction between adaptive rounds
-	// (default 1.5).
-	Growth float64
 }
+
+// roundGrowth multiplies the traced fraction between adaptive rounds.
+const roundGrowth = 1.5
 
 // artifactStore resolves the store the prediction's stage hooks use.
 func (o *Options) artifactStore() *store.Store {
@@ -274,9 +274,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.Sampling.MaxRounds == 0 {
 		o.Sampling.MaxRounds = 4
-	}
-	if o.Sampling.Growth == 0 {
-		o.Sampling.Growth = 1.5
 	}
 }
 
@@ -440,9 +437,6 @@ func (o *Options) validate() error {
 	}
 	if o.Sampling.MaxRounds < 1 {
 		return fmt.Errorf("core: Sampling.MaxRounds %d < 1", o.Sampling.MaxRounds)
-	}
-	if o.Sampling.Growth <= 1 {
-		return fmt.Errorf("core: Sampling.Growth %v must exceed 1", o.Sampling.Growth)
 	}
 	if o.K < 0 {
 		return fmt.Errorf("core: negative downscaling factor %d", o.K)
@@ -753,9 +747,12 @@ func (o Options) CacheKey() store.Digest {
 	o.fillDefaults()
 	// The sampling knobs only influence replicated strategies; normalise
 	// them away otherwise so irrelevant settings don't split the cache.
+	// The growth constant is still written, so that keys keep their bytes.
+	growth := roundGrowth
 	if !o.Dist.Replicated() {
 		o.Sampling = SamplingOptions{}
 		o.TargetCIHalfWidth = 0
+		growth = 0
 	}
 	k := store.NewKey("predict/v2")
 	k.Str("scene", o.Scene).Int("w", o.Width).Int("h", o.Height).Int("spp", o.SPP)
@@ -764,7 +761,7 @@ func (o Options) CacheKey() store.Digest {
 	k.Int("cw", o.ChunkW).Int("ch", o.ChunkH).Int("bw", o.BlockW).Int("bh", o.BlockH)
 	k.Int("q", o.QuantLevels).Int("dist", int(o.Dist))
 	k.Int("reps", o.Sampling.Replicates).Float("conf", o.Sampling.Confidence)
-	k.Int("rounds", o.Sampling.MaxRounds).Float("growth", o.Sampling.Growth)
+	k.Int("rounds", o.Sampling.MaxRounds).Float("growth", growth)
 	k.Float("targetci", o.TargetCIHalfWidth)
 	k.Float("frac", o.FixedFraction).Float("maxfrac", o.MaxFraction)
 	k.Bool("single", o.SingleGroup).Bool("regr", o.Regression)
@@ -811,7 +808,7 @@ var regressionFracs = [3]float64{0.2, 0.3, 0.4}
 // simulator once per selection, and extrapolates: linearly, by the
 // exponential fit with its linear fallback, or into Student-t intervals
 // from the replicate spread. Only a replicated strategy with a CI target
-// runs another round, at a Sampling.Growth-times larger fraction, until
+// runs another round, at a roundGrowth-times larger fraction, until
 // every metric's relative half-width meets the target, the fraction hits
 // MaxFraction or Sampling.MaxRounds is exhausted. All draws derive from
 // (Seed, group index, round), so retries and re-runs are byte-identical.
@@ -888,7 +885,7 @@ func simulateGroup(wl *rt.Workload, cfg config.Config, quant *heatmap.Quantized,
 			run.TargetMet = opts.TargetCIHalfWidth == 0 ||
 				run.Intervals.MaxRelHalfWidth() <= opts.TargetCIHalfWidth
 			if !run.TargetMet && round < opts.Sampling.MaxRounds && frac < maxFrac {
-				frac = min(frac*opts.Sampling.Growth, maxFrac)
+				frac = min(frac*roundGrowth, maxFrac)
 				continue
 			}
 		}

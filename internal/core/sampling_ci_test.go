@@ -239,11 +239,6 @@ func TestReplicatedValidation(t *testing.T) {
 	if _, err := Predict(opts); err == nil {
 		t.Error("untabulated confidence accepted")
 	}
-	opts = replicatedOpts("PARK", sampling.RankedSet)
-	opts.Sampling.Growth = 0.5
-	if _, err := Predict(opts); err == nil {
-		t.Error("shrinking growth factor accepted")
-	}
 }
 
 // TestReplicatedPredictionsStayAccurate keeps the new estimators honest

@@ -1,8 +1,8 @@
 // Package experiments contains the drivers that regenerate every table and
 // figure of the paper's evaluation (Section IV). Each driver returns a
 // typed result with a Render method that prints the same rows/series the
-// paper reports; cmd/sweep exposes them as subcommands and bench_test.go
-// wraps them in testing.B benchmarks.
+// paper reports; cmd/sweep exposes each as one subcommand, the one way to
+// regenerate the evaluation.
 package experiments
 
 import (
@@ -23,7 +23,7 @@ import (
 )
 
 // Settings hold the frame parameters shared by all experiments. The paper
-// evaluates at 512×512 with 2 samples per pixel; the default here is
+// evaluates at 512×512 with 2 samples per pixel; cmd/sweep's default is
 // 256×256 with 1 spp so the full suite reruns in tens of minutes on one
 // CPU core while both Table II GPUs still execute multiple warp waves
 // (the regime Zatel's linear extrapolation assumes — see DESIGN.md).
@@ -55,9 +55,6 @@ type Settings struct {
 	Sampling core.SamplingOptions
 	TargetCI float64
 }
-
-// Default returns the evaluation default (256×256, 1 spp).
-func Default() Settings { return Settings{Width: 256, Height: 256, SPP: 1} }
 
 // Small returns a reduced setting for smoke tests.
 func Small() Settings { return Settings{Width: 48, Height: 48, SPP: 1} }

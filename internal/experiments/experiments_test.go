@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,18 +15,15 @@ import (
 
 // The drivers are exercised at Small() settings: the point is that every
 // experiment runs end to end, produces finite numbers and renders its
-// table; the paper-scale numbers are produced by cmd/sweep and the
-// benchmarks.
+// table; the paper-scale numbers are produced by cmd/sweep (EXPERIMENTS.md
+// records them).
 
 func TestSettingsValidate(t *testing.T) {
 	if err := (Settings{}).validate(); err == nil {
 		t.Error("zero settings accepted")
 	}
-	if err := Default().validate(); err != nil {
+	if err := Small().validate(); err != nil {
 		t.Error(err)
-	}
-	if Default().Width != 256 || Default().SPP != 1 {
-		t.Error("default settings changed")
 	}
 }
 
@@ -242,5 +240,43 @@ func TestFig20Small(t *testing.T) {
 	res.Render(&buf)
 	if !strings.Contains(buf.String(), "Fig. 20") {
 		t.Error("render missing header")
+	}
+}
+
+func TestAblationsSmall(t *testing.T) {
+	s := Small()
+	s.Workers = 1
+	res, err := Ablations(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 4 {
+		t.Fatalf("%d rows, want 4", len(res.Rows))
+	}
+	for _, row := range res.Rows {
+		for _, c := range []AblationCell{row.Choice, row.Alt} {
+			if c.Err != "" || c.Label == "" || !(c.Value > 0) || math.IsInf(c.Value, 0) {
+				t.Errorf("%s: cell %+v not populated", row.Name, c)
+			}
+		}
+	}
+	// Section IV-B: the analytical model misses by far more than Zatel.
+	if an := res.Rows[3]; an.Alt.Value <= an.Choice.Value {
+		t.Errorf("analytic MAE %.1f%% not above Zatel's %.1f%%", an.Alt.Value, an.Choice.Value)
+	}
+	var buf bytes.Buffer
+	res.Render(&buf)
+	for _, want := range []string{"Scheduler", "RT MSHR", "L2 split bias", "Analytic baseline", "pool:"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("render missing %q", want)
+		}
+	}
+	s.Workers = 4
+	par, err := Ablations(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(par.Rows, res.Rows) {
+		t.Errorf("rows differ across pool sizes:\n1: %+v\n4: %+v", res.Rows, par.Rows)
 	}
 }

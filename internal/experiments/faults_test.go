@@ -68,6 +68,27 @@ func TestFig10RendersFailedConfigs(t *testing.T) {
 	}
 }
 
+func TestAblationsRendersFailedCells(t *testing.T) {
+	r, err := Ablations(soaked())
+	if err != nil {
+		t.Fatalf("total injection aborted the ablations: %v", err)
+	}
+	// The full simulations are references, which injection spares; the
+	// split-L2 and Zatel cells are predictions.
+	for _, c := range []AblationCell{r.Rows[2].Alt, r.Rows[3].Choice} {
+		if c.Err == "" {
+			t.Errorf("%s cell survived rate-1 injection", c.Label)
+		}
+	}
+	var buf bytes.Buffer
+	r.Render(&buf)
+	for _, want := range []string{"ERR", "failed after retries"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("render missing %q", want)
+		}
+	}
+}
+
 func TestFig20RendersFailedScenes(t *testing.T) {
 	r, err := Fig20(soaked(), config.MobileSoC(), []string{"PARK"})
 	if err != nil {

@@ -187,11 +187,7 @@ func newSim(cfg config.Config, src rt.TraceSource) (*Sim, error) {
 		l2TagLat:  uint64(cfg.L2Latency) / 4,
 	}
 	for p := 0; p < cfg.NumMemPartitions; p++ {
-		l2, err := cache.New(cache.Config{
-			SizeBytes: cfg.L2BytesPerPartition(),
-			LineBytes: cfg.LineBytes,
-			Assoc:     cfg.L2Assoc,
-		})
+		l2, err := cache.New(cfg.L2Slice())
 		if err != nil {
 			return nil, err
 		}
@@ -214,11 +210,7 @@ func newSim(cfg config.Config, src rt.TraceSource) (*Sim, error) {
 
 	sim.activeSMs = make([]int32, 0, cfg.NumSMs)
 	for i := 0; i < cfg.NumSMs; i++ {
-		l1, err := cache.New(cache.Config{
-			SizeBytes: cfg.L1DBytes,
-			LineBytes: cfg.LineBytes,
-			Assoc:     cfg.L1DAssoc,
-		})
+		l1, err := cache.New(cfg.L1D())
 		if err != nil {
 			return nil, err
 		}
