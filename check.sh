@@ -11,9 +11,10 @@ go vet ./...
 go build ./...
 go test -race -timeout 10m ./...
 
-# Simulator benchmark, one iteration per configuration, so it keeps building
-# and running; the timings it prints are not checked here.
+# Simulator and step-1 benchmarks, one iteration each, so they keep
+# building and running; the timings they print are not checked here.
 go test -run '^$' -bench BenchmarkRun -benchtime 1x ./internal/gpu
+go test -run '^$' -bench BenchmarkBuildWorkload -benchtime 1x ./internal/rt
 
 # The examples call core.Predict and core.Reference end to end, so running
 # them (a few hundred milliseconds each) keeps the documented entry points

@@ -85,11 +85,8 @@ func TestBiggerGPUFewerCycles(t *testing.T) {
 func TestRTWorkCharged(t *testing.T) {
 	traces := make([]rt.ThreadTrace, 64)
 	for i := range traces {
-		traces[i] = rt.ThreadTrace{
-			Ops:   []rt.Op{{Kind: rt.OpTrace, Arg: 0}},
-			Rays:  []rt.RayTrace{{End: 2}},
-			Steps: []uint32{rt.PackStep(1, 0), rt.PackStep(2, 4)},
-		}
+		traces[i] = rt.ThreadTrace{Ops: []rt.Op{{Kind: rt.OpTrace, Arg: 0}}}
+		traces[i].AppendRay(rt.RayPrimary, rt.PackStep(1, 0), rt.PackStep(2, 4))
 	}
 	p, err := Predict(config.MobileSoC(), traces)
 	if err != nil {

@@ -140,10 +140,10 @@ func TestIntersectMatchesBruteForce(t *testing.T) {
 		cam := s.Cam
 		cam.Finalize(1)
 		rng := vecmath.NewRNG(99)
-		var steps []uint32
+		var rec Recorder
 		for i := 0; i < 300; i++ {
 			r := cam.Ray(rng.Float32(), rng.Float32())
-			hit, ok := b.IntersectPacked(r, &steps)
+			hit, ok := b.IntersectPacked(r, &rec)
 			wantT, want := closest(s, r)
 			if ok != want {
 				t.Fatalf("%s ray %d: bvh ok=%v brute=%v", name, i, ok, want)
@@ -209,15 +209,15 @@ func TestIntersectAnyAgreesWithIntersect(t *testing.T) {
 	cam := s.Cam
 	cam.Finalize(1)
 	rng := vecmath.NewRNG(123)
-	var steps []uint32
+	var rec Recorder
 	for i := 0; i < 500; i++ {
 		r := cam.Ray(rng.Float32(), rng.Float32())
 		if i%2 == 1 {
 			// Shorten every other ray so some blockers fall outside it.
 			r.TMax = 1 + 4*rng.Float32()
 		}
-		_, full := b.IntersectPacked(r, &steps)
-		any := b.IntersectAnyPacked(r, &steps)
+		_, full := b.IntersectPacked(r, &rec)
+		any := b.IntersectAnyPacked(r, &rec)
 		_, want := closest(s, r)
 		if full != any || any != want {
 			t.Fatalf("ray %d: IntersectPacked=%v IntersectAnyPacked=%v brute=%v", i, full, any, want)
@@ -225,32 +225,52 @@ func TestIntersectAnyAgreesWithIntersect(t *testing.T) {
 	}
 }
 
-// Recorded steps name real nodes with their true triangle-test counts, and
-// re-tracing a ray records the same sequence.
+// decodeRay decodes one ray's step words into PackStep form.
+func decodeRay(words []uint16) []uint32 {
+	var steps []uint32
+	prev := int32(0)
+	for i := 0; i < len(words); {
+		var tests int32
+		prev, tests, i = DecodeStep(words, i, prev)
+		steps = append(steps, PackStep(prev, tests))
+	}
+	return steps
+}
+
+// Recorded steps name real nodes with their true triangle-test counts, the
+// recorder's totals count them, and re-tracing a ray records the same
+// sequence.
 func TestVisitStepsConsistent(t *testing.T) {
 	_, b := buildScene(t, "BUNNY")
 	r := vecmath.NewRay(vecmath.V(0, 0.8, -1.2), vecmath.V(0.02, 0.02, 1).Norm())
-	var steps []uint32
-	_, _ = b.IntersectPacked(r, &steps)
+	var rec Recorder
+	_, _ = b.IntersectPacked(r, &rec)
+	steps := decodeRay(rec.Words)
 	if len(steps) == 0 {
 		t.Fatal("no steps recorded for a ray aimed at the bunny")
 	}
+	var tris uint64
 	for _, st := range steps {
 		ni, tests := UnpackStep(st)
 		if n := &b.Nodes[ni]; tests != n.TriCount {
 			t.Errorf("node %d (leaf %v) tested %d of %d tris", ni, n.Leaf(), tests, n.TriCount)
 		}
+		tris += uint64(tests)
 	}
-	again := []uint32{}
+	if rec.Steps != uint64(len(steps)) || rec.Tests != tris {
+		t.Errorf("recorder counted %d steps and %d tests, its words hold %d and %d", rec.Steps, rec.Tests, len(steps), tris)
+	}
+	var again Recorder
 	_, _ = b.IntersectPacked(r, &again)
-	if !slices.Equal(steps, again) {
-		t.Fatalf("re-traversal recorded %v, first %v", again, steps)
+	if !slices.Equal(rec.Words, again.Words) {
+		t.Fatalf("re-traversal recorded %v, first %v", again.Words, rec.Words)
 	}
-	var shadow []uint32
+	var shadow Recorder
 	if !b.IntersectAnyPacked(r, &shadow) {
 		t.Fatal("shadow query missed the bunny")
 	}
-	last, tests := UnpackStep(shadow[len(shadow)-1])
+	ss := decodeRay(shadow.Words)
+	last, tests := UnpackStep(ss[len(ss)-1])
 	if n := &b.Nodes[last]; !n.Leaf() || tests < 1 || tests > n.TriCount {
 		t.Errorf("shadow query ended on node %d with %d tests", last, tests)
 	}
@@ -260,15 +280,15 @@ func TestMissingRayVisitsNothing(t *testing.T) {
 	_, b := buildScene(t, "SPRNG")
 	// Aim far away from the two objects.
 	r := vecmath.NewRay(vecmath.V(0, 100, 0), vecmath.V(0, 1, 0))
-	var steps []uint32
-	if _, ok := b.IntersectPacked(r, &steps); ok {
+	var rec Recorder
+	if _, ok := b.IntersectPacked(r, &rec); ok {
 		t.Error("ray into the void reported a hit")
 	}
-	if b.IntersectAnyPacked(r, &steps) {
+	if b.IntersectAnyPacked(r, &rec) {
 		t.Error("ray into the void reported a blocker")
 	}
-	if len(steps) != 0 {
-		t.Errorf("root-missing ray visited %d nodes", len(steps))
+	if len(rec.Words) != 0 || rec.Steps != 0 {
+		t.Errorf("root-missing ray visited %d nodes in %d words", rec.Steps, len(rec.Words))
 	}
 }
 

@@ -6,9 +6,9 @@ import (
 )
 
 // Packed traversal step layout: node index in the high 24 bits, triangle
-// test count in the low 8. The encoding lives here (rather than in the
-// trace recorder) so traversal appends packed steps directly into a
-// workload's step arena; internal/rt re-exports it for trace consumers. Tree sizes in this repository stay far
+// test count in the low 8. It is the step's full form, the one the
+// rt.workload/v1 disk format stores; resident traces hold the shorter
+// word form below (AppendStep). Tree sizes in this repository stay far
 // below 2^24 nodes; BuildWorkload enforces the limit.
 const (
 	stepNodeShift = 8
@@ -28,6 +28,76 @@ func PackStep(node int32, triTests int32) uint32 {
 // UnpackStep decodes a traversal step.
 func UnpackStep(s uint32) (node int32, triTests int32) {
 	return int32(s >> stepNodeShift), int32(s & stepTriMask)
+}
+
+// Step word layout. A ray's steps are stored as 16-bit words, each coded
+// against the node of the ray's previous step (node 0 for its first
+// step). Consecutive steps of a depth-first traversal mostly visit nearby
+// nodes of the depth-first node array, so most steps take one word:
+//
+//	bit 0 clear: one step; bits 4–15 hold the signed node delta
+//	             (−2048…2047), bits 1–3 the triangle tests (0–7)
+//	bit 0 set:   an escape (the word is exactly 1), followed by the
+//	             step's PackStep form in two words, low half first
+const (
+	wordEscape     = 1
+	wordTestsShift = 1
+	wordTestsMask  = 7
+	wordDeltaShift = 4
+	wordDeltaBias  = 1 << 11 // −wordDeltaBias is the smallest delta a word holds
+)
+
+// fitsWord reports whether a step with node delta d and tests triangle
+// tests takes one word.
+func fitsWord(d, tests int32) bool {
+	return uint32(d+wordDeltaBias) < 2*wordDeltaBias && uint32(tests) <= wordTestsMask
+}
+
+// StepWords returns how many words AppendStep takes for step (node, tests)
+// after a step at node prev: 1, or 3 for an escape.
+func StepWords(prev, node, tests int32) int {
+	if fitsWord(node-prev, tests) {
+		return 1
+	}
+	return 3
+}
+
+// AppendStep appends step (node, tests) of a ray whose previous step
+// visited node prev (0 before its first step). Triangle-test counts
+// saturate at 255, as in PackStep.
+func AppendStep(words []uint16, prev, node, tests int32) []uint16 {
+	if d := node - prev; fitsWord(d, tests) {
+		return append(words, uint16(d)<<wordDeltaShift|uint16(tests)<<wordTestsShift)
+	}
+	s := PackStep(node, tests)
+	return append(words, wordEscape, uint16(s), uint16(s>>16))
+}
+
+// DecodeStep decodes the step whose first word is words[i], of a ray whose
+// previous step visited node prev (0 before its first step). It returns
+// the step and the index of the word after it.
+func DecodeStep(words []uint16, i int, prev int32) (node, tests int32, next int) {
+	return DecodeWord(words, i, words[i], prev)
+}
+
+// DecodeWord is DecodeStep for a caller that holds the step's first word
+// w = words[i] already: it reads words only for an escape.
+func DecodeWord(words []uint16, i int, w uint16, prev int32) (node, tests int32, next int) {
+	if w&wordEscape == 0 {
+		return prev + int32(int16(w))>>wordDeltaShift, int32(w>>wordTestsShift) & wordTestsMask, i + 1
+	}
+	node, tests = UnpackStep(uint32(words[i+1]) | uint32(words[i+2])<<16)
+	return node, tests, i + 3
+}
+
+// Recorder collects traced rays' traversal steps, back to back, in step
+// word form (see AppendStep), and counts them as it goes, so no second pass
+// over the words is needed to total a pixel's traversal work.
+type Recorder struct {
+	Words []uint16
+	// Steps and Tests total the recorded steps and their triangle tests;
+	// tests count as stored, saturated at 255 per step.
+	Steps, Tests uint64
 }
 
 // Hit describes the nearest intersection found.
@@ -115,11 +185,11 @@ func (r *ray) tri(t *scene.Triangle, tmax float32) (float32, bool) {
 }
 
 // IntersectPacked finds the nearest triangle intersection along r and
-// appends every fetched node to *steps as a packed step: interior nodes
-// before their children, leaves after their triangle tests. Of two hit
-// children the nearer is visited first. It returns the hit and whether one
-// was found.
-func (b *BVH) IntersectPacked(r vecmath.Ray, steps *[]uint32) (Hit, bool) {
+// records every fetched node in rec as one step of a new ray: interior
+// nodes before their children, leaves after their triangle tests. Of two
+// hit children the nearer is visited first. It returns the hit and whether
+// one was found.
+func (b *BVH) IntersectPacked(r vecmath.Ray, rec *Recorder) (Hit, bool) {
 	best := Hit{T: r.TMax, Tri: -1, Slot: -1}
 	if len(b.Nodes) == 0 {
 		return best, false
@@ -133,7 +203,7 @@ func (b *BVH) IntersectPacked(r vecmath.Ray, steps *[]uint32) (Hit, bool) {
 	sp := 0
 	stack[sp] = 0
 	sp++
-	out := *steps
+	out, prev, steps, tests := rec.Words, int32(0), rec.Steps, rec.Tests
 
 	for sp > 0 {
 		sp--
@@ -147,11 +217,14 @@ func (b *BVH) IntersectPacked(r vecmath.Ray, steps *[]uint32) (Hit, bool) {
 					best = Hit{T: t, Tri: ti, Slot: i}
 				}
 			}
-			out = append(out, PackStep(ni, node.TriCount))
+			tc := min(node.TriCount, stepTriMask)
+			out = AppendStep(out, prev, ni, tc)
+			prev, steps, tests = ni, steps+1, tests+uint64(tc)
 			continue
 		}
 
-		out = append(out, PackStep(ni, 0))
+		out = AppendStep(out, prev, ni, 0)
+		prev, steps = ni, steps+1
 
 		// Test both children (their boxes travel with the parent fetch in
 		// hardware layouts) and push the nearer one last so it pops first.
@@ -174,15 +247,15 @@ func (b *BVH) IntersectPacked(r vecmath.Ray, steps *[]uint32) (Hit, bool) {
 			sp++
 		}
 	}
-	*steps = out
+	rec.Words, rec.Steps, rec.Tests = out, steps, tests
 	return best, best.Tri >= 0
 }
 
 // IntersectAnyPacked reports whether any triangle blocks r within its
-// interval — the shadow-ray query — recording packed steps into *steps as
+// interval — the shadow-ray query — recording its steps in rec as
 // IntersectPacked does. Of two hit children the right is visited first,
 // and it exits on the first hit.
-func (b *BVH) IntersectAnyPacked(r vecmath.Ray, steps *[]uint32) bool {
+func (b *BVH) IntersectAnyPacked(r vecmath.Ray, rec *Recorder) bool {
 	if len(b.Nodes) == 0 {
 		return false
 	}
@@ -195,7 +268,7 @@ func (b *BVH) IntersectAnyPacked(r vecmath.Ray, steps *[]uint32) bool {
 	sp := 0
 	stack[sp] = 0
 	sp++
-	out := *steps
+	out, prev, steps, tests := rec.Words, int32(0), rec.Steps, rec.Tests
 
 	for sp > 0 {
 		sp--
@@ -203,19 +276,26 @@ func (b *BVH) IntersectAnyPacked(r vecmath.Ray, steps *[]uint32) bool {
 		node := &b.Nodes[ni]
 
 		if node.Leaf() {
-			tests := int32(0)
+			tc, blocked := int32(0), false
 			for i := node.FirstTri; i < node.FirstTri+node.TriCount; i++ {
-				tests++
+				tc++
 				if _, ok := ro.tri(&b.Tris[b.TriIndex[i]], tmax); ok {
-					*steps = append(out, PackStep(ni, tests))
-					return true
+					blocked = true
+					break
 				}
 			}
-			out = append(out, PackStep(ni, tests))
+			tc = min(tc, stepTriMask)
+			out = AppendStep(out, prev, ni, tc)
+			prev, steps, tests = ni, steps+1, tests+uint64(tc)
+			if blocked {
+				rec.Words, rec.Steps, rec.Tests = out, steps, tests
+				return true
+			}
 			continue
 		}
 
-		out = append(out, PackStep(ni, 0))
+		out = AppendStep(out, prev, ni, 0)
+		prev, steps = ni, steps+1
 		li, ri := ni+1, node.Right
 		_, hl, _, hr := ro.boxes(&b.Nodes[li].Bounds, &b.Nodes[ri].Bounds, tmax)
 		if hl {
@@ -227,7 +307,7 @@ func (b *BVH) IntersectAnyPacked(r vecmath.Ray, steps *[]uint32) bool {
 			sp++
 		}
 	}
-	*steps = out
+	rec.Words, rec.Steps, rec.Tests = out, steps, tests
 	return false
 }
 

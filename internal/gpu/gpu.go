@@ -299,7 +299,7 @@ func (sim *Sim) scrub() {
 		}
 		rays := s.rt.rays[:cap(s.rt.rays)]
 		for j := range rays {
-			rays[j].steps = nil
+			rays[j].words = nil
 		}
 	}
 }
@@ -543,7 +543,7 @@ func (sim *Sim) issueWarp(s *sm, slot int32, now uint64) {
 		w.raySteps = w.raySteps[:0]
 		for _, li := range lanes {
 			t := &w.threads[li]
-			w.raySteps = append(w.raySteps, t.tr.RaySteps(int(t.tr.Ops[t.op].Arg)))
+			w.raySteps = append(w.raySteps, t.tr.RayWords(int(t.tr.Ops[t.op].Arg)))
 			t.op++
 			if t.finished() {
 				w.live--

@@ -1,17 +1,19 @@
 package gpu
 
-import (
-	"zatel/internal/bvh"
-	"zatel/internal/rt"
-)
+import "zatel/internal/bvh"
 
 // rayState is one ray resident in an RT unit, replaying its recorded
 // traversal steps: fetch the node (and, at leaves, the triangle block),
-// run the intersection pipeline, advance.
+// run the intersection pipeline, advance. The steps are decoded in place
+// from the ray's step words (bvh.DecodeWord), each against the node of the
+// step before it; the next step's first word is held here, so that issue
+// reads the words only for an escape.
 type rayState struct {
+	words    []uint16
 	warpSlot int32
-	steps    []uint32
-	idx      int32
+	idx      int32  // offset of the next step's first word
+	node     int32  // node of the last issued step (0 before the first)
+	word     uint16 // words[idx], while idx < len(words)
 }
 
 // rtUnit is the per-SM ray tracing accelerator: a small number of resident
@@ -39,7 +41,7 @@ type rtUnit struct {
 }
 
 // reset empties the unit for a pooled rerun, keeping slice capacity. The
-// step slices still referenced by the rays array are cleared by Sim.scrub.
+// word slices still referenced by the rays array are cleared by Sim.scrub.
 func (u *rtUnit) reset() {
 	u.residentWarps = 0
 	u.activeRays = 0
@@ -53,15 +55,15 @@ func (u *rtUnit) reset() {
 }
 
 // allocRay takes a ray from the pool.
-func (u *rtUnit) allocRay(warpSlot int32, steps []uint32) int32 {
+func (u *rtUnit) allocRay(warpSlot int32, words []uint16) int32 {
 	var rid int32
 	if n := len(u.freeRays); n > 0 {
 		rid = u.freeRays[n-1]
 		u.freeRays = u.freeRays[:n-1]
-		u.rays[rid] = rayState{warpSlot: warpSlot, steps: steps}
+		u.rays[rid] = rayState{words: words, warpSlot: warpSlot, word: words[0]}
 	} else {
 		rid = int32(len(u.rays))
-		u.rays = append(u.rays, rayState{warpSlot: warpSlot, steps: steps})
+		u.rays = append(u.rays, rayState{words: words, warpSlot: warpSlot, word: words[0]})
 	}
 	return rid
 }
@@ -80,12 +82,12 @@ func (sim *Sim) tryAdmit(s *sm, slot int32, now uint64) bool {
 	sim.residentWarpsTotal++
 	w.phase = wRTWait
 	created := int32(0)
-	for _, steps := range w.raySteps {
-		if len(steps) == 0 {
+	for _, words := range w.raySteps {
+		if len(words) == 0 {
 			// Root-miss ray: the root AABB test rejects it immediately.
 			continue
 		}
-		rid := u.allocRay(slot, steps)
+		rid := u.allocRay(slot, words)
 		u.ready.push(rid)
 		created++
 	}
@@ -125,7 +127,7 @@ func (sim *Sim) rtTick(s *sm, now uint64) {
 		rid := u.ready.pop()
 		r := &u.rays[rid]
 
-		node, triTests := rt.UnpackStep(r.steps[r.idx])
+		node, triTests, next := bvh.DecodeWord(r.words, int(r.idx), r.word, r.node)
 		fetches := 1
 		if triTests > 0 {
 			fetches = 2
@@ -150,7 +152,10 @@ func (sim *Sim) rtTick(s *sm, now uint64) {
 		if triTests > 0 {
 			testLat = u.triCycles * uint64(triTests)
 		}
-		r.idx++
+		r.idx, r.node = int32(next), node
+		if next < len(r.words) {
+			r.word = r.words[next]
+		}
 		sim.events.push(mkEvent(done+testLat, evRayWork, s.id, rid, 0))
 		budget--
 	}
@@ -161,7 +166,7 @@ func (sim *Sim) rtTick(s *sm, now uint64) {
 func (sim *Sim) rayWork(s *sm, rid int32, now uint64) {
 	u := &s.rt
 	r := &u.rays[rid]
-	if int(r.idx) < len(r.steps) {
+	if int(r.idx) < len(r.words) {
 		u.ready.push(rid)
 		sim.activate(s)
 		return

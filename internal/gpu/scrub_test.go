@@ -33,7 +33,7 @@ func TestPooledSimPinsNoTrace(t *testing.T) {
 	freed := make(chan string, 3)
 	runtime.SetFinalizer(&wl.Traces[0], func(*rt.ThreadTrace) { freed <- "traces" })
 	runtime.SetFinalizer(&wl.Traces[0].Ops[0], func(*rt.Op) { freed <- "ops" })
-	runtime.SetFinalizer(&wl.Traces[p].Steps[0], func(*uint32) { freed <- "steps" })
+	runtime.SetFinalizer(&wl.Traces[p].Steps[0], func(*uint16) { freed <- "steps" })
 
 	cfg := config.MobileSoC()
 	cfg.Name = "scrub-test" // a pool of its own

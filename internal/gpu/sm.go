@@ -38,9 +38,9 @@ type warp struct {
 	live        int32
 	threads     []thread
 	pendingRays int32 // outstanding RT-unit rays for the blocking trace op
-	// raySteps stages the step sequences of an issued trace op's rays
-	// until the RT unit admits the warp.
-	raySteps [][]uint32
+	// raySteps stages the step words of an issued trace op's rays until
+	// the RT unit admits the warp.
+	raySteps [][]uint16
 }
 
 // sm is one streaming multiprocessor: warp slots, a GTO/RR scheduler, an

@@ -8,18 +8,27 @@ import (
 
 // BenchmarkBuildWorkload measures step 1 end to end — BVH build, path
 // tracing with traversal-step recording, and arena compaction — for PARK at
-// 128x128, 1 spp, the frame the GPU benchmarks replay.
+// 128x128, 1 spp, the frame the GPU benchmarks replay. Beside the
+// workload's resident MiB it reports B/step, the resident bytes of step
+// words per traversal step (4 would be one packed uint32 per step).
 func BenchmarkBuildWorkload(b *testing.B) {
 	sc, err := scene.ByName("PARK")
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	var wl *Workload
 	for i := 0; i < b.N; i++ {
-		wl, err := BuildWorkload(sc, 128, 128, 1)
-		if err != nil {
+		if wl, err = BuildWorkload(sc, 128, 128, 1); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(wl.SizeBytes())/(1<<20), "MiB")
 	}
+	b.StopTimer()
+	var steps uint64
+	for i := range wl.Traces {
+		n, _ := wl.Traces[i].TraversalWork()
+		steps += n
+	}
+	b.ReportMetric(float64(wl.SizeBytes())/(1<<20), "MiB")
+	b.ReportMetric(float64(int64(cap(wl.stepsArena))*stepBytes)/float64(steps), "B/step")
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"zatel/internal/bvh"
 	"zatel/internal/scene"
 	"zatel/internal/store"
 )
@@ -27,12 +28,15 @@ const WorkloadCodecKind = "rt.workload/v1"
 //	u32 opCount, u32 rayCount  per pixel     (trace boundaries)
 //	u8  rayKind, u32 stepCount per ray       (ray boundaries)
 //	u8  opKind[nOps], u32 opArg[nOps]        (ops arena, split SoA)
-//	u32 step[nSteps]                         (steps arena)
+//	u32 step[nSteps]                         (PackStep form)
 //
 // The scene is recorded by its library name only: a workload keeps no
 // geometry, so decode checks the name, builds neither scene nor BVH, and
 // re-homes the traces into fresh arenas (the same three-allocation layout
-// compaction produces).
+// compaction produces). Steps are counted and stored in their full
+// PackStep form, not in the resident step words: encode expands each ray's
+// words and decode codes them again, so the bytes do not depend on the
+// resident layout.
 type workloadCodec struct{}
 
 func init() { store.RegisterCodec(workloadCodec{}) }
@@ -65,7 +69,19 @@ func (workloadCodec) Encode(v any) ([]byte, error) {
 		t := &w.Traces[i]
 		nOps += len(t.Ops)
 		nRays += len(t.Rays)
-		nSteps += len(t.Steps)
+	}
+	// Each ray's step count, found by decoding its words.
+	rayLens := make([]uint32, 0, nRays)
+	for i := range w.Traces {
+		t := &w.Traces[i]
+		for j := range t.Rays {
+			words, n := t.RayWords(j), uint32(0)
+			for k := 0; k < len(words); n++ {
+				_, _, k = bvh.DecodeStep(words, k, 0)
+			}
+			rayLens = append(rayLens, n)
+			nSteps += int(n)
+		}
 	}
 
 	size := 4 + len(w.Scene) + 3*4 + // name + dims
@@ -91,12 +107,12 @@ func (workloadCodec) Encode(v any) ([]byte, error) {
 		buf = le.AppendUint32(buf, uint32(len(t.Ops)))
 		buf = le.AppendUint32(buf, uint32(len(t.Rays)))
 	}
+	ray := 0
 	for i := range w.Traces {
-		var start uint32
 		for _, r := range w.Traces[i].Rays {
 			buf = append(buf, byte(r.Kind))
-			buf = le.AppendUint32(buf, r.End-start)
-			start = r.End
+			buf = le.AppendUint32(buf, rayLens[ray])
+			ray++
 		}
 	}
 	for i := range w.Traces {
@@ -110,8 +126,14 @@ func (workloadCodec) Encode(v any) ([]byte, error) {
 		}
 	}
 	for i := range w.Traces {
-		for _, s := range w.Traces[i].Steps {
-			buf = le.AppendUint32(buf, s)
+		t := &w.Traces[i]
+		for j := range t.Rays {
+			words, prev := t.RayWords(j), int32(0)
+			for k := 0; k < len(words); {
+				var tests int32
+				prev, tests, k = bvh.DecodeStep(words, k, prev)
+				buf = le.AppendUint32(buf, PackStep(prev, tests))
+			}
 		}
 	}
 	return buf, nil
@@ -292,31 +314,42 @@ func (workloadCodec) Decode(data []byte) (any, int64, error) {
 			return nil, 0, err
 		}
 	}
-	steps := make([]uint32, nSteps)
-	for i := 0; i < nSteps; i++ {
-		if steps[i], err = r.u32(); err != nil {
-			return nil, 0, err
-		}
+	packed, err := r.need(nSteps * 4)
+	if err != nil {
+		return nil, 0, err
 	}
 	if r.off != len(data) {
 		return nil, 0, fmt.Errorf("rt: %d trailing bytes after workload payload", len(data)-r.off)
 	}
+	// Size the step-word arena exactly, so that SizeBytes stays exact and
+	// the codes below never reallocate it.
+	nWords, off := 0, 0
+	for _, n := range stepCounts {
+		prev := int32(0)
+		for k := uint32(0); k < n; k++ {
+			node, tests := UnpackStep(binary.LittleEndian.Uint32(packed[off:]))
+			nWords += bvh.StepWords(prev, node, tests)
+			prev, off = node, off+4
+		}
+	}
+	steps := make([]uint16, 0, nWords)
 
 	// Re-home: the flat arenas are carved back into per-trace slices with
-	// capped capacity, exactly like Workload.compact, and each ray's step
-	// count becomes its end offset within its trace's steps.
+	// capped capacity, exactly like Workload.compact, and each ray's steps
+	// are coded into words, its end offset counted within its trace's
+	// words.
 	w := &Workload{
-		Scene:      name,
-		Width:      int(width),
-		Height:     int(height),
-		SPP:        int(spp),
-		Traces:     make([]ThreadTrace, pixels),
-		Cost:       cost,
-		opsArena:   ops,
-		raysArena:  rays,
-		stepsArena: steps,
+		Scene:     name,
+		Width:     int(width),
+		Height:    int(height),
+		SPP:       int(spp),
+		Traces:    make([]ThreadTrace, pixels),
+		Cost:      cost,
+		opsArena:  ops,
+		raysArena: rays,
 	}
-	opOff, rayOff, stepOff := 0, 0, 0
+	opOff, rayOff := 0, 0
+	off = 0
 	for i := 0; i < pixels; i++ {
 		oEnd := opOff + int(opCounts[i])
 		for _, op := range ops[opOff:oEnd] {
@@ -325,16 +358,22 @@ func (workloadCodec) Decode(data []byte) (any, int64, error) {
 			}
 		}
 		rEnd := rayOff + int(rayCounts[i])
-		s0 := stepOff
+		s0 := len(steps)
 		for j := rayOff; j < rEnd; j++ {
-			stepOff += int(stepCounts[j])
-			rays[j].End = uint32(stepOff - s0)
+			prev := int32(0)
+			for k := uint32(0); k < stepCounts[j]; k++ {
+				node, tests := UnpackStep(binary.LittleEndian.Uint32(packed[off:]))
+				steps = bvh.AppendStep(steps, prev, node, tests)
+				prev, off = node, off+4
+			}
+			rays[j].End = uint32(len(steps) - s0)
 		}
 		t := &w.Traces[i]
 		t.Ops = ops[opOff:oEnd:oEnd]
 		t.Rays = rays[rayOff:rEnd:rEnd]
-		t.Steps = steps[s0:stepOff:stepOff]
+		t.Steps = steps[s0:len(steps):len(steps)]
 		opOff, rayOff = oEnd, rEnd
 	}
+	w.stepsArena = steps
 	return w, w.SizeBytes(), nil
 }

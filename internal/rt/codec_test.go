@@ -3,6 +3,7 @@ package rt
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -99,6 +100,65 @@ func TestWorkloadCodecRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(data, again) {
 		t.Fatal("re-encoded payload differs from original")
+	}
+}
+
+// TestWorkloadCodecStepsRoundTrip: arbitrary step sequences survive the
+// codec, which stores them in PackStep form and holds them as step words.
+// Nodes span 0…2^24−1, with runs of deltas on both sides of ±2048, and
+// tests span 0…300, so PackStep's saturation at 255 is exercised. The
+// payload's last 4·n bytes are exactly the n steps' PackStep values, the
+// decoded words are the encoded ones, and re-encoding is byte-identical.
+func TestWorkloadCodecStepsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		w := &Workload{Scene: "SPRNG", Width: 3, Height: 1, SPP: 1, Traces: make([]ThreadTrace, 3), Cost: make([]float64, 3)}
+		var packed []uint32
+		for i := range w.Traces {
+			tr := &w.Traces[i]
+			for ray, rays := 0, rng.Intn(4); ray < rays; ray++ {
+				steps := make([]uint32, rng.Intn(40))
+				node := int32(0)
+				for k := range steps {
+					if rng.Intn(4) == 0 {
+						node = rng.Int31n(maxNodeIndex + 1)
+					} else {
+						d := int32(2048 + rng.Intn(5) - 2)
+						if rng.Intn(2) == 0 {
+							d = -d
+						}
+						node = min(max(node+d*int32(rng.Intn(2))+int32(rng.Intn(64)-32), 0), maxNodeIndex)
+					}
+					steps[k] = PackStep(node, int32(rng.Intn(301)))
+				}
+				tr.Ops = append(tr.Ops, Op{Kind: OpTrace, Arg: uint32(len(tr.Rays))})
+				tr.AppendRay(RayKind(rng.Intn(3)), steps...)
+				packed = append(packed, steps...)
+			}
+		}
+		c := workloadCodec{}
+		data, err := c.Encode(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tail := data[len(data)-4*len(packed):]
+		for k, want := range packed {
+			if got := binary.LittleEndian.Uint32(tail[4*k:]); got != want {
+				t.Fatalf("trial %d: step %d encoded as %#x, want %#x", trial, k, got, want)
+			}
+		}
+		v, _, err := c.Decode(data)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		workloadsEqual(t, w, v.(*Workload))
+		again, err := c.Encode(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, again) {
+			t.Fatalf("trial %d: re-encoded payload differs", trial)
+		}
 	}
 }
 
@@ -200,7 +260,8 @@ func mustFrame(t *testing.T, w *Workload) []byte {
 // TestWorkloadSizeBytesExact: SizeBytes equals an independent count of
 // what a workload holds, for a built workload and its decoded copy. The
 // count walks the traces, so it also proves the arenas are trimmed to the
-// traced sizes and that nothing else (no BVH) is charged.
+// traced sizes and that nothing else (no BVH) is charged. Traversal steps
+// are held as 16-bit words, two bytes each.
 func TestWorkloadSizeBytesExact(t *testing.T) {
 	if n := unsafe.Sizeof(RayTrace{}); n > 8 {
 		t.Errorf("RayTrace is %d bytes, want at most 8", n)
@@ -226,7 +287,7 @@ func TestWorkloadSizeBytesExact(t *testing.T) {
 			int64(len(w.Cost))*8 +
 			int64(ops)*int64(unsafe.Sizeof(Op{})) +
 			int64(rays)*int64(unsafe.Sizeof(RayTrace{})) +
-			int64(steps)*4
+			int64(steps)*2
 		if got := w.SizeBytes(); got != want {
 			t.Errorf("%s: SizeBytes = %d, independent count %d", name, got, want)
 		}

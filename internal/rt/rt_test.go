@@ -211,10 +211,9 @@ func TestInstructionsCounting(t *testing.T) {
 }
 
 func TestTraversalWork(t *testing.T) {
-	tr := ThreadTrace{
-		Rays:  []RayTrace{{End: 2}, {End: 3}},
-		Steps: []uint32{PackStep(1, 0), PackStep(2, 3), PackStep(5, 2)},
-	}
+	var tr ThreadTrace
+	tr.AppendRay(RayPrimary, PackStep(1, 0), PackStep(9000, 3))
+	tr.AppendRay(RayShadow, PackStep(5, 2))
 	nodes, tris := tr.TraversalWork()
 	if nodes != 3 || tris != 5 {
 		t.Errorf("TraversalWork = (%d,%d), want (3,5)", nodes, tris)

@@ -34,7 +34,7 @@ const (
 	OpLoad
 	// OpStore issues a global memory write of the byte address Arg.
 	OpStore
-	// OpTrace hands ray Arg (see ThreadTrace.RaySteps) to the RT unit and
+	// OpTrace hands ray Arg (see ThreadTrace.RayWords) to the RT unit and
 	// waits for it.
 	OpTrace
 )
@@ -63,10 +63,10 @@ type Op struct {
 	Arg uint32
 }
 
-// maxNodeIndex mirrors the packed-step capacity. The encoding itself lives
-// in internal/bvh so traversal can append packed steps directly into the
-// workload's step arena; these re-exports keep trace consumers decoupled
-// from the acceleration structure.
+// maxNodeIndex mirrors the packed-step capacity. Both step encodings live
+// in internal/bvh so traversal can append step words directly into the
+// workload's step arena. The full PackStep form is re-exported here: it is
+// the form the disk format stores and ThreadTrace.AppendRay takes.
 const maxNodeIndex = bvh.MaxPackedNode
 
 // PackStep encodes a traversal step (bvh.PackStep). Triangle-test counts
@@ -90,32 +90,47 @@ const (
 )
 
 // RayTrace is the recorded traversal of one ray: its kind and where its
-// steps end in the owning ThreadTrace's Steps. A ray's steps begin where
-// the previous ray's end (at 0 for the first ray), so a ray costs 8 bytes
-// and no slice header of its own.
+// step words end in the owning ThreadTrace's Steps. A ray's words begin
+// where the previous ray's end (at 0 for the first ray), so a ray costs 8
+// bytes and no slice header of its own.
 type RayTrace struct {
 	Kind RayKind
-	// End is the offset just past the ray's last step in ThreadTrace.Steps.
+	// End is the offset just past the ray's last word in ThreadTrace.Steps.
 	End uint32
 }
 
 // ThreadTrace is the full recorded execution of one pixel's thread: a flat
-// operation list referencing the rays it traced, and the packed per-node
-// traversal steps (see PackStep) of all those rays back to back.
+// operation list referencing the rays it traced, and the per-node
+// traversal steps of all those rays back to back, as 16-bit step words
+// (bvh.AppendStep): each ray's steps are coded against its own previous
+// node, so a ray's words decode on their own.
 type ThreadTrace struct {
 	Ops   []Op
 	Rays  []RayTrace
-	Steps []uint32
+	Steps []uint16
 }
 
-// RaySteps returns ray i's packed traversal steps, a view into t.Steps.
-func (t *ThreadTrace) RaySteps(i int) []uint32 {
+// RayWords returns ray i's step words, a view into t.Steps. Decode them in
+// order with bvh.DecodeStep, starting from node 0.
+func (t *ThreadTrace) RayWords(i int) []uint16 {
 	var start uint32
 	if i > 0 {
 		start = t.Rays[i-1].End
 	}
 	end := t.Rays[i].End
 	return t.Steps[start:end:end]
+}
+
+// AppendRay appends a ray of the given kind whose traversal steps, in
+// PackStep form, are steps. It adds no OpTrace op: that is the caller's.
+func (t *ThreadTrace) AppendRay(kind RayKind, steps ...uint32) {
+	prev := int32(0)
+	for _, s := range steps {
+		node, tests := UnpackStep(s)
+		t.Steps = bvh.AppendStep(t.Steps, prev, node, tests)
+		prev = node
+	}
+	t.Rays = append(t.Rays, RayTrace{Kind: kind, End: uint32(len(t.Steps))})
 }
 
 // TraceSource supplies threads to a simulation in warp order without
@@ -161,11 +176,16 @@ func (t *ThreadTrace) Instructions() uint64 {
 // TraversalWork returns the total node visits and triangle tests across the
 // thread's rays — the scalar the heatmap is built from.
 func (t *ThreadTrace) TraversalWork() (nodes, triTests uint64) {
-	for _, s := range t.Steps {
-		_, tt := UnpackStep(s)
-		triTests += uint64(tt)
+	for i := range t.Rays {
+		words := t.RayWords(i)
+		prev := int32(0)
+		for j := 0; j < len(words); nodes++ {
+			var tt int32
+			prev, tt, j = bvh.DecodeStep(words, j, prev)
+			triTests += uint64(tt)
+		}
 	}
-	return uint64(len(t.Steps)), triTests
+	return nodes, triTests
 }
 
 // FilteredTrace returns the trace executed by a pixel that the Zatel filter

@@ -40,7 +40,7 @@ type Workload struct {
 	// BuildWorkload; SizeBytes falls back to walking the traces then.
 	opsArena   []Op
 	raysArena  []RayTrace
-	stepsArena []uint32
+	stepsArena []uint16
 }
 
 // Pixels returns Width·Height.
@@ -50,13 +50,13 @@ func (w *Workload) Pixels() int { return w.Width * w.Height }
 const (
 	opBytes    = int64(unsafe.Sizeof(Op{}))
 	rayBytes   = int64(unsafe.Sizeof(RayTrace{}))
-	stepBytes  = int64(unsafe.Sizeof(uint32(0)))
+	stepBytes  = int64(unsafe.Sizeof(uint16(0)))
 	traceBytes = int64(unsafe.Sizeof(ThreadTrace{}))
 )
 
 // SizeBytes returns the workload's exact resident size for the artifact
 // store's byte accounting. For compacted workloads the three arenas hold
-// every op, ray and traversal step, so the count is exact; hand-assembled
+// every op, ray and traversal step word, so the count is exact; hand-assembled
 // workloads are walked trace by trace. A workload keeps no geometry, so
 // this is all it holds.
 func (w *Workload) SizeBytes() int64 {
@@ -93,7 +93,7 @@ func (w *Workload) compact() {
 	}
 	ops := make([]Op, 0, nOps)
 	rays := make([]RayTrace, 0, nRays)
-	steps := make([]uint32, 0, nSteps)
+	steps := make([]uint16, 0, nSteps)
 	for i := range w.Traces {
 		t := &w.Traces[i]
 		o0, r0, s0 := len(ops), len(rays), len(steps)
@@ -170,9 +170,10 @@ func BuildWorkloadContext(ctx context.Context, s *scene.Scene, width, height, sp
 			for y := range rows {
 				for x := 0; x < width; x++ {
 					pix := y*width + x
+					steps, tests := tr.rec.Steps, tr.rec.Tests
 					t := tr.tracePixel(x, y, width, height, spp, root.Split(uint64(pix)))
 					w.Traces[pix] = t
-					nodes, tris := t.TraversalWork()
+					nodes, tris := tr.rec.Steps-steps, tr.rec.Tests-tests
 					w.Cost[pix] = float64(nodes) + 2*float64(tris) + float64(t.Instructions())/4
 				}
 			}
@@ -196,8 +197,9 @@ feed:
 }
 
 // tracer carries the per-goroutine state of workload construction. Each
-// worker appends every pixel's ops, rays and traversal steps into shared
-// growing arenas instead of allocating per-pixel slices; the workload's
+// worker appends every pixel's ops, rays and step words into shared
+// growing arenas instead of allocating per-pixel slices (rec also totals
+// the steps and triangle tests that a pixel's Cost counts); the workload's
 // compact pass later rewrites them into the deterministic row-major
 // per-workload arenas (see Workload.compact), so worker arena layout never
 // leaks into the result.
@@ -206,9 +208,9 @@ type tracer struct {
 	bvh   *bvh.BVH
 	cam   *scene.Camera
 
-	ops   []Op
-	rays  []RayTrace
-	steps []uint32
+	ops  []Op
+	rays []RayTrace
+	rec  bvh.Recorder
 }
 
 // tracePixel executes the synthetic ray-generation shader for one pixel:
@@ -218,8 +220,8 @@ type tracer struct {
 // retired chunks, which is fine — contents are immutable once a pixel
 // finishes, and compaction re-homes everything.
 func (tr *tracer) tracePixel(x, y, width, height, spp int, rng *vecmath.RNG) ThreadTrace {
-	tr.ops, tr.rays, tr.steps = reserve(tr.ops, 1<<8), reserve(tr.rays, 1<<6), reserve(tr.steps, 1<<12)
-	opsStart, raysStart, stepsStart := len(tr.ops), len(tr.rays), len(tr.steps)
+	tr.ops, tr.rays, tr.rec.Words = reserve(tr.ops, 1<<8), reserve(tr.rays, 1<<6), reserve(tr.rec.Words, 1<<12)
+	opsStart, raysStart, stepsStart := len(tr.ops), len(tr.rays), len(tr.rec.Words)
 	pix := uint32(y*width + x)
 	fbAddr := uint32(FBBase + uint64(pix)*FBBytes)
 
@@ -238,12 +240,12 @@ func (tr *tracer) tracePixel(x, y, width, height, spp int, rng *vecmath.RNG) Thr
 		var hit bvh.Hit
 		var ok bool
 		if any {
-			ok = tr.bvh.IntersectAnyPacked(r, &tr.steps)
+			ok = tr.bvh.IntersectAnyPacked(r, &tr.rec)
 		} else {
-			hit, ok = tr.bvh.IntersectPacked(r, &tr.steps)
+			hit, ok = tr.bvh.IntersectPacked(r, &tr.rec)
 		}
 		tr.ops = append(tr.ops, Op{Kind: OpTrace, Arg: uint32(len(tr.rays) - raysStart)})
-		tr.rays = append(tr.rays, RayTrace{Kind: kind, End: uint32(len(tr.steps) - stepsStart)})
+		tr.rays = append(tr.rays, RayTrace{Kind: kind, End: uint32(len(tr.rec.Words) - stepsStart)})
 		return hit, ok
 	}
 
@@ -306,7 +308,7 @@ func (tr *tracer) tracePixel(x, y, width, height, spp int, rng *vecmath.RNG) Thr
 			break
 		}
 	}
-	return ThreadTrace{Ops: tr.ops[opsStart:], Rays: tr.rays[raysStart:], Steps: tr.steps[stepsStart:]}
+	return ThreadTrace{Ops: tr.ops[opsStart:], Rays: tr.rays[raysStart:], Steps: tr.rec.Words[stepsStart:]}
 }
 
 // reserve returns s if it has room for n more elements, or else a fresh
