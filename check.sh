@@ -16,6 +16,12 @@ go test -race -timeout 10m ./...
 go test -run '^$' -bench BenchmarkRun -benchtime 1x ./internal/gpu
 go test -run '^$' -bench BenchmarkBuildWorkload -benchtime 1x ./internal/rt
 
+# Fuzz the framed decoder for 15 s beyond its committed corpus: every
+# workload it accepts is laid out in a fresh trace arena and replayed
+# through gpu.Run, so a decoder that builds an inconsistent arena fails
+# here, not in a peer's simulator.
+go test -run '^$' -fuzz FuzzDecodeFramed -fuzztime 15s ./internal/cluster
+
 # The examples call core.Predict and core.Reference end to end, so running
 # them (a few hundred milliseconds each) keeps the documented entry points
 # working, not just compiling.

@@ -56,11 +56,10 @@ func Predict(cfg config.Config, traces []rt.ThreadTrace) (Prediction, error) {
 
 	// Step 1: aggregate profile.
 	var instr, computeOps, loads, stores, nodes, triTests uint64
-	for i := range traces {
-		t := &traces[i]
+	for _, t := range traces {
 		instr += t.Instructions()
-		for _, op := range t.Ops {
-			switch op.Kind {
+		for j := range t.NumOps() {
+			switch op := t.Op(j); op.Kind {
 			case rt.OpCompute:
 				computeOps += uint64(op.Arg)
 			case rt.OpLoad:

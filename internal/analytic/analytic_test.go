@@ -11,11 +11,11 @@ import (
 func synthetic(n int, computePerThread uint32) []rt.ThreadTrace {
 	traces := make([]rt.ThreadTrace, n)
 	for i := range traces {
-		traces[i] = rt.ThreadTrace{Ops: []rt.Op{
+		traces[i] = rt.NewTrace([]rt.Op{
 			{Kind: rt.OpCompute, Arg: computePerThread},
 			{Kind: rt.OpLoad, Arg: 0x1000},
 			{Kind: rt.OpStore, Arg: 0x2000},
-		}}
+		})
 	}
 	return traces
 }
@@ -85,8 +85,8 @@ func TestBiggerGPUFewerCycles(t *testing.T) {
 func TestRTWorkCharged(t *testing.T) {
 	traces := make([]rt.ThreadTrace, 64)
 	for i := range traces {
-		traces[i] = rt.ThreadTrace{Ops: []rt.Op{{Kind: rt.OpTrace, Arg: 0}}}
-		traces[i].AppendRay(rt.RayPrimary, rt.PackStep(1, 0), rt.PackStep(2, 4))
+		traces[i] = rt.NewTrace([]rt.Op{{Kind: rt.OpTrace, Arg: 0}},
+			rt.RaySteps{Kind: rt.RayPrimary, Steps: []uint32{rt.PackStep(1, 0), rt.PackStep(2, 4)}})
 	}
 	p, err := Predict(config.MobileSoC(), traces)
 	if err != nil {

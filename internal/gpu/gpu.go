@@ -15,7 +15,7 @@
 // of group simulations against a handful of configs, and rebuilding the
 // caches, heaps and warp arrays for each one dominated the allocation
 // profile. Run draws a simulator from the pool, replays the job, and
-// returns it scrubbed of trace pointers; a warm Run allocates almost
+// returns it scrubbed of trace references; a warm Run allocates almost
 // nothing. Pooling is invisible to simulated timing — reset restores
 // exactly the state newSim constructs, and the cycle-exactness golden test
 // pins cold and warm runs to identical reports.
@@ -281,21 +281,17 @@ func (sim *Sim) start(src rt.TraceSource) {
 	}
 }
 
-// scrub drops every reference into the job's traces so a pooled simulator
-// does not pin a retired workload in memory. Capacity is kept everywhere.
+// scrub drops every reference into the job's traces (the cursors' arena
+// pointers and the staged and resident rays' word views) so a pooled
+// simulator does not pin a retired workload in memory. Capacity is kept
+// everywhere.
 func (sim *Sim) scrub() {
 	sim.src = nil
 	for _, s := range sim.sms {
 		for i := range s.warps {
 			w := &s.warps[i]
-			threads := w.threads[:cap(w.threads)]
-			for j := range threads {
-				threads[j].tr = nil
-			}
-			steps := w.raySteps[:cap(w.raySteps)]
-			for j := range steps {
-				steps[j] = nil
-			}
+			clear(w.threads[:cap(w.threads)])
+			clear(w.raySteps[:cap(w.raySteps)])
 		}
 		rays := s.rt.rays[:cap(s.rt.rays)]
 		for j := range rays {
@@ -331,7 +327,7 @@ func (sim *Sim) launchWarp(s *sm, slot int32) {
 	w := &s.warps[slot]
 	threads := w.threads
 	if cap(threads) < n {
-		threads = make([]thread, n, sim.cfg.WarpSize)
+		threads = make([]rt.Cursor, n, sim.cfg.WarpSize)
 	} else {
 		threads = threads[:n]
 	}
@@ -345,9 +341,8 @@ func (sim *Sim) launchWarp(s *sm, slot int32) {
 	sim.nextWarpAge++
 	live := int32(0)
 	for i := 0; i < n; i++ {
-		tr := sim.src.At(sim.srcAt + i)
-		threads[i] = thread{tr: tr}
-		if len(tr.Ops) > 0 {
+		threads[i] = sim.src.At(sim.srcAt + i).Cursor()
+		if !threads[i].Done() {
 			live++
 		}
 	}
@@ -463,10 +458,10 @@ func (sim *Sim) issueWarp(s *sm, slot int32, now uint64) {
 	var kind rt.OpKind
 	for i := range w.threads {
 		t := &w.threads[i]
-		if t.finished() {
+		if t.Done() {
 			continue
 		}
-		k := t.tr.Ops[t.op].Kind
+		k := t.Kind()
 		if len(lanes) == 0 {
 			kind = k
 		}
@@ -480,13 +475,13 @@ func (sim *Sim) issueWarp(s *sm, slot int32, now uint64) {
 		var maxArg, sumArg uint64
 		for _, li := range lanes {
 			t := &w.threads[li]
-			arg := uint64(t.tr.Ops[t.op].Arg)
+			arg := uint64(t.Arg())
 			if arg > maxArg {
 				maxArg = arg
 			}
 			sumArg += arg
-			t.op++
-			if t.finished() {
+			t.Advance()
+			if t.Done() {
 				w.live--
 			}
 		}
@@ -501,9 +496,9 @@ func (sim *Sim) issueWarp(s *sm, slot int32, now uint64) {
 		s.dedup.begin()
 		for _, li := range lanes {
 			t := &w.threads[li]
-			line := s.l1.LineAddr(uint64(t.tr.Ops[t.op].Arg))
-			t.op++
-			if t.finished() {
+			line := s.l1.LineAddr(uint64(t.Arg()))
+			t.Advance()
+			if t.Done() {
 				w.live--
 			}
 			if s.dedup.add(line) {
@@ -524,9 +519,9 @@ func (sim *Sim) issueWarp(s *sm, slot int32, now uint64) {
 		s.dedup.begin()
 		for _, li := range lanes {
 			t := &w.threads[li]
-			line := s.l1.LineAddr(uint64(t.tr.Ops[t.op].Arg))
-			t.op++
-			if t.finished() {
+			line := s.l1.LineAddr(uint64(t.Arg()))
+			t.Advance()
+			if t.Done() {
 				w.live--
 			}
 			if s.dedup.add(line) {
@@ -543,9 +538,9 @@ func (sim *Sim) issueWarp(s *sm, slot int32, now uint64) {
 		w.raySteps = w.raySteps[:0]
 		for _, li := range lanes {
 			t := &w.threads[li]
-			w.raySteps = append(w.raySteps, t.tr.RayWords(int(t.tr.Ops[t.op].Arg)))
-			t.op++
-			if t.finished() {
+			w.raySteps = append(w.raySteps, t.RayWords(t.Arg()))
+			t.Advance()
+			if t.Done() {
 				w.live--
 			}
 		}

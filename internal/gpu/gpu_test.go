@@ -50,7 +50,7 @@ func TestSyntheticComputeOnly(t *testing.T) {
 	// instructions = 32 × arg.
 	traces := make([]rt.ThreadTrace, 32)
 	for i := range traces {
-		traces[i] = rt.ThreadTrace{Ops: []rt.Op{{Kind: rt.OpCompute, Arg: 100}}}
+		traces[i] = rt.NewTrace([]rt.Op{{Kind: rt.OpCompute, Arg: 100}})
 	}
 	rep := runJob(t, testConfig(), traces)
 	if rep.Instructions != 3200 {

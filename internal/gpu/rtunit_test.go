@@ -18,8 +18,7 @@ func longRays(threads, steps int, node func(thread, step int) int32) rt.TraceSli
 		for k := range packed {
 			packed[k] = rt.PackStep(node(i, k), 0)
 		}
-		traces[i].Ops = []rt.Op{{Kind: rt.OpTrace, Arg: 0}}
-		traces[i].AppendRay(rt.RayPrimary, packed...)
+		traces[i] = rt.NewTrace([]rt.Op{{Kind: rt.OpTrace, Arg: 0}}, rt.RaySteps{Kind: rt.RayPrimary, Steps: packed})
 	}
 	return traces
 }

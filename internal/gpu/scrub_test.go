@@ -13,8 +13,11 @@ import (
 
 // TestPooledSimPinsNoTrace: a simulator back in its pool holds no
 // reference into the traces it ran, so a workload the store evicts is
-// freed at the next GC even while its simulator stays pooled. The trace,
-// ops and traversal-step arrays each carry a finalizer that must run.
+// freed at the next GC even while its simulator stays pooled. Finalizers
+// on the handle array and on the arena's step-word array must both run.
+// The arena itself references its word array, so the words being freed
+// proves the arena is not pinned either: neither by a cursor's arena
+// pointer nor by a ray's word view.
 func TestPooledSimPinsNoTrace(t *testing.T) {
 	s, err := scene.ByName("SPRNG")
 	if err != nil {
@@ -24,16 +27,18 @@ func TestPooledSimPinsNoTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Compaction lays each array out in pixel order, so the first pixel
-	// with steps starts the step array.
-	p := 0
-	for len(wl.Traces[p].Steps) == 0 {
-		p++
+	// The arena lays words out in pixel and ray order, so the first ray
+	// with words starts the word array.
+	var words []uint16
+	for p := 0; len(words) == 0; p++ {
+		for j := 0; j < wl.Traces[p].NumRays() && len(words) == 0; j++ {
+			words = wl.Traces[p].RayWords(j)
+		}
 	}
-	freed := make(chan string, 3)
+	freed := make(chan string, 2)
 	runtime.SetFinalizer(&wl.Traces[0], func(*rt.ThreadTrace) { freed <- "traces" })
-	runtime.SetFinalizer(&wl.Traces[0].Ops[0], func(*rt.Op) { freed <- "ops" })
-	runtime.SetFinalizer(&wl.Traces[p].Steps[0], func(*uint16) { freed <- "steps" })
+	runtime.SetFinalizer(&words[0], func(*uint16) { freed <- "arena" })
+	words = nil
 
 	cfg := config.MobileSoC()
 	cfg.Name = "scrub-test" // a pool of its own
@@ -55,11 +60,11 @@ func TestPooledSimPinsNoTrace(t *testing.T) {
 	runtime.GC()
 	runtime.GC()
 	deadline := time.After(5 * time.Second)
-	for n := 0; n < 3; n++ {
+	for n := 0; n < 2; n++ {
 		select {
 		case <-freed:
 		case <-deadline:
-			t.Fatalf("pooled simulator pins the workload: %d of 3 arrays freed", n)
+			t.Fatalf("pooled simulator pins the workload: %d of 2 arrays freed", n)
 		}
 	}
 	runtime.KeepAlive(sim)

@@ -18,14 +18,6 @@ const (
 	wEmpty // slot unoccupied
 )
 
-// thread is one lane's replay cursor over its recorded trace.
-type thread struct {
-	tr *rt.ThreadTrace
-	op int32
-}
-
-func (t *thread) finished() bool { return int(t.op) >= len(t.tr.Ops) }
-
 // warp is a resident warp context: up to WarpSize threads replayed in
 // SIMT lockstep with kind-grouped divergence serialization.
 type warp struct {
@@ -35,8 +27,9 @@ type warp struct {
 	// live counts threads that have not yet exhausted their trace. It is
 	// maintained at every op-cursor advance so warp completion is an O(1)
 	// check instead of a WarpSize-wide rescan on every wake and ray retire.
-	live        int32
-	threads     []thread
+	live int32
+	// threads holds each lane's replay cursor over its recorded trace.
+	threads     []rt.Cursor
 	pendingRays int32 // outstanding RT-unit rays for the blocking trace op
 	// raySteps stages the step words of an issued trace op's rays until
 	// the RT unit admits the warp.
@@ -81,7 +74,7 @@ type sm struct {
 
 // reset returns the SM to its just-constructed state while keeping every
 // allocation (caches, heaps, flight map, warp slot array, scratch) for the
-// next pooled run. Trace pointers held by warp slots are cleared by
+// next pooled run. Trace references held by warp slots are cleared by
 // Sim.scrub, not here, so a pooled simulator never pins a retired workload.
 func (s *sm) reset() {
 	for i := range s.warps {

@@ -67,15 +67,15 @@ func TestDivergentWarpSerializes(t *testing.T) {
 	traces := make([]rt.ThreadTrace, 32)
 	for i := range traces {
 		if i%2 == 0 {
-			traces[i] = rt.ThreadTrace{Ops: []rt.Op{
+			traces[i] = rt.NewTrace([]rt.Op{
 				{Kind: rt.OpCompute, Arg: 10},
 				{Kind: rt.OpCompute, Arg: 5}, // merged streams differ in shape
-			}}
+			})
 		} else {
-			traces[i] = rt.ThreadTrace{Ops: []rt.Op{
+			traces[i] = rt.NewTrace([]rt.Op{
 				{Kind: rt.OpLoad, Arg: uint32(0x1000 + i*128)},
 				{Kind: rt.OpCompute, Arg: 7},
-			}}
+			})
 		}
 	}
 	rep := runJob(t, testConfig(), traces)
@@ -101,7 +101,7 @@ func TestStoreHeavyTraffic(t *testing.T) {
 		for j := 0; j < 20; j++ {
 			ops = append(ops, rt.Op{Kind: rt.OpStore, Arg: uint32(0x4000_0000 + (i*20+j)*16)})
 		}
-		traces[i] = rt.ThreadTrace{Ops: ops}
+		traces[i] = rt.NewTrace(ops)
 	}
 	rep := runJob(t, testConfig(), traces)
 	if rep.DRAMReads != 0 {
@@ -120,11 +120,11 @@ func TestCoalescingReducesTraffic(t *testing.T) {
 	// lanes loading distinct lines must not.
 	same := make([]rt.ThreadTrace, 32)
 	for i := range same {
-		same[i] = rt.ThreadTrace{Ops: []rt.Op{{Kind: rt.OpLoad, Arg: 0x1000}}}
+		same[i] = rt.NewTrace([]rt.Op{{Kind: rt.OpLoad, Arg: 0x1000}})
 	}
 	spread := make([]rt.ThreadTrace, 32)
 	for i := range spread {
-		spread[i] = rt.ThreadTrace{Ops: []rt.Op{{Kind: rt.OpLoad, Arg: uint32(0x1000 + i*128)}}}
+		spread[i] = rt.NewTrace([]rt.Op{{Kind: rt.OpLoad, Arg: uint32(0x1000 + i*128)}})
 	}
 	repSame := runJob(t, testConfig(), same)
 	repSpread := runJob(t, testConfig(), spread)
@@ -146,10 +146,10 @@ func TestGTOPrefersLastIssuedWarp(t *testing.T) {
 	// scheduler-visible outcome: both policies finish, same instructions.
 	traces := make([]rt.ThreadTrace, 64)
 	for i := range traces {
-		traces[i] = rt.ThreadTrace{Ops: []rt.Op{
+		traces[i] = rt.NewTrace([]rt.Op{
 			{Kind: rt.OpCompute, Arg: 3},
 			{Kind: rt.OpCompute, Arg: 3},
-		}}
+		})
 	}
 	cfg := testConfig()
 	cfg.NumSMs = 1
@@ -168,7 +168,7 @@ func TestManyWavesPerSM(t *testing.T) {
 	// reuse. 1 SM × 32 slots with 100 warps of work.
 	traces := make([]rt.ThreadTrace, 3200)
 	for i := range traces {
-		traces[i] = rt.ThreadTrace{Ops: []rt.Op{{Kind: rt.OpCompute, Arg: 5}}}
+		traces[i] = rt.NewTrace([]rt.Op{{Kind: rt.OpCompute, Arg: 5}})
 	}
 	cfg := testConfig()
 	cfg.NumSMs = 1

@@ -32,11 +32,11 @@ const WorkloadCodecKind = "rt.workload/v1"
 //
 // The scene is recorded by its library name only: a workload keeps no
 // geometry, so decode checks the name, builds neither scene nor BVH, and
-// re-homes the traces into fresh arenas (the same three-allocation layout
-// compaction produces). Steps are counted and stored in their full
-// PackStep form, not in the resident step words: encode expands each ray's
-// words and decode codes them again, so the bytes do not depend on the
-// resident layout.
+// lays the traces out in one fresh arena, the layout BuildWorkload's
+// compaction produces (the arena splits ops the same way). Steps are
+// counted and stored in their full PackStep form, not in the resident step
+// words: encode expands each ray's words and decode codes them again, so
+// the bytes do not depend on the resident layout.
 type workloadCodec struct{}
 
 func init() { store.RegisterCodec(workloadCodec{}) }
@@ -50,8 +50,8 @@ func (workloadCodec) Encodes(v any) bool {
 	return ok
 }
 
-// Encode implements store.Codec. It walks Traces rather than the arenas so
-// hand-assembled workloads (nil arenas) serialize identically.
+// Encode implements store.Codec. It walks the traces, not their arena,
+// so hand-assembled workloads serialize the same way.
 func (workloadCodec) Encode(v any) ([]byte, error) {
 	w, ok := v.(*Workload)
 	if !ok {
@@ -65,16 +65,14 @@ func (workloadCodec) Encode(v any) ([]byte, error) {
 			w.Width, w.Height, len(w.Traces), len(w.Cost))
 	}
 	var nOps, nRays, nSteps int
-	for i := range w.Traces {
-		t := &w.Traces[i]
-		nOps += len(t.Ops)
-		nRays += len(t.Rays)
+	for _, t := range w.Traces {
+		nOps += t.NumOps()
+		nRays += t.NumRays()
 	}
 	// Each ray's step count, found by decoding its words.
 	rayLens := make([]uint32, 0, nRays)
-	for i := range w.Traces {
-		t := &w.Traces[i]
-		for j := range t.Rays {
+	for _, t := range w.Traces {
+		for j := range t.NumRays() {
 			words, n := t.RayWords(j), uint32(0)
 			for k := 0; k < len(words); n++ {
 				_, _, k = bvh.DecodeStep(words, k, 0)
@@ -102,32 +100,33 @@ func (workloadCodec) Encode(v any) ([]byte, error) {
 	buf = le.AppendUint64(buf, uint64(nOps))
 	buf = le.AppendUint64(buf, uint64(nRays))
 	buf = le.AppendUint64(buf, uint64(nSteps))
-	for i := range w.Traces {
-		t := &w.Traces[i]
-		buf = le.AppendUint32(buf, uint32(len(t.Ops)))
-		buf = le.AppendUint32(buf, uint32(len(t.Rays)))
+	for _, t := range w.Traces {
+		buf = le.AppendUint32(buf, uint32(t.NumOps()))
+		buf = le.AppendUint32(buf, uint32(t.NumRays()))
 	}
 	ray := 0
-	for i := range w.Traces {
-		for _, r := range w.Traces[i].Rays {
+	for _, t := range w.Traces {
+		_, _, rays, _ := t.parts()
+		for _, r := range rays {
 			buf = append(buf, byte(r.Kind))
 			buf = le.AppendUint32(buf, rayLens[ray])
 			ray++
 		}
 	}
-	for i := range w.Traces {
-		for _, op := range w.Traces[i].Ops {
-			buf = append(buf, byte(op.Kind))
+	for _, t := range w.Traces {
+		kinds, _, _, _ := t.parts()
+		for _, k := range kinds {
+			buf = append(buf, byte(k))
 		}
 	}
-	for i := range w.Traces {
-		for _, op := range w.Traces[i].Ops {
-			buf = le.AppendUint32(buf, op.Arg)
+	for _, t := range w.Traces {
+		_, args, _, _ := t.parts()
+		for _, a := range args {
+			buf = le.AppendUint32(buf, a)
 		}
 	}
-	for i := range w.Traces {
-		t := &w.Traces[i]
-		for j := range t.Rays {
+	for _, t := range w.Traces {
+		for j := range t.NumRays() {
 			words, prev := t.RayWords(j), int32(0)
 			for k := 0; k < len(words); {
 				var tests int32
@@ -186,9 +185,9 @@ func (r *wlReader) u64() (uint64, error) {
 const wlMaxDim = 1 << 16
 
 // Decode implements store.Codec: it parses the payload, checks the scene
-// name against the library, and re-homes every trace into fresh arenas via
-// three-index slicing, yielding the same zero-copy layout BuildWorkload's
-// compaction produces. Every trace op must name a ray of its own pixel.
+// name against the library, and lays every trace out in one exactly sized
+// arena, the layout BuildWorkload's compaction produces. Every trace op
+// must name a ray of its own pixel.
 func (workloadCodec) Decode(data []byte) (any, int64, error) {
 	r := &wlReader{data: data}
 	nameLen, err := r.u32()
@@ -254,7 +253,8 @@ func (workloadCodec) Decode(data []byte) (any, int64, error) {
 	// the sum cannot wrap.
 	limit := uint64(len(data))
 	if nOps64 > limit/5 || nRays64 > limit/5 || nSteps64 > limit/4 ||
-		nOps64*5+nRays64*5+nSteps64*4 > limit {
+		nOps64*5+nRays64*5+nSteps64*4 > limit ||
+		nOps64 > math.MaxUint32 || nRays64 > math.MaxUint32 {
 		return nil, 0, fmt.Errorf("rt: workload totals (%d ops, %d rays, %d steps) exceed payload", nOps64, nRays64, nSteps64)
 	}
 	nOps, nRays, nSteps := int(nOps64), int(nRays64), int(nSteps64)
@@ -277,7 +277,12 @@ func (workloadCodec) Decode(data []byte) (any, int64, error) {
 			sumOps, sumRays, nOps64, nRays64)
 	}
 
-	rays := make([]RayTrace, nRays)
+	a := &arena{
+		offs:  make([]traceOffs, pixels+1),
+		kinds: make([]OpKind, nOps),
+		args:  make([]uint32, nOps),
+		rays:  make([]RayTrace, nRays),
+	}
 	stepCounts := make([]uint32, nRays)
 	var sumSteps uint64
 	for i := 0; i < nRays; i++ {
@@ -288,7 +293,7 @@ func (workloadCodec) Decode(data []byte) (any, int64, error) {
 		if RayKind(kind) > RayBounce {
 			return nil, 0, fmt.Errorf("rt: ray %d has unknown kind %d", i, kind)
 		}
-		rays[i].Kind = RayKind(kind)
+		a.rays[i].Kind = RayKind(kind)
 		if stepCounts[i], err = r.u32(); err != nil {
 			return nil, 0, err
 		}
@@ -298,7 +303,6 @@ func (workloadCodec) Decode(data []byte) (any, int64, error) {
 		return nil, 0, fmt.Errorf("rt: ray boundaries (%d steps) disagree with total %d", sumSteps, nSteps64)
 	}
 
-	ops := make([]Op, nOps)
 	for i := 0; i < nOps; i++ {
 		kind, err := r.u8()
 		if err != nil {
@@ -307,10 +311,10 @@ func (workloadCodec) Decode(data []byte) (any, int64, error) {
 		if OpKind(kind) > OpTrace {
 			return nil, 0, fmt.Errorf("rt: op %d has unknown kind %d", i, kind)
 		}
-		ops[i].Kind = OpKind(kind)
+		a.kinds[i] = OpKind(kind)
 	}
 	for i := 0; i < nOps; i++ {
-		if ops[i].Arg, err = r.u32(); err != nil {
+		if a.args[i], err = r.u32(); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -321,7 +325,7 @@ func (workloadCodec) Decode(data []byte) (any, int64, error) {
 	if r.off != len(data) {
 		return nil, 0, fmt.Errorf("rt: %d trailing bytes after workload payload", len(data)-r.off)
 	}
-	// Size the step-word arena exactly, so that SizeBytes stays exact and
+	// Size the step-word array exactly, so that SizeBytes stays exact and
 	// the codes below never reallocate it.
 	nWords, off := 0, 0
 	for _, n := range stepCounts {
@@ -332,48 +336,45 @@ func (workloadCodec) Decode(data []byte) (any, int64, error) {
 			prev, off = node, off+4
 		}
 	}
-	steps := make([]uint16, 0, nWords)
-
-	// Re-home: the flat arenas are carved back into per-trace slices with
-	// capped capacity, exactly like Workload.compact, and each ray's steps
-	// are coded into words, its end offset counted within its trace's
-	// words.
-	w := &Workload{
-		Scene:     name,
-		Width:     int(width),
-		Height:    int(height),
-		SPP:       int(spp),
-		Traces:    make([]ThreadTrace, pixels),
-		Cost:      cost,
-		opsArena:  ops,
-		raysArena: rays,
+	if nWords > math.MaxUint32 {
+		return nil, 0, fmt.Errorf("rt: %d step words exceed a trace arena", nWords)
 	}
-	opOff, rayOff := 0, 0
+	a.words = make([]uint16, 0, nWords)
+
+	// Lay the traces out in the arena, exactly as BuildWorkload's
+	// compaction does: each ray's steps are coded into words, its end
+	// offset counted within its trace's words.
+	w := &Workload{
+		Scene:  name,
+		Width:  int(width),
+		Height: int(height),
+		SPP:    int(spp),
+		Traces: make([]ThreadTrace, pixels),
+		Cost:   cost,
+	}
+	var end traceOffs
 	off = 0
 	for i := 0; i < pixels; i++ {
-		oEnd := opOff + int(opCounts[i])
-		for _, op := range ops[opOff:oEnd] {
-			if op.Kind == OpTrace && op.Arg >= rayCounts[i] {
-				return nil, 0, fmt.Errorf("rt: pixel %d traces ray %d of %d", i, op.Arg, rayCounts[i])
+		start := end
+		end.ops += opCounts[i]
+		end.rays += rayCounts[i]
+		for k, kind := range a.kinds[start.ops:end.ops] {
+			if arg := a.args[start.ops+uint32(k)]; kind == OpTrace && arg >= rayCounts[i] {
+				return nil, 0, fmt.Errorf("rt: pixel %d traces ray %d of %d", i, arg, rayCounts[i])
 			}
 		}
-		rEnd := rayOff + int(rayCounts[i])
-		s0 := len(steps)
-		for j := rayOff; j < rEnd; j++ {
+		for j := start.rays; j < end.rays; j++ {
 			prev := int32(0)
 			for k := uint32(0); k < stepCounts[j]; k++ {
 				node, tests := UnpackStep(binary.LittleEndian.Uint32(packed[off:]))
-				steps = bvh.AppendStep(steps, prev, node, tests)
+				a.words = bvh.AppendStep(a.words, prev, node, tests)
 				prev, off = node, off+4
 			}
-			rays[j].End = uint32(len(steps) - s0)
+			a.rays[j].End = uint32(len(a.words)) - start.words
 		}
-		t := &w.Traces[i]
-		t.Ops = ops[opOff:oEnd:oEnd]
-		t.Rays = rays[rayOff:rEnd:rEnd]
-		t.Steps = steps[s0:len(steps):len(steps)]
-		opOff, rayOff = oEnd, rEnd
+		end.words = uint32(len(a.words))
+		a.offs[i+1] = end
+		w.Traces[i] = ThreadTrace{a: a, i: i}
 	}
-	w.stepsArena = steps
 	return w, w.SizeBytes(), nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -48,24 +49,24 @@ func workloadsEqual(t *testing.T, a, b *Workload) {
 		t.Fatalf("trace count mismatch: %d vs %d", len(a.Traces), len(b.Traces))
 	}
 	for i := range a.Traces {
-		ta, tb := &a.Traces[i], &b.Traces[i]
-		if len(ta.Ops) != len(tb.Ops) || len(ta.Rays) != len(tb.Rays) || len(ta.Steps) != len(tb.Steps) {
-			t.Fatalf("trace %d shape mismatch: %d/%d ops, %d/%d rays, %d/%d steps",
-				i, len(ta.Ops), len(tb.Ops), len(ta.Rays), len(tb.Rays), len(ta.Steps), len(tb.Steps))
+		ta, tb := a.Traces[i], b.Traces[i]
+		if ta.NumOps() != tb.NumOps() || ta.NumRays() != tb.NumRays() {
+			t.Fatalf("trace %d shape mismatch: %d/%d ops, %d/%d rays",
+				i, ta.NumOps(), tb.NumOps(), ta.NumRays(), tb.NumRays())
 		}
-		for j := range ta.Ops {
-			if ta.Ops[j] != tb.Ops[j] {
-				t.Fatalf("trace %d op %d mismatch: %+v vs %+v", i, j, ta.Ops[j], tb.Ops[j])
+		for j := range ta.NumOps() {
+			if ta.Op(j) != tb.Op(j) {
+				t.Fatalf("trace %d op %d mismatch: %+v vs %+v", i, j, ta.Op(j), tb.Op(j))
 			}
 		}
-		for j := range ta.Rays {
-			if ta.Rays[j] != tb.Rays[j] {
-				t.Fatalf("trace %d ray %d mismatch: %+v vs %+v", i, j, ta.Rays[j], tb.Rays[j])
+		_, _, raysA, _ := ta.parts()
+		_, _, raysB, _ := tb.parts()
+		for j := range raysA {
+			if raysA[j] != raysB[j] {
+				t.Fatalf("trace %d ray %d mismatch: %+v vs %+v", i, j, raysA[j], raysB[j])
 			}
-		}
-		for k := range ta.Steps {
-			if ta.Steps[k] != tb.Steps[k] {
-				t.Fatalf("trace %d step %d mismatch", i, k)
+			if !slices.Equal(ta.RayWords(j), tb.RayWords(j)) {
+				t.Fatalf("trace %d ray %d step words mismatch", i, j)
 			}
 		}
 	}
@@ -115,8 +116,9 @@ func TestWorkloadCodecStepsRoundTrip(t *testing.T) {
 		w := &Workload{Scene: "SPRNG", Width: 3, Height: 1, SPP: 1, Traces: make([]ThreadTrace, 3), Cost: make([]float64, 3)}
 		var packed []uint32
 		for i := range w.Traces {
-			tr := &w.Traces[i]
-			for ray, rays := 0, rng.Intn(4); ray < rays; ray++ {
+			var ops []Op
+			var rays []RaySteps
+			for ray, n := 0, rng.Intn(4); ray < n; ray++ {
 				steps := make([]uint32, rng.Intn(40))
 				node := int32(0)
 				for k := range steps {
@@ -131,10 +133,11 @@ func TestWorkloadCodecStepsRoundTrip(t *testing.T) {
 					}
 					steps[k] = PackStep(node, int32(rng.Intn(301)))
 				}
-				tr.Ops = append(tr.Ops, Op{Kind: OpTrace, Arg: uint32(len(tr.Rays))})
-				tr.AppendRay(RayKind(rng.Intn(3)), steps...)
+				ops = append(ops, Op{Kind: OpTrace, Arg: uint32(len(rays))})
+				rays = append(rays, RaySteps{Kind: RayKind(rng.Intn(3)), Steps: steps})
 				packed = append(packed, steps...)
 			}
+			w.Traces[i] = NewTrace(ops, rays...)
 		}
 		c := workloadCodec{}
 		data, err := c.Encode(w)
@@ -236,10 +239,10 @@ func TestWorkloadCodecRejectsRayIndexPastPixel(t *testing.T) {
 	if _, _, _, err := store.DecodeFramed(mustFrame(t, w)); err != nil {
 		t.Fatalf("intact frame rejected: %v", err)
 	}
-	ops := w.Traces[0].Ops
-	for i := range ops {
-		if ops[i].Kind == OpTrace {
-			ops[i].Arg = 999
+	kinds, args, _, _ := w.Traces[0].parts()
+	for i, k := range kinds {
+		if k == OpTrace {
+			args[i] = 999
 			break
 		}
 	}
@@ -259,9 +262,11 @@ func mustFrame(t *testing.T, w *Workload) []byte {
 
 // TestWorkloadSizeBytesExact: SizeBytes equals an independent count of
 // what a workload holds, for a built workload and its decoded copy. The
-// count walks the traces, so it also proves the arenas are trimmed to the
-// traced sizes and that nothing else (no BVH) is charged. Traversal steps
-// are held as 16-bit words, two bytes each.
+// count walks the traces, so it also proves that every trace shares one
+// arena trimmed to the traced sizes and that nothing else (no BVH) is
+// charged. A trace is a 16-byte handle; its arena holds 12 bytes of
+// offsets per trace (plus one leading boundary), 5 bytes per op (kind and
+// argument), 8 per ray and 2 per step word.
 func TestWorkloadSizeBytesExact(t *testing.T) {
 	if n := unsafe.Sizeof(RayTrace{}); n > 8 {
 		t.Errorf("RayTrace is %d bytes, want at most 8", n)
@@ -272,24 +277,97 @@ func TestWorkloadSizeBytesExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, w := range map[string]*Workload{"built": built, "decoded": v.(*Workload)} {
-		var ops, rays, steps int
-		for i := range w.Traces {
-			ops += len(w.Traces[i].Ops)
-			rays += len(w.Traces[i].Rays)
-			steps += len(w.Traces[i].Steps)
+		a := w.Traces[0].a
+		var ops, rays, words int
+		for i, tr := range w.Traces {
+			if tr.a != a || tr.i != i {
+				t.Fatalf("%s: trace %d is (%p, %d), want (%p, %d)", name, i, tr.a, tr.i, a, i)
+			}
+			ops += tr.NumOps()
+			rays += tr.NumRays()
+			for j := range tr.NumRays() {
+				words += len(tr.RayWords(j))
+			}
 		}
-		if cap(w.opsArena) != ops || cap(w.raysArena) != rays || cap(w.stepsArena) != steps {
-			t.Errorf("%s: arena capacities %d/%d/%d, traces hold %d ops, %d rays, %d steps",
-				name, cap(w.opsArena), cap(w.raysArena), cap(w.stepsArena), ops, rays, steps)
+		if cap(a.offs) != len(w.Traces)+1 || cap(a.kinds) != ops || cap(a.args) != ops ||
+			cap(a.rays) != rays || cap(a.words) != words {
+			t.Errorf("%s: arena capacities %d/%d/%d/%d/%d, traces hold %d traces, %d ops, %d rays, %d words",
+				name, cap(a.offs), cap(a.kinds), cap(a.args), cap(a.rays), cap(a.words),
+				len(w.Traces), ops, rays, words)
 		}
 		want := int64(unsafe.Sizeof(Workload{})) +
-			int64(len(w.Traces))*int64(unsafe.Sizeof(ThreadTrace{})) +
+			int64(len(w.Traces))*16 +
 			int64(len(w.Cost))*8 +
-			int64(ops)*int64(unsafe.Sizeof(Op{})) +
+			int64(unsafe.Sizeof(arena{})) +
+			int64(len(w.Traces)+1)*12 +
+			int64(ops)*5 +
 			int64(rays)*int64(unsafe.Sizeof(RayTrace{})) +
-			int64(steps)*2
+			int64(words)*2
 		if got := w.SizeBytes(); got != want {
 			t.Errorf("%s: SizeBytes = %d, independent count %d", name, got, want)
+		}
+	}
+}
+
+// TestTraceHandleSize pins the resident layout: a trace is a 16-byte
+// handle, the simulator's per-thread cursor is at most 24 bytes, and PARK
+// at 128², the frame the benchmarks replay, holds at most 360 resident
+// bytes per pixel (433 when each trace carried three slice headers and
+// 8-byte ops).
+func TestTraceHandleSize(t *testing.T) {
+	if n := unsafe.Sizeof(ThreadTrace{}); n != 16 {
+		t.Errorf("ThreadTrace is %d bytes, want 16", n)
+	}
+	if n := unsafe.Sizeof(Cursor{}); n > 24 {
+		t.Errorf("Cursor is %d bytes, want at most 24", n)
+	}
+	s, err := scene.ByName("PARK")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := BuildWorkload(s, 128, 128, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perPixel := float64(w.SizeBytes()) / float64(w.Pixels()); perPixel > 360 {
+		t.Errorf("PARK 128² holds %.1f B/pixel, want at most 360", perPixel)
+	}
+}
+
+// TestWorkloadArenaRoundTripAllScenes: every library scene at 48² goes
+// through build, encode and decode. The decoded workload has the built
+// one's ops, rays and step words pixel by pixel and the same SizeBytes,
+// and re-encodes to the identical payload.
+func TestWorkloadArenaRoundTripAllScenes(t *testing.T) {
+	c := workloadCodec{}
+	for _, name := range scene.Names() {
+		s, err := scene.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, err := BuildWorkload(s, 48, 48, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		data, err := c.Encode(built)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		v, size, err := c.Decode(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		decoded := v.(*Workload)
+		workloadsEqual(t, built, decoded)
+		if size != built.SizeBytes() || decoded.SizeBytes() != built.SizeBytes() {
+			t.Errorf("%s: decoded SizeBytes %d (reported %d), built %d", name, decoded.SizeBytes(), size, built.SizeBytes())
+		}
+		again, err := c.Encode(decoded)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(data, again) {
+			t.Errorf("%s: re-encoded payload differs", name)
 		}
 	}
 }

@@ -42,11 +42,11 @@ func TestFilteredTrace(t *testing.T) {
 	if ft.Instructions() != 2 {
 		t.Errorf("filtered trace issues %d instructions, want 2", ft.Instructions())
 	}
-	if len(ft.Rays) != 0 {
-		t.Errorf("filtered trace traced %d rays", len(ft.Rays))
+	if ft.NumRays() != 0 {
+		t.Errorf("filtered trace traced %d rays", ft.NumRays())
 	}
-	for _, op := range ft.Ops {
-		if op.Kind == OpLoad || op.Kind == OpStore {
+	for i := range ft.NumOps() {
+		if k := ft.Op(i).Kind; k == OpLoad || k == OpStore {
 			t.Errorf("filtered trace touches memory")
 		}
 	}
@@ -74,16 +74,17 @@ func TestWorkloadShape(t *testing.T) {
 			w.Pixels(), len(w.Traces), len(w.Cost))
 	}
 	for pix, tr := range w.Traces {
-		if len(tr.Ops) == 0 {
+		if tr.NumOps() == 0 {
 			t.Fatalf("pixel %d has empty trace", pix)
 		}
 		// Every trace begins with ray-generation compute and traces at
 		// least one primary ray per sample.
-		if tr.Ops[0].Kind != OpCompute {
-			t.Errorf("pixel %d trace starts with %v", pix, tr.Ops[0].Kind)
+		if k := tr.Op(0).Kind; k != OpCompute {
+			t.Errorf("pixel %d trace starts with %v", pix, k)
 		}
 		prim := 0
-		for _, r := range tr.Rays {
+		_, _, rays, _ := tr.parts()
+		for _, r := range rays {
 			if r.Kind == RayPrimary {
 				prim++
 			}
@@ -91,9 +92,9 @@ func TestWorkloadShape(t *testing.T) {
 		if prim != w.SPP {
 			t.Errorf("pixel %d traced %d primary rays, want %d", pix, prim, w.SPP)
 		}
-		// OpTrace args must index Rays.
-		for _, op := range tr.Ops {
-			if op.Kind == OpTrace && int(op.Arg) >= len(tr.Rays) {
+		// OpTrace args must index the trace's rays.
+		for i := range tr.NumOps() {
+			if op := tr.Op(i); op.Kind == OpTrace && int(op.Arg) >= tr.NumRays() {
 				t.Fatalf("pixel %d OpTrace arg %d out of range", pix, op.Arg)
 			}
 		}
@@ -118,11 +119,11 @@ func TestWorkloadDeterministicAcrossBuilds(t *testing.T) {
 	}
 	for pix := range a.Traces {
 		ta, tb := a.Traces[pix], b.Traces[pix]
-		if len(ta.Ops) != len(tb.Ops) || len(ta.Rays) != len(tb.Rays) {
+		if ta.NumOps() != tb.NumOps() || ta.NumRays() != tb.NumRays() {
 			t.Fatalf("pixel %d shape differs across builds", pix)
 		}
-		for i := range ta.Ops {
-			if ta.Ops[i] != tb.Ops[i] {
+		for i := range ta.NumOps() {
+			if ta.Op(i) != tb.Op(i) {
 				t.Fatalf("pixel %d op %d differs", pix, i)
 			}
 		}
@@ -141,7 +142,8 @@ func TestShadowRaysFollowHits(t *testing.T) {
 	}
 	for pix, tr := range w.Traces {
 		var prim, shadow, bounce int
-		for _, r := range tr.Rays {
+		_, _, rays, _ := tr.parts()
+		for _, r := range rays {
 			switch r.Kind {
 			case RayPrimary:
 				prim++
@@ -199,21 +201,21 @@ func TestSceneHeatContrast(t *testing.T) {
 }
 
 func TestInstructionsCounting(t *testing.T) {
-	tr := ThreadTrace{Ops: []Op{
+	tr := NewTrace([]Op{
 		{Kind: OpCompute, Arg: 10},
 		{Kind: OpLoad, Arg: 0x1000},
 		{Kind: OpTrace, Arg: 0},
 		{Kind: OpStore, Arg: 0x2000},
-	}}
+	}, RaySteps{Kind: RayPrimary})
 	if got := tr.Instructions(); got != 13 {
 		t.Errorf("Instructions = %d, want 13", got)
 	}
 }
 
 func TestTraversalWork(t *testing.T) {
-	var tr ThreadTrace
-	tr.AppendRay(RayPrimary, PackStep(1, 0), PackStep(9000, 3))
-	tr.AppendRay(RayShadow, PackStep(5, 2))
+	tr := NewTrace(nil,
+		RaySteps{Kind: RayPrimary, Steps: []uint32{PackStep(1, 0), PackStep(9000, 3)}},
+		RaySteps{Kind: RayShadow, Steps: []uint32{PackStep(5, 2)}})
 	nodes, tris := tr.TraversalWork()
 	if nodes != 3 || tris != 5 {
 		t.Errorf("TraversalWork = (%d,%d), want (3,5)", nodes, tris)

@@ -26,87 +26,40 @@ type Workload struct {
 	Width  int
 	Height int
 	SPP    int
-	// Traces holds one trace per pixel in row-major order.
+	// Traces holds one trace per pixel in row-major order. A built or
+	// decoded workload's traces share one arena, laid out in pixel order:
+	// a handful of allocations for the whole frame instead of millions of
+	// per-pixel slices, which shrinks GC scan work for store-resident
+	// workloads and gives replay row-major locality.
 	Traces []ThreadTrace
 	// Cost is the per-pixel execution-cost estimate (row-major) used to
 	// build heatmaps: node visits + 2·triangle tests + instructions/4.
 	Cost []float64
-
-	// The arenas back every trace's Ops/Rays/Steps slices after
-	// compaction: three allocations for the whole frame instead of
-	// millions of per-pixel slices, which shrinks GC scan work for
-	// store-resident workloads and gives replay row-major locality.
-	// Nil for hand-assembled workloads that never went through
-	// BuildWorkload; SizeBytes falls back to walking the traces then.
-	opsArena   []Op
-	raysArena  []RayTrace
-	stepsArena []uint16
 }
 
 // Pixels returns Width·Height.
 func (w *Workload) Pixels() int { return w.Width * w.Height }
 
-// Element sizes for exact byte accounting.
-const (
-	opBytes    = int64(unsafe.Sizeof(Op{}))
-	rayBytes   = int64(unsafe.Sizeof(RayTrace{}))
-	stepBytes  = int64(unsafe.Sizeof(uint16(0)))
-	traceBytes = int64(unsafe.Sizeof(ThreadTrace{}))
-)
+// traceBytes is the size of one trace handle.
+const traceBytes = int64(unsafe.Sizeof(ThreadTrace{}))
 
 // SizeBytes returns the workload's exact resident size for the artifact
-// store's byte accounting. For compacted workloads the three arenas hold
-// every op, ray and traversal step word, so the count is exact; hand-assembled
-// workloads are walked trace by trace. A workload keeps no geometry, so
-// this is all it holds.
+// store's byte accounting: the handles, the costs and the arena behind the
+// traces. An arena is counted once per run of consecutive traces that
+// share it, which is once for a built or decoded workload. A workload
+// keeps no geometry, so this is all it holds.
 func (w *Workload) SizeBytes() int64 {
 	n := int64(unsafe.Sizeof(*w))
 	n += int64(len(w.Cost)) * 8
 	n += int64(len(w.Traces)) * traceBytes
-	if w.opsArena != nil || w.raysArena != nil || w.stepsArena != nil {
-		n += int64(cap(w.opsArena))*opBytes +
-			int64(cap(w.raysArena))*rayBytes +
-			int64(cap(w.stepsArena))*stepBytes
-	} else {
-		for i := range w.Traces {
-			t := &w.Traces[i]
-			n += int64(len(t.Ops))*opBytes + int64(len(t.Rays))*rayBytes +
-				int64(len(t.Steps))*stepBytes
+	var last *arena
+	for i := range w.Traces {
+		if a := w.Traces[i].a; a != last && a != nil {
+			n += a.sizeBytes()
+			last = a
 		}
 	}
 	return n
-}
-
-// compact rewrites every trace's slices into three shared backing arrays in
-// row-major pixel order. The per-worker tracing arenas over-allocate and
-// interleave pixels by row ownership; compaction restores determinism of
-// layout, trims capacity to exactly the traced sizes, and drops the
-// oversized worker arenas. Ray end offsets are relative to their trace's
-// Steps, so rays copy unchanged.
-func (w *Workload) compact() {
-	var nOps, nRays, nSteps int
-	for i := range w.Traces {
-		t := &w.Traces[i]
-		nOps += len(t.Ops)
-		nRays += len(t.Rays)
-		nSteps += len(t.Steps)
-	}
-	ops := make([]Op, 0, nOps)
-	rays := make([]RayTrace, 0, nRays)
-	steps := make([]uint16, 0, nSteps)
-	for i := range w.Traces {
-		t := &w.Traces[i]
-		o0, r0, s0 := len(ops), len(rays), len(steps)
-		ops = append(ops, t.Ops...)
-		rays = append(rays, t.Rays...)
-		steps = append(steps, t.Steps...)
-		// Three-index slicing caps capacity so an accidental append by a
-		// consumer cannot silently overwrite the next pixel's data.
-		t.Ops = ops[o0:len(ops):len(ops)]
-		t.Rays = rays[r0:len(rays):len(rays)]
-		t.Steps = steps[s0:len(steps):len(steps)]
-	}
-	w.opsArena, w.raysArena, w.stepsArena = ops, rays, steps
 }
 
 // BuildWorkload path-traces every pixel of the scene at the given
@@ -148,9 +101,9 @@ func BuildWorkloadContext(ctx context.Context, s *scene.Scene, width, height, sp
 		Width:  width,
 		Height: height,
 		SPP:    spp,
-		Traces: make([]ThreadTrace, width*height),
 		Cost:   make([]float64, width*height),
 	}
+	parts := make([]tracePart, width*height)
 
 	cam := s.Cam
 	cam.Finalize(float32(width) / float32(height))
@@ -171,10 +124,11 @@ func BuildWorkloadContext(ctx context.Context, s *scene.Scene, width, height, sp
 				for x := 0; x < width; x++ {
 					pix := y*width + x
 					steps, tests := tr.rec.Steps, tr.rec.Tests
-					t := tr.tracePixel(x, y, width, height, spp, root.Split(uint64(pix)))
-					w.Traces[pix] = t
+					parts[pix] = tr.tracePixel(x, y, width, height, spp, root.Split(uint64(pix)))
+					// The instructions term is added once the trace is in
+					// the arena, below.
 					nodes, tris := tr.rec.Steps-steps, tr.rec.Tests-tests
-					w.Cost[pix] = float64(nodes) + 2*float64(tris) + float64(t.Instructions())/4
+					w.Cost[pix] = float64(nodes) + 2*float64(tris)
 				}
 			}
 		}()
@@ -192,17 +146,24 @@ feed:
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	w.compact()
+	// Compaction: the worker buffers over-allocate and interleave pixels
+	// by row ownership; the arena restores determinism of layout, is sized
+	// exactly and lets the oversized worker buffers go.
+	if w.Traces, err = newArena(parts); err != nil {
+		return nil, err
+	}
+	for pix, t := range w.Traces {
+		w.Cost[pix] += float64(t.Instructions()) / 4
+	}
 	return w, nil
 }
 
 // tracer carries the per-goroutine state of workload construction. Each
 // worker appends every pixel's ops, rays and step words into shared
-// growing arenas instead of allocating per-pixel slices (rec also totals
-// the steps and triangle tests that a pixel's Cost counts); the workload's
-// compact pass later rewrites them into the deterministic row-major
-// per-workload arenas (see Workload.compact), so worker arena layout never
-// leaks into the result.
+// growing buffers instead of allocating per-pixel slices (rec also totals
+// the steps and triangle tests that a pixel's Cost counts); BuildWorkload
+// then copies every pixel into the workload's row-major arena (newArena),
+// so worker buffer layout never leaks into the result.
 type tracer struct {
 	scene *scene.Scene
 	bvh   *bvh.BVH
@@ -216,10 +177,10 @@ type tracer struct {
 // tracePixel executes the synthetic ray-generation shader for one pixel:
 // spp independent paths, each tracing a primary ray, shadow rays at hits,
 // and mirror/diffuse bounces up to the scene's depth limit. The returned
-// trace's slices point into the tracer's arenas; earlier traces stay on
+// part's slices point into the tracer's buffers; earlier pixels stay on
 // retired chunks, which is fine — contents are immutable once a pixel
-// finishes, and compaction re-homes everything.
-func (tr *tracer) tracePixel(x, y, width, height, spp int, rng *vecmath.RNG) ThreadTrace {
+// finishes, and newArena re-homes everything.
+func (tr *tracer) tracePixel(x, y, width, height, spp int, rng *vecmath.RNG) tracePart {
 	tr.ops, tr.rays, tr.rec.Words = reserve(tr.ops, 1<<8), reserve(tr.rays, 1<<6), reserve(tr.rec.Words, 1<<12)
 	opsStart, raysStart, stepsStart := len(tr.ops), len(tr.rays), len(tr.rec.Words)
 	pix := uint32(y*width + x)
@@ -308,11 +269,11 @@ func (tr *tracer) tracePixel(x, y, width, height, spp int, rng *vecmath.RNG) Thr
 			break
 		}
 	}
-	return ThreadTrace{Ops: tr.ops[opsStart:], Rays: tr.rays[raysStart:], Steps: tr.rec.Words[stepsStart:]}
+	return tracePart{ops: tr.ops[opsStart:], rays: tr.rays[raysStart:], words: tr.rec.Words[stepsStart:]}
 }
 
 // reserve returns s if it has room for n more elements, or else a fresh
-// empty chunk with room for 64n. A tracer arena thus grows chunk by chunk
+// empty chunk with room for 64n. A tracer buffer thus grows chunk by chunk
 // instead of copying everything traced so far on each doubling; a pixel's
 // ops, its rays and its steps each still share one backing array because
 // they are reserved for up front (append copies only in the rare case
