@@ -6,6 +6,7 @@
 package zatel_test
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"sync"
@@ -46,7 +47,7 @@ var (
 func gpuBenchWorkload(tb testing.TB) []rt.ThreadTrace {
 	tb.Helper()
 	gpuBenchOnce.Do(func() {
-		wl, err := rt.CachedWorkload(gpuBenchScene, gpuBenchRes, gpuBenchRes, gpuBenchSPP)
+		wl, err := rt.CachedWorkloadContext(context.Background(), gpuBenchScene, gpuBenchRes, gpuBenchRes, gpuBenchSPP)
 		if err != nil {
 			gpuBenchErr = err
 			return

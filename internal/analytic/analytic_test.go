@@ -1,6 +1,7 @@
 package analytic
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -102,7 +103,7 @@ func TestAnalyticOnRealWorkload(t *testing.T) {
 	// traced scene; accuracy against the cycle-level simulator is the
 	// analytic row of `sweep ablations`, where high error is the expected
 	// (and paper-matching) outcome.
-	wl, err := rt.CachedWorkload("SPRNG", 48, 48, 1)
+	wl, err := rt.CachedWorkloadContext(context.Background(), "SPRNG", 48, 48, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ package cluster_test
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -117,15 +116,23 @@ func TestFrameRoundTripQuantized(t *testing.T) {
 	}
 }
 
-func TestFrameRoundTripPredictResult(t *testing.T) {
+// testPrediction is a prediction the predict codec accepts: every Table I
+// metric, a replicated group, a group that failed after three attempts and
+// the degradation that names it.
+func testPrediction() *core.Result {
 	iv := combine.GroupIntervals{
 		metrics.IPC: {Mean: 1.5, Low: 1.2, High: 1.8, Replicates: 9},
 	}
-	r := &core.Result{
-		Predicted: combine.GroupValues{
-			metrics.IPC:           1.5,
-			metrics.BWUtilization: 0.62,
-		},
+	predicted := make(combine.GroupValues)
+	for i, m := range metrics.All() {
+		predicted[m] = 0.5 * float64(i+1)
+	}
+	failure := new(core.GroupError)
+	if err := failure.UnmarshalText([]byte("runner: injected failure")); err != nil {
+		panic(err)
+	}
+	return &core.Result{
+		Predicted: predicted,
 		Intervals: iv,
 		Groups: []core.GroupRun{
 			{
@@ -144,18 +151,23 @@ func TestFrameRoundTripPredictResult(t *testing.T) {
 				Fraction: 0.5,
 				Pixels:   144,
 				Attempts: 3,
-				Err:      errors.New("runner: injected failure"),
+				Err:      failure,
 			},
 		},
-		K: 4,
-		Quantized: &heatmap.Quantized{
-			Width: 2, Height: 2,
-			Levels: []float64{1, 2},
-			Index:  []int{0, 1, 1, 0},
-		},
+		K:              4,
 		PreprocessTime: 12 * time.Millisecond,
 		SimWallTime:    200 * time.Millisecond,
 		TotalCPUTime:   800 * time.Millisecond,
+		Degraded:       &core.Degradation{FailedGroups: []int{1}, Quorum: 1, Survivors: 1, Total: 2},
+	}
+}
+
+func TestFrameRoundTripPredictResult(t *testing.T) {
+	r := testPrediction()
+	r.Quantized = &heatmap.Quantized{
+		Width: 2, Height: 2,
+		Levels: []float64{1, 2},
+		Index:  []int{0, 1, 1, 0},
 	}
 	got := frameRoundTrip(t, r, "core.predict/v2").(*core.Result)
 	if !reflect.DeepEqual(r.Predicted, got.Predicted) {
@@ -194,10 +206,7 @@ func TestFrameRejectsCorruptionPerKind(t *testing.T) {
 		"core.quant/v1": &heatmap.Quantized{
 			Width: 2, Height: 1, Levels: []float64{1, 2}, Index: []int{0, 1},
 		},
-		"core.predict/v2": &core.Result{
-			Predicted: combine.GroupValues{metrics.IPC: 1},
-			K:         2,
-		},
+		"core.predict/v2":   testPrediction(),
 		"core.reference/v1": metrics.Report{Cycles: 1000, Instructions: 2500, DRAMBWUtil: 0.4, WallTime: time.Second},
 	}
 	for kind, v := range values {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"zatel/internal/config"
-	"zatel/internal/core"
 	"zatel/internal/gpu"
 	"zatel/internal/heatmap"
 	"zatel/internal/metrics"
@@ -38,7 +37,7 @@ func FuzzDecodeFramed(f *testing.F) {
 	for _, v := range []any{
 		w,
 		&heatmap.Quantized{Width: 2, Height: 1, Levels: []float64{1, 2}, Index: []int{0, 1}},
-		&core.Result{Predicted: map[metrics.Metric]float64{metrics.IPC: 1}, K: 2},
+		testPrediction(),
 		metrics.Report{Cycles: 1000, Instructions: 2500, DRAMBWUtil: 0.4, WallTime: time.Second},
 	} {
 		data, _, err := store.EncodeFramed(v)

@@ -7,10 +7,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"time"
+	"slices"
 
-	"zatel/internal/combine"
-	"zatel/internal/extrapolate"
 	"zatel/internal/heatmap"
 	"zatel/internal/metrics"
 	"zatel/internal/store"
@@ -153,14 +151,15 @@ func (quantCodec) Decode(data []byte) (any, int64, error) {
 	return q, quantizedSize(q), nil
 }
 
-// predictCodec serializes cached predictions (core.Result) as a versioned
-// JSON mirror: the payload is response-sized (about 2.3 KB at the default
-// K, whatever the resolution), so self-describing JSON beats hand-rolled
-// binary here, and the mirror types keep the disk format decoupled from
-// in-memory struct evolution. Metric maps are keyed by the Table I metric
-// names; errors are carried as strings. Result.Quantized is not part of
-// the format: the heatmap is its own quant/v1 artifact, shared by every
-// prediction swept over one profile.
+// predictCodec serializes cached predictions (core.Result) as the JSON of
+// the struct, the rule referenceCodec follows: the json tags on Result,
+// GroupRun, Degradation and extrapolate.Interval are the format, metric
+// maps are keyed by the Table I names (metrics.Metric's text form) and a
+// group's error is its message. Changing a tag needs a new kind. The
+// payload is response-sized (about 2.3 KB at the default K, whatever the
+// resolution). Result.Quantized is not part of the format: the heatmap is
+// its own quant/v1 artifact, shared by every prediction swept over one
+// profile.
 type predictCodec struct{}
 
 // Kind implements store.Codec.
@@ -172,219 +171,60 @@ func (predictCodec) Encodes(v any) bool {
 	return ok
 }
 
-type intervalJSON struct {
-	Mean       float64 `json:"mean"`
-	Low        float64 `json:"low"`
-	High       float64 `json:"high"`
-	Replicates int     `json:"replicates"`
-}
-
-type groupRunJSON struct {
-	Report     metrics.Report          `json:"report"`
-	Fraction   float64                 `json:"fraction"`
-	Pixels     int                     `json:"pixels"`
-	Selected   int                     `json:"selected"`
-	WallNs     int64                   `json:"wall_ns"`
-	QueueNs    int64                   `json:"queue_ns"`
-	Attempts   int                     `json:"attempts"`
-	Err        string                  `json:"err,omitempty"`
-	Intervals  map[string]intervalJSON `json:"intervals,omitempty"`
-	Replicates int                     `json:"replicates,omitempty"`
-	Rounds     int                     `json:"rounds,omitempty"`
-	TargetMet  bool                    `json:"target_met"`
-}
-
-type degradationJSON struct {
-	FailedGroups []int          `json:"failed_groups"`
-	GroupErrors  map[int]string `json:"group_errors"`
-	Attempts     map[int]int    `json:"attempts"`
-	Quorum       int            `json:"quorum"`
-	Survivors    int            `json:"survivors"`
-	Total        int            `json:"total"`
-}
-
-type resultJSON struct {
-	Predicted    map[string]float64      `json:"predicted"`
-	Intervals    map[string]intervalJSON `json:"intervals,omitempty"`
-	Groups       []groupRunJSON          `json:"groups"`
-	K            int                     `json:"k"`
-	PreprocessNs int64                   `json:"preprocess_ns"`
-	SimWallNs    int64                   `json:"sim_wall_ns"`
-	TotalCPUNs   int64                   `json:"total_cpu_ns"`
-	Degraded     *degradationJSON        `json:"degraded,omitempty"`
-}
-
-// metricByName resolves the Table I names used as JSON map keys.
-var metricByName = func() map[string]metrics.Metric {
-	m := make(map[string]metrics.Metric, len(metrics.All()))
-	for _, mt := range metrics.All() {
-		m[mt.String()] = mt
-	}
-	return m
-}()
-
-func valuesToJSON(v combine.GroupValues) map[string]float64 {
-	if v == nil {
-		return nil
-	}
-	out := make(map[string]float64, len(v))
-	for m, x := range v {
-		out[m.String()] = x
-	}
-	return out
-}
-
-func valuesFromJSON(v map[string]float64) (combine.GroupValues, error) {
-	if v == nil {
-		return nil, nil
-	}
-	out := make(combine.GroupValues, len(v))
-	for name, x := range v {
-		m, ok := metricByName[name]
-		if !ok {
-			return nil, fmt.Errorf("core: unknown metric %q in cached prediction", name)
-		}
-		out[m] = x
-	}
-	return out, nil
-}
-
-func intervalsToJSON(iv combine.GroupIntervals) map[string]intervalJSON {
-	if iv == nil {
-		return nil
-	}
-	out := make(map[string]intervalJSON, len(iv))
-	for m, i := range iv {
-		out[m.String()] = intervalJSON{Mean: i.Mean, Low: i.Low, High: i.High, Replicates: i.Replicates}
-	}
-	return out
-}
-
-func intervalsFromJSON(iv map[string]intervalJSON) (combine.GroupIntervals, error) {
-	if iv == nil {
-		return nil, nil
-	}
-	out := make(combine.GroupIntervals, len(iv))
-	for name, i := range iv {
-		m, ok := metricByName[name]
-		if !ok {
-			return nil, fmt.Errorf("core: unknown metric %q in cached intervals", name)
-		}
-		out[m] = extrapolate.Interval{Mean: i.Mean, Low: i.Low, High: i.High, Replicates: i.Replicates}
-	}
-	return out, nil
-}
-
 // Encode implements store.Codec.
 func (predictCodec) Encode(v any) ([]byte, error) {
 	r, ok := v.(*Result)
 	if !ok {
 		return nil, fmt.Errorf("core: predict codec cannot encode %T", v)
 	}
-	mirror := resultJSON{
-		Predicted:    valuesToJSON(r.Predicted),
-		Intervals:    intervalsToJSON(r.Intervals),
-		Groups:       make([]groupRunJSON, len(r.Groups)),
-		K:            r.K,
-		PreprocessNs: int64(r.PreprocessTime),
-		SimWallNs:    int64(r.SimWallTime),
-		TotalCPUNs:   int64(r.TotalCPUTime),
-	}
-	for gi, g := range r.Groups {
-		gj := groupRunJSON{
-			Report:     g.Report,
-			Fraction:   g.Fraction,
-			Pixels:     g.Pixels,
-			Selected:   g.Selected,
-			WallNs:     int64(g.WallTime),
-			QueueNs:    int64(g.QueueTime),
-			Attempts:   g.Attempts,
-			Intervals:  intervalsToJSON(g.Intervals),
-			Replicates: g.Replicates,
-			Rounds:     g.Rounds,
-			TargetMet:  g.TargetMet,
-		}
-		if g.Err != nil {
-			gj.Err = g.Err.Error()
-		}
-		mirror.Groups[gi] = gj
-	}
-	if d := r.Degraded; d != nil {
-		dj := &degradationJSON{
-			FailedGroups: d.FailedGroups,
-			GroupErrors:  make(map[int]string, len(d.GroupErrors)),
-			Attempts:     d.Attempts,
-			Quorum:       d.Quorum,
-			Survivors:    d.Survivors,
-			Total:        d.Total,
-		}
-		for gi, err := range d.GroupErrors {
-			dj.GroupErrors[gi] = err.Error()
-		}
-		mirror.Degraded = dj
-	}
-	return json.Marshal(mirror)
+	return json.Marshal(r)
 }
 
 // Decode implements store.Codec.
 func (predictCodec) Decode(data []byte) (any, int64, error) {
-	var mirror resultJSON
-	if err := json.Unmarshal(data, &mirror); err != nil {
+	r := new(Result)
+	if err := json.Unmarshal(data, r); err != nil {
 		return nil, 0, fmt.Errorf("core: cached prediction: %w", err)
 	}
-	predicted, err := valuesFromJSON(mirror.Predicted)
-	if err != nil {
-		return nil, 0, err
+	if err := r.validate(); err != nil {
+		return nil, 0, fmt.Errorf("core: cached prediction: %w", err)
 	}
-	intervals, err := intervalsFromJSON(mirror.Intervals)
-	if err != nil {
-		return nil, 0, err
-	}
-	r := &Result{
-		Predicted:      predicted,
-		Intervals:      intervals,
-		Groups:         make([]GroupRun, len(mirror.Groups)),
-		K:              mirror.K,
-		PreprocessTime: time.Duration(mirror.PreprocessNs),
-		SimWallTime:    time.Duration(mirror.SimWallNs),
-		TotalCPUTime:   time.Duration(mirror.TotalCPUNs),
-	}
-	for gi, gj := range mirror.Groups {
-		ivs, err := intervalsFromJSON(gj.Intervals)
-		if err != nil {
-			return nil, 0, err
-		}
-		g := GroupRun{
-			Report:     gj.Report,
-			Fraction:   gj.Fraction,
-			Pixels:     gj.Pixels,
-			Selected:   gj.Selected,
-			WallTime:   time.Duration(gj.WallNs),
-			QueueTime:  time.Duration(gj.QueueNs),
-			Attempts:   gj.Attempts,
-			Intervals:  ivs,
-			Replicates: gj.Replicates,
-			Rounds:     gj.Rounds,
-			TargetMet:  gj.TargetMet,
-		}
-		if gj.Err != "" {
-			g.Err = errors.New(gj.Err)
-		}
-		r.Groups[gi] = g
-	}
-	if dj := mirror.Degraded; dj != nil {
-		d := &Degradation{
-			FailedGroups: dj.FailedGroups,
-			GroupErrors:  make(map[int]error, len(dj.GroupErrors)),
-			Attempts:     dj.Attempts,
-			Quorum:       dj.Quorum,
-			Survivors:    dj.Survivors,
-			Total:        dj.Total,
-		}
-		for gi, msg := range dj.GroupErrors {
-			d.GroupErrors[gi] = errors.New(msg)
-		}
-		r.Degraded = d
+	if cap(r.Groups) > len(r.Groups) {
+		// Unmarshal grows the slice by doubling: at K=5 or 6 a resident
+		// Result would hold eight GroupRuns, more than ResultSize charges.
+		r.Groups = slices.Clone(r.Groups)
 	}
 	return r, ResultSize(r), nil
+}
+
+// validate rejects a decoded prediction that PredictContext cannot have
+// produced, so that no tier serves it: a missing Table I metric, no groups,
+// K < 1, failed groups without a degradation, or a degradation that
+// disagrees with the groups (its total, its failed groups in index order,
+// its survivors and quorum).
+func (r *Result) validate() error {
+	if n := len(metrics.All()); len(r.Predicted) != n {
+		return fmt.Errorf("%d of %d metrics predicted", len(r.Predicted), n)
+	}
+	if len(r.Groups) == 0 || r.K < 1 {
+		return fmt.Errorf("%d groups at k %d", len(r.Groups), r.K)
+	}
+	var failed []int
+	for gi := range r.Groups {
+		if r.Groups[gi].Err != nil {
+			failed = append(failed, gi)
+		}
+	}
+	d := r.Degraded
+	if d == nil {
+		if failed != nil {
+			return fmt.Errorf("groups %v failed without a degradation", failed)
+		}
+		return nil
+	}
+	if failed == nil || !slices.Equal(d.FailedGroups, failed) || d.Total != len(r.Groups) ||
+		d.Survivors != d.Total-len(failed) || d.Quorum < 1 || d.Quorum > d.Survivors {
+		return fmt.Errorf("degradation %+v disagrees with %d groups, %v failed", *d, len(r.Groups), failed)
+	}
+	return nil
 }

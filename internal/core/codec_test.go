@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
-	"errors"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -72,11 +74,12 @@ func testResult() *Result {
 	iv := combine.GroupIntervals{
 		metrics.IPC: {Mean: 1.5, Low: 1.2, High: 1.8, Replicates: 9},
 	}
+	predicted := make(combine.GroupValues)
+	for i, m := range metrics.All() {
+		predicted[m] = 0.25 * float64(i+1)
+	}
 	return &Result{
-		Predicted: combine.GroupValues{
-			metrics.IPC:           1.5,
-			metrics.BWUtilization: 0.62,
-		},
+		Predicted: predicted,
 		Intervals: iv,
 		Groups: []GroupRun{
 			{
@@ -96,7 +99,7 @@ func testResult() *Result {
 				Fraction: 0.5,
 				Pixels:   144,
 				Attempts: 3,
-				Err:      errors.New("runner: injected failure"),
+				Err:      &GroupError{msg: "runner: injected failure"},
 			},
 		},
 		K:              4,
@@ -104,14 +107,7 @@ func testResult() *Result {
 		PreprocessTime: 12 * time.Millisecond,
 		SimWallTime:    200 * time.Millisecond,
 		TotalCPUTime:   800 * time.Millisecond,
-		Degraded: &Degradation{
-			FailedGroups: []int{1},
-			GroupErrors:  map[int]error{1: errors.New("runner: injected failure")},
-			Attempts:     map[int]int{0: 1, 1: 3},
-			Quorum:       3,
-			Survivors:    3,
-			Total:        4,
-		},
+		Degraded:       &Degradation{FailedGroups: []int{1}, Quorum: 1, Survivors: 1, Total: 2},
 	}
 }
 
@@ -133,16 +129,12 @@ func TestPredictCodecRoundTrip(t *testing.T) {
 	if size <= 0 {
 		t.Fatalf("size = %d, want > 0", size)
 	}
-	if !reflect.DeepEqual(r.Predicted, got.Predicted) {
-		t.Fatalf("Predicted mismatch: %+v vs %+v", r.Predicted, got.Predicted)
-	}
-	if !reflect.DeepEqual(r.Intervals, got.Intervals) {
-		t.Fatalf("Intervals mismatch: %+v vs %+v", r.Intervals, got.Intervals)
-	}
 	// v2 carries no heatmap: a Result out of a cache tier has none, and the
 	// payload must not grow with the frame.
-	if got.Quantized != nil {
-		t.Fatalf("Quantized survived the codec: %+v", got.Quantized)
+	want := *r
+	want.Quantized = nil
+	if !reflect.DeepEqual(&want, got) {
+		t.Fatalf("round trip mismatch:\nwant %+v\nhave %+v", &want, got)
 	}
 	again, err := c.Encode(got)
 	if err != nil {
@@ -151,51 +143,184 @@ func TestPredictCodecRoundTrip(t *testing.T) {
 	if !bytes.Equal(data, again) {
 		t.Fatalf("re-encoded payload differs: format is not canonical\n%s\n%s", data, again)
 	}
-	if got.K != r.K || got.PreprocessTime != r.PreprocessTime ||
-		got.SimWallTime != r.SimWallTime || got.TotalCPUTime != r.TotalCPUTime {
-		t.Fatalf("scalar fields mismatch: %+v", got)
+
+	// A decoded Result holds exactly its groups, as ResultSize charges,
+	// also at a K whose group count the decoder's slice growth overshoots.
+	r5 := testResult()
+	r5.Groups = append(r5.Groups, r5.Groups[0], r5.Groups[0], r5.Groups[0])
+	r5.Degraded.Total, r5.Degraded.Survivors = 5, 4
+	if data, err = c.Encode(r5); err != nil {
+		t.Fatal(err)
 	}
-	if len(got.Groups) != len(r.Groups) {
-		t.Fatalf("group count mismatch: %d vs %d", len(got.Groups), len(r.Groups))
+	if v, _, err = c.Decode(data); err != nil {
+		t.Fatal(err)
 	}
-	for i := range r.Groups {
-		want, have := r.Groups[i], got.Groups[i]
-		if (want.Err == nil) != (have.Err == nil) {
-			t.Fatalf("group %d Err presence mismatch", i)
+	if g := v.(*Result).Groups; cap(g) != len(g) {
+		t.Errorf("decoded 5 groups into a slice of capacity %d", cap(g))
+	}
+}
+
+// The v2 fixtures are payloads the mirror-type codec wrote (see
+// CHANGES.md for the command): SPRNG 48², spp 1, MobileSoC, as a uniform
+// Eq. 1 prediction, an adaptive stratified one (target 0.1) and a degraded
+// one (error rate 0.5, seed 3, three attempts).
+func readFixture(t testing.TB, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "predict_v2_"+name+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestPredictCodecReadsV2Fixtures: entries written before core.Result
+// became its own format decode to the same fields, and re-encode to the
+// same bytes, less the degradation's two copies of the failed groups'
+// errors and attempts that the format no longer carries.
+func TestPredictCodecReadsV2Fixtures(t *testing.T) {
+	decode := func(name string) (*Result, []byte) {
+		data := readFixture(t, name)
+		v, _, err := predictCodec{}.Decode(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if want.Err != nil && want.Err.Error() != have.Err.Error() {
-			t.Fatalf("group %d Err mismatch: %q vs %q", i, want.Err, have.Err)
+		return v.(*Result), data
+	}
+	reencodes := func(name string, r *Result, want []byte) {
+		again, err := predictCodec{}.Encode(r)
+		if err != nil || !bytes.Equal(again, want) {
+			t.Errorf("%s re-encoded (err %v):\n%s\nwant\n%s", name, err, again, want)
 		}
-		// Errors decode as fresh values; blank them for the struct compare.
-		want.Err, have.Err = nil, nil
-		if !reflect.DeepEqual(want, have) {
-			t.Fatalf("group %d mismatch:\nwant %+v\nhave %+v", i, want, have)
+	}
+
+	plain, data := decode("plain")
+	if plain.K != 4 || len(plain.Groups) != 4 || plain.Intervals != nil || plain.Degraded != nil ||
+		plain.Predicted[metrics.IPC] != 4.0662285405508936 {
+		t.Errorf("plain: %+v", plain)
+	}
+	for gi, g := range plain.Groups {
+		if g.Err != nil || g.Attempts != 1 || g.Pixels != 576 || g.Rounds != 0 || g.Report.Cycles == 0 {
+			t.Errorf("plain group %d: %+v", gi, g)
 		}
 	}
-	d, gd := r.Degraded, got.Degraded
-	if gd == nil {
-		t.Fatal("Degraded lost in round trip")
+	reencodes("plain", plain, data)
+
+	rep, data := decode("replicated")
+	if len(rep.Intervals) != len(metrics.All()) || rep.Intervals[metrics.IPC].Mean != rep.Predicted[metrics.IPC] {
+		t.Errorf("replicated intervals %+v", rep.Intervals)
 	}
-	if !reflect.DeepEqual(d.FailedGroups, gd.FailedGroups) ||
-		!reflect.DeepEqual(d.Attempts, gd.Attempts) ||
-		d.Quorum != gd.Quorum || d.Survivors != gd.Survivors || d.Total != gd.Total {
-		t.Fatalf("Degraded mismatch:\nwant %+v\nhave %+v", d, gd)
+	for gi, g := range rep.Groups {
+		if len(g.Intervals) != len(metrics.All()) || g.Replicates != 5 || g.Rounds != 3 || g.TargetMet {
+			t.Errorf("replicated group %d: %+v", gi, g)
+		}
 	}
-	for gi, err := range d.GroupErrors {
-		if gd.GroupErrors[gi] == nil || gd.GroupErrors[gi].Error() != err.Error() {
-			t.Fatalf("Degraded.GroupErrors[%d] mismatch", gi)
+	reencodes("replicated", rep, data)
+
+	deg, data := decode("degraded")
+	const msg = "faults: job 3 attempt 3: faults: injected failure"
+	if d := deg.Degraded; d == nil || !reflect.DeepEqual(d.FailedGroups, []int{3}) ||
+		d.Quorum != 2 || d.Survivors != 3 || d.Total != 4 {
+		t.Errorf("degraded: %+v", d)
+	}
+	if g := deg.Groups[3]; g.Err == nil || g.Err.Error() != msg || g.Attempts != 3 {
+		t.Errorf("failed group: %+v", g)
+	}
+	if g := deg.Groups[2]; g.Err != nil || g.Attempts != 2 {
+		t.Errorf("retried group: %+v", g)
+	}
+	copies := []byte(`"group_errors":{"3":"` + msg + `"},"attempts":{"3":3},`)
+	if !bytes.Contains(data, copies) {
+		t.Fatalf("degraded fixture lacks %s", copies)
+	}
+	reencodes("degraded", deg, bytes.Replace(data, copies, nil, 1))
+}
+
+// rejectedPayloads are predictions no PredictContext run produces, each
+// derived from a v2 fixture by one edit.
+func rejectedPayloads(t testing.TB) map[string][]byte {
+	edit := func(name string, fn func(r map[string]any, deg map[string]any)) []byte {
+		var r map[string]any
+		if err := json.Unmarshal(readFixture(t, name), &r); err != nil {
+			t.Fatal(err)
+		}
+		deg, _ := r["degraded"].(map[string]any)
+		fn(r, deg)
+		data, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	return map[string][]byte{
+		"not json":           []byte(`not json`),
+		"empty":              []byte(`{}`),
+		"empty predicted":    []byte(`{"predicted":{}}`),
+		"unknown metric":     edit("plain", func(r, _ map[string]any) { r["predicted"].(map[string]any)["no such metric"] = 1 }),
+		"unknown interval":   edit("replicated", func(r, _ map[string]any) { r["intervals"].(map[string]any)["GPU"] = map[string]any{} }),
+		"missing metric":     edit("plain", func(r, _ map[string]any) { delete(r["predicted"].(map[string]any), "GPU IPC") }),
+		"no groups":          edit("plain", func(r, _ map[string]any) { r["groups"] = []any{} }),
+		"null groups":        edit("plain", func(r, _ map[string]any) { delete(r, "groups") }),
+		"k 0":                edit("plain", func(r, _ map[string]any) { r["k"] = 0 }),
+		"error, no degraded": edit("degraded", func(r, _ map[string]any) { delete(r, "degraded") }),
+		"degraded, no error": edit("plain", func(r, _ map[string]any) {
+			r["degraded"] = map[string]any{"failed_groups": []int{}, "quorum": 2, "survivors": 4, "total": 4}
+		}),
+		"total 5":              edit("degraded", func(_, d map[string]any) { d["total"] = 5 }),
+		"failed repeated":      edit("degraded", func(_, d map[string]any) { d["failed_groups"] = []int{3, 3} }),
+		"failed out of range":  edit("degraded", func(_, d map[string]any) { d["failed_groups"] = []int{7} }),
+		"failed negative":      edit("degraded", func(_, d map[string]any) { d["failed_groups"] = []int{-1} }),
+		"failed not the error": edit("degraded", func(_, d map[string]any) { d["failed_groups"] = []int{2} }),
+		"failed extra":         edit("degraded", func(_, d map[string]any) { d["failed_groups"] = []int{2, 3} }),
+		"survivors 4":          edit("degraded", func(_, d map[string]any) { d["survivors"] = 4 }),
+		"quorum 0":             edit("degraded", func(_, d map[string]any) { d["quorum"] = 0 }),
+		"quorum 4":             edit("degraded", func(_, d map[string]any) { d["quorum"] = 4 }),
+		"one group, total 0": edit("plain", func(r, _ map[string]any) {
+			g := r["groups"].([]any)[0].(map[string]any)
+			g["err"] = "lost"
+			r["groups"] = []any{g}
+			r["degraded"] = map[string]any{"failed_groups": []int{7}, "survivors": -1, "total": 0}
+		}),
+	}
+}
+
+// TestPredictCodecRejectsCorruption: garbage, an unknown metric name, and a
+// payload that decodes as JSON but describes no prediction the pipeline
+// makes are errors, not a Result a tier would serve with zeros.
+func TestPredictCodecRejectsCorruption(t *testing.T) {
+	for name, data := range rejectedPayloads(t) {
+		if v, _, err := (predictCodec{}).Decode(data); err == nil {
+			t.Errorf("%s: Decode accepted %s as %+v", name, data, v)
 		}
 	}
 }
 
-func TestPredictCodecRejectsCorruption(t *testing.T) {
-	c := predictCodec{}
-	if _, _, err := c.Decode([]byte(`{"predicted":{"no such metric":1}}`)); err == nil {
-		t.Fatal("Decode with unknown metric name succeeded")
+// FuzzPredictDecode: every payload Decode accepts re-encodes to bytes that
+// decode, and so validate, again to a deep-equal Result. A group's error
+// decodes to its message alone, so errors compare by message.
+func FuzzPredictDecode(f *testing.F) {
+	for _, name := range []string{"plain", "replicated", "degraded"} {
+		f.Add(readFixture(f, name))
 	}
-	if _, _, err := c.Decode([]byte(`not json`)); err == nil {
-		t.Fatal("Decode of garbage succeeded")
+	for _, data := range rejectedPayloads(f) {
+		f.Add(data)
 	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, _, err := predictCodec{}.Decode(data)
+		if err != nil {
+			return
+		}
+		again, err := predictCodec{}.Encode(v)
+		if err != nil {
+			t.Fatalf("accepted payload does not re-encode: %v", err)
+		}
+		w, _, err := predictCodec{}.Decode(again)
+		if err != nil {
+			t.Fatalf("re-encoded payload rejected: %v\n%s", err, again)
+		}
+		if !reflect.DeepEqual(v, w) {
+			t.Fatalf("re-decoded Result differs:\n%+v\n%+v", v, w)
+		}
+	})
 }
 
 // TestResultSizeTracksEncodedPayload: the bytes the store's LRU is charged

@@ -214,22 +214,18 @@ func (ft FaultTolerance) quorumFor(total int) int {
 }
 
 // Degradation reports a prediction that lost groups to failures but met
-// quorum: which groups failed, why, after how many attempts, and what the
-// surviving merge was re-weighted against.
+// quorum: which groups failed and what the surviving merge was re-weighted
+// against. Each failed group's error and attempts are on its GroupRun.
 type Degradation struct {
 	// FailedGroups lists the indices of groups whose instances exhausted
 	// their retries, in index order.
-	FailedGroups []int
-	// GroupErrors maps each failed group index to its final error.
-	GroupErrors map[int]error
-	// Attempts maps each failed group index to the attempts it consumed.
-	Attempts map[int]int
+	FailedGroups []int `json:"failed_groups"`
 	// Quorum is the surviving-group minimum that was in force.
-	Quorum int
+	Quorum int `json:"quorum"`
 	// Survivors counts the groups that contributed to the prediction.
-	Survivors int
+	Survivors int `json:"survivors"`
 	// Total is the number of groups the prediction fanned out to.
-	Total int
+	Total int `json:"total"`
 }
 
 // String summarises the degradation for logs and CLI output.
@@ -277,73 +273,96 @@ func (o *Options) fillDefaults() {
 	}
 }
 
-// GroupRun records one group's simulation.
+// GroupError is a group's final error. Its text form is the message alone,
+// which is what a cached prediction keeps; in the process that ran the
+// group it also unwraps to the cause.
+type GroupError struct {
+	msg   string
+	cause error
+}
+
+func (e *GroupError) Error() string { return e.msg }
+
+// Unwrap returns the cause, nil on a GroupError decoded from a cache tier.
+func (e *GroupError) Unwrap() error { return e.cause }
+
+// MarshalText implements encoding.TextMarshaler.
+func (e *GroupError) MarshalText() ([]byte, error) { return []byte(e.msg), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (e *GroupError) UnmarshalText(msg []byte) error {
+	e.msg = string(msg)
+	return nil
+}
+
+// GroupRun records one group's simulation. Its json tags, with Result's,
+// Degradation's and extrapolate.Interval's, are the core.predict/v2 format.
 type GroupRun struct {
 	// Report is the downscaled simulator's output for the group (for
 	// regression mode, the run at the largest fraction).
-	Report metrics.Report
+	Report metrics.Report `json:"report"`
 	// Fraction is the traced-pixel fraction of the group.
-	Fraction float64
+	Fraction float64 `json:"fraction"`
 	// Pixels and Selected count the group's pixels and traced pixels.
-	Pixels   int
-	Selected int
+	Pixels   int `json:"pixels"`
+	Selected int `json:"selected"`
 	// WallTime is the host time this group's selection(s) and
 	// simulation(s) took.
-	WallTime time.Duration
+	WallTime time.Duration `json:"wall_ns"`
 	// QueueTime is how long the group waited for a pool worker — nonzero
 	// when more groups than workers contend for the pool.
-	QueueTime time.Duration
+	QueueTime time.Duration `json:"queue_ns"`
 	// Attempts counts how many times the group's instance ran (retries
 	// included; zero when the group was cancelled before starting).
-	Attempts int
+	Attempts int `json:"attempts"`
 	// Err is the group's final error when it exhausted its retries; such
 	// groups carry no Report and are excluded from the merged prediction.
-	Err error
+	Err *GroupError `json:"err,omitempty"`
 	// Intervals holds the group's per-metric confidence intervals when the
 	// strategy is replicated (stratified, rankedset); nil otherwise. Report
 	// then holds the final round's last replicate, and Fraction/Selected
 	// cover the final round's replicates combined.
-	Intervals combine.GroupIntervals
+	Intervals combine.GroupIntervals `json:"intervals,omitempty"`
 	// Replicates is the sub-draw count of the final round (0 for
 	// point-estimate strategies).
-	Replicates int
+	Replicates int `json:"replicates,omitempty"`
 	// Rounds counts the adaptive re-draw rounds executed (1 when no CI
 	// target was set; 0 for point-estimate strategies).
-	Rounds int
+	Rounds int `json:"rounds,omitempty"`
 	// TargetMet reports whether the CI half-width target was met (always
 	// true when no target was set).
-	TargetMet bool
+	TargetMet bool `json:"target_met"`
 }
 
 // Result is a complete Zatel prediction.
 type Result struct {
 	// Predicted holds the final per-metric prediction.
-	Predicted combine.GroupValues
+	Predicted combine.GroupValues `json:"predicted"`
 	// Intervals holds the merged per-metric confidence intervals when the
 	// strategy is replicated (stratified, rankedset); nil otherwise.
 	// Predicted then equals the interval means.
-	Intervals combine.GroupIntervals
+	Intervals combine.GroupIntervals `json:"intervals,omitempty"`
 	// Groups holds the per-group runs.
-	Groups []GroupRun
+	Groups []GroupRun `json:"groups"`
 	// K is the downscaling factor used.
-	K int
+	K int `json:"k"`
 	// Quantized is the heatmap the selection was driven by. PredictContext
 	// always sets it; it is nil on a Result that came out of a cache tier
 	// (memory, disk or peer), because the predict codec and the service's
 	// store entries leave it out: the heatmap is the store's own quant/v1
 	// artifact (QuantizedKey), shared by every prediction over one profile.
-	Quantized *heatmap.Quantized
+	Quantized *heatmap.Quantized `json:"-"`
 	// PreprocessTime covers heatmap generation and quantization.
-	PreprocessTime time.Duration
+	PreprocessTime time.Duration `json:"preprocess_ns"`
 	// SimWallTime is the simulation wall time: the slowest group when
 	// groups run concurrently (they occupy separate CPU cores, as the
 	// paper's methodology prescribes).
-	SimWallTime time.Duration
+	SimWallTime time.Duration `json:"sim_wall_ns"`
 	// TotalCPUTime sums all group simulation time.
-	TotalCPUTime time.Duration
+	TotalCPUTime time.Duration `json:"total_cpu_ns"`
 	// Degraded is non-nil when some groups failed but a quorum survived:
 	// Predicted was merged from the survivors with fraction re-weighting.
-	Degraded *Degradation
+	Degraded *Degradation `json:"degraded,omitempty"`
 }
 
 var filteredTrace = rt.FilteredTrace()
@@ -620,7 +639,7 @@ func PredictContext(ctx context.Context, opts Options) (*Result, error) {
 				WallTime:  r.WallTime,
 				QueueTime: r.QueueTime,
 				Attempts:  r.Attempts,
-				Err:       r.Err,
+				Err:       &GroupError{msg: r.Err.Error(), cause: r.Err},
 			}
 			failed = append(failed, gi)
 			continue
@@ -687,19 +706,12 @@ func PredictContext(ctx context.Context, opts Options) (*Result, error) {
 	reg.Add(&mPredictions, 1)
 	if len(failed) > 0 {
 		reg.Add(&mDegraded, 1)
-		deg := &Degradation{
+		res.Degraded = &Degradation{
 			FailedGroups: failed,
-			GroupErrors:  make(map[int]error, len(failed)),
-			Attempts:     make(map[int]int, len(failed)),
 			Quorum:       quorum,
 			Survivors:    survivors,
 			Total:        total,
 		}
-		for _, gi := range failed {
-			deg.GroupErrors[gi] = runs[gi].Err
-			deg.Attempts[gi] = runs[gi].Attempts
-		}
-		res.Degraded = deg
 	}
 	// The deployed pipeline runs the K instances on K separate CPU cores,
 	// so the user-visible simulation time is the slowest instance. When

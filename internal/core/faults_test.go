@@ -51,10 +51,6 @@ func TestPredictDegradedDeterministic(t *testing.T) {
 		if g.Attempts != 1 {
 			t.Errorf("group %d consumed %d attempts without retries enabled", gi, g.Attempts)
 		}
-		if d.Attempts[gi] != 1 || !errors.Is(d.GroupErrors[gi], faults.ErrInjected) {
-			t.Errorf("degradation bookkeeping for group %d: %d attempts, %v",
-				gi, d.Attempts[gi], d.GroupErrors[gi])
-		}
 	}
 	for _, m := range metrics.All() {
 		v := res.Predicted[m]

@@ -138,11 +138,12 @@ func digestPrediction(opts Options, res *Result, err error) goldenPrediction {
 	}
 	if d := res.Degraded; d != nil {
 		gd := &goldenDegraded{
-			FailedGroups: d.FailedGroups, GroupErrors: make(map[int]string),
-			Attempts: d.Attempts, Quorum: d.Quorum, Survivors: d.Survivors, Total: d.Total,
+			FailedGroups: d.FailedGroups, GroupErrors: make(map[int]string), Attempts: make(map[int]int),
+			Quorum: d.Quorum, Survivors: d.Survivors, Total: d.Total,
 		}
-		for gi, e := range d.GroupErrors {
-			gd.GroupErrors[gi] = e.Error()
+		for _, gi := range d.FailedGroups {
+			gd.GroupErrors[gi] = res.Groups[gi].Err.Error()
+			gd.Attempts[gi] = res.Groups[gi].Attempts
 		}
 		g.Degraded = gd
 	}

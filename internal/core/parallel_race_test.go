@@ -12,7 +12,7 @@ import (
 
 // TestPredictParallelConcurrentWithWarmup drives the concurrency paths the
 // runner rewiring touches, under -race: several Predict calls with
-// Parallel groups race against CachedWorkload warm-ups for the same frame
+// Parallel groups race against CachedWorkloadContext warm-ups for the same frame
 // from other goroutines. Every prediction must succeed and agree.
 func TestPredictParallelConcurrentWithWarmup(t *testing.T) {
 	const w, h = 48, 48
@@ -39,7 +39,7 @@ func TestPredictParallelConcurrentWithWarmup(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			_, errs[predictors+i] = rt.CachedWorkload("CHSNT", w, h, 1)
+			_, errs[predictors+i] = rt.CachedWorkloadContext(context.Background(), "CHSNT", w, h, 1)
 		}(i)
 	}
 	close(start)

@@ -56,9 +56,6 @@ type Settings struct {
 	TargetCI float64
 }
 
-// Small returns a reduced setting for smoke tests.
-func Small() Settings { return Settings{Width: 48, Height: 48, SPP: 1} }
-
 func (s Settings) validate() error {
 	if s.Width <= 0 || s.Height <= 0 || s.SPP <= 0 {
 		return fmt.Errorf("experiments: invalid settings %+v", s)

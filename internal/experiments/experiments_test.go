@@ -13,22 +13,23 @@ import (
 	"zatel/internal/metrics"
 )
 
-// The drivers are exercised at Small() settings: the point is that every
+// The drivers are exercised at small() settings: the point is that every
 // experiment runs end to end, produces finite numbers and renders its
 // table; the paper-scale numbers are produced by cmd/sweep (EXPERIMENTS.md
 // records them).
+func small() Settings { return Settings{Width: 48, Height: 48, SPP: 1} }
 
 func TestSettingsValidate(t *testing.T) {
 	if err := (Settings{}).validate(); err == nil {
 		t.Error("zero settings accepted")
 	}
-	if err := Small().validate(); err != nil {
+	if err := small().validate(); err != nil {
 		t.Error(err)
 	}
 }
 
 func TestFig10Small(t *testing.T) {
-	res, err := Fig10(Small())
+	res, err := Fig10(small())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestFig10Small(t *testing.T) {
 }
 
 func TestFig11Small(t *testing.T) {
-	res, err := Fig11(Small())
+	res, err := Fig11(small())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestFig11Small(t *testing.T) {
 }
 
 func TestPercentSweepSmall(t *testing.T) {
-	res, err := PercentSweep(Small(), config.MobileSoC(), []string{"SPRNG", "BUNNY"})
+	res, err := PercentSweep(small(), config.MobileSoC(), []string{"SPRNG", "BUNNY"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestPercentSweepSmall(t *testing.T) {
 }
 
 func TestTable3Small(t *testing.T) {
-	res, err := Table3(Small(), config.MobileSoC(), 2)
+	res, err := Table3(small(), config.MobileSoC(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestTable3Small(t *testing.T) {
 }
 
 func TestDownscaleSweepSmall(t *testing.T) {
-	res, err := DownscaleSweep(Small(), config.MobileSoC(), []string{"BUNNY"})
+	res, err := DownscaleSweep(small(), config.MobileSoC(), []string{"BUNNY"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestValidFactors(t *testing.T) {
 }
 
 func TestFig20Small(t *testing.T) {
-	res, err := Fig20(Small(), config.MobileSoC(), []string{"SPRNG", "SHIP"})
+	res, err := Fig20(small(), config.MobileSoC(), []string{"SPRNG", "SHIP"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestFig20Small(t *testing.T) {
 }
 
 func TestAblationsSmall(t *testing.T) {
-	s := Small()
+	s := small()
 	s.Workers = 1
 	res, err := Ablations(s)
 	if err != nil {

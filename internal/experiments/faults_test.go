@@ -12,11 +12,11 @@ import (
 	"zatel/internal/faults"
 )
 
-// soaked returns Small() settings with total fault injection: every
+// soaked returns small() settings with total fault injection: every
 // prediction fails, so every grid cell must render as ERR instead of
 // aborting the experiment.
 func soaked() Settings {
-	s := Small()
+	s := small()
 	s.FT.Inject = faults.Config{ErrorRate: 1, Seed: 1}
 	return s
 }
@@ -107,7 +107,7 @@ func TestFig20RendersFailedScenes(t *testing.T) {
 func TestSweepRecoversWithRetries(t *testing.T) {
 	// Injection at 30% with generous retries: the grid should come out
 	// clean or at worst partially degraded, never aborted.
-	s := Small()
+	s := small()
 	s.FT = core.FaultTolerance{
 		Attempts: 6,
 		Inject:   faults.Config{ErrorRate: 0.3, Seed: 7},
@@ -129,7 +129,7 @@ func TestSweepRecoversWithRetries(t *testing.T) {
 func TestCancelledGridRendersPartially(t *testing.T) {
 	// Once the references exist, a cancelled context must not abort the
 	// driver: every cell carries the context error and still renders.
-	s := Small()
+	s := small()
 	if _, err := core.Reference(config.MobileSoC(), "PARK", s.Width, s.Height, s.SPP); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestCancelledReferencesReturnPromptly(t *testing.T) {
 	// instead of simulating the full frame first.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s := Small()
+	s := small()
 	s.Width, s.Height = 40, 40
 	s.Ctx = ctx
 	if _, err := PercentSweep(s, config.MobileSoC(), []string{"PARK"}); !errors.Is(err, context.Canceled) {

@@ -14,7 +14,7 @@ import (
 // serial (Workers=1) and a parallel (Workers=4) PercentSweep, modulo the
 // timing columns.
 func TestSweepParallelMatchesSerial(t *testing.T) {
-	serial, parallel := Small(), Small()
+	serial, parallel := small(), small()
 	serial.Workers = 1
 	parallel.Workers = 4
 	a, err := PercentSweep(serial, config.MobileSoC(), []string{"SPRNG"})
@@ -58,13 +58,13 @@ func TestPercentSweepParallelFaster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison skipped in -short mode")
 	}
-	serial, parallel := Small(), Small()
+	serial, parallel := small(), small()
 	serial.Workers = 1
 	parallel.Workers = 0 // one per core
 	scenes := []string{"SPRNG", "SHIP"}
 	// Warm the workload and reference caches so both runs measure only the
 	// grid itself.
-	if _, err := PercentSweep(Small(), config.MobileSoC(), scenes); err != nil {
+	if _, err := PercentSweep(small(), config.MobileSoC(), scenes); err != nil {
 		t.Fatal(err)
 	}
 	a, err := PercentSweep(serial, config.MobileSoC(), scenes)
@@ -86,7 +86,7 @@ func TestPercentSweepParallelFaster(t *testing.T) {
 // TestPoolLineRendered checks the cpu-vs-wall accounting surfaces in the
 // rendered outputs.
 func TestPoolLineRendered(t *testing.T) {
-	res, err := PercentSweep(Small(), config.MobileSoC(), []string{"SPRNG"})
+	res, err := PercentSweep(small(), config.MobileSoC(), []string{"SPRNG"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestPoolLineRendered(t *testing.T) {
 // instead of bogus zero coefficients.
 func TestFitErrSurfaced(t *testing.T) {
 	r := &SweepResult{
-		Settings: Small(),
+		Settings: small(),
 		Config:   "MobileSoC",
 		Scenes:   []string{"SPRNG"},
 		Percents: []int{10},

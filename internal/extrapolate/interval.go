@@ -11,11 +11,12 @@ import (
 type Interval struct {
 	// Mean is the point estimate: the mean of the per-replicate
 	// extrapolations.
-	Mean float64
+	Mean float64 `json:"mean"`
 	// Low and High bound the confidence interval.
-	Low, High float64
+	Low  float64 `json:"low"`
+	High float64 `json:"high"`
 	// Replicates is the number of sub-draws the interval was computed from.
-	Replicates int
+	Replicates int `json:"replicates"`
 }
 
 // HalfWidth returns the interval's half-width (High−Low)/2.

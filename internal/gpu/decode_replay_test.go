@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"testing"
 
 	"zatel/internal/config"
@@ -17,7 +18,7 @@ func TestDecodedWorkloadReplaysIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"SPRNG", "SHIP"} {
-		built, err := rt.CachedWorkload(name, 32, 32, 1)
+		built, err := rt.CachedWorkloadContext(context.Background(), name, 32, 32, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

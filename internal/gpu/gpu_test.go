@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"testing"
 
 	"zatel/internal/config"
@@ -18,7 +19,7 @@ func testConfig() config.Config {
 
 func loadWorkload(t testing.TB, name string, w, h, spp int) []rt.ThreadTrace {
 	t.Helper()
-	wl, err := rt.CachedWorkload(name, w, h, spp)
+	wl, err := rt.CachedWorkloadContext(context.Background(), name, w, h, spp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package heatmap
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -163,7 +164,7 @@ func TestWorkloadHeatmapCharacterisation(t *testing.T) {
 	// SHIP's heatmap must be mostly cold; BUNNY's mostly warm — the scene
 	// properties Table III's analysis rests on.
 	meanTemp := func(name string) float64 {
-		w, err := rt.CachedWorkload(name, 48, 48, 1)
+		w, err := rt.CachedWorkloadContext(context.Background(), name, 48, 48, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

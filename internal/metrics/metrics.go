@@ -60,6 +60,26 @@ func (m Metric) String() string {
 	}
 }
 
+// MarshalText returns the Table I name, so that metric-keyed maps encode
+// with the names as keys (the core.predict/v2 format).
+func (m Metric) MarshalText() ([]byte, error) {
+	if m < 0 || m >= numMetrics {
+		return nil, fmt.Errorf("metrics: no Table I metric %d", int(m))
+	}
+	return []byte(m.String()), nil
+}
+
+// UnmarshalText parses a Table I name; any other text is an error.
+func (m *Metric) UnmarshalText(name []byte) error {
+	for x := range numMetrics {
+		if x.String() == string(name) {
+			*m = x
+			return nil
+		}
+	}
+	return fmt.Errorf("metrics: unknown metric %q", name)
+}
+
 // Absolute reports whether the metric is an absolute quantity that Zatel
 // extrapolates linearly with the traced-pixel fraction (Section III-G), as
 // opposed to a rate that is encapsulated per group.

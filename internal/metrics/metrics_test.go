@@ -116,3 +116,29 @@ func TestAbsoluteClassification(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricText: every Table I metric round-trips through its name, and
+// anything else is an error both ways.
+func TestMetricText(t *testing.T) {
+	for _, m := range All() {
+		text, err := m.MarshalText()
+		if err != nil || string(text) != m.String() {
+			t.Errorf("%v.MarshalText() = %q, %v", m, text, err)
+		}
+		var back Metric = -1
+		if err := back.UnmarshalText(text); err != nil || back != m {
+			t.Errorf("UnmarshalText(%q) = %v, %v", text, back, err)
+		}
+	}
+	for _, m := range []Metric{-1, 7} {
+		if text, err := m.MarshalText(); err == nil {
+			t.Errorf("Metric(%d).MarshalText() = %q, want an error", int(m), text)
+		}
+	}
+	for _, name := range []string{"", "GPU", "gpu ipc", "Metric(7)", "GPU IPC "} {
+		var m Metric
+		if err := m.UnmarshalText([]byte(name)); err == nil {
+			t.Errorf("UnmarshalText(%q) = %v, want an error", name, m)
+		}
+	}
+}

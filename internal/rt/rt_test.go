@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -65,7 +66,7 @@ func TestBuildWorkloadRejectsBadDims(t *testing.T) {
 }
 
 func TestWorkloadShape(t *testing.T) {
-	w, err := CachedWorkload("SPRNG", 32, 32, 2)
+	w, err := CachedWorkloadContext(context.Background(), "SPRNG", 32, 32, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestWorkloadDeterministicAcrossBuilds(t *testing.T) {
 func TestShadowRaysFollowHits(t *testing.T) {
 	// Every hit spawns exactly one shadow ray, so shadow count can never
 	// exceed primary+bounce count.
-	w, err := CachedWorkload("SPNZA", 32, 32, 1)
+	w, err := CachedWorkloadContext(context.Background(), "SPNZA", 32, 32, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestSceneHeatContrast(t *testing.T) {
 	// must have a much higher mean pixel cost than SHIP (cold, mostly sky),
 	// and SPRNG must leave most pixels near the minimum cost.
 	costMean := func(name string) float64 {
-		w, err := CachedWorkload(name, 48, 48, 1)
+		w, err := CachedWorkloadContext(context.Background(), name, 48, 48, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +180,7 @@ func TestSceneHeatContrast(t *testing.T) {
 		t.Errorf("BUNNY mean cost %.1f not ≫ SHIP %.1f", bunny, ship)
 	}
 
-	w, err := CachedWorkload("SPRNG", 48, 48, 1)
+	w, err := CachedWorkloadContext(context.Background(), "SPRNG", 48, 48, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,18 +224,18 @@ func TestTraversalWork(t *testing.T) {
 }
 
 func TestCachedWorkloadMemoises(t *testing.T) {
-	a, err := CachedWorkload("SHIP", 16, 16, 1)
+	a, err := CachedWorkloadContext(context.Background(), "SHIP", 16, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CachedWorkload("SHIP", 16, 16, 1)
+	b, err := CachedWorkloadContext(context.Background(), "SHIP", 16, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("cache rebuilt an identical workload")
 	}
-	if _, err := CachedWorkload("NOPE", 16, 16, 1); err == nil {
+	if _, err := CachedWorkloadContext(context.Background(), "NOPE", 16, 16, 1); err == nil {
 		t.Error("unknown scene accepted")
 	}
 }

@@ -298,24 +298,19 @@ func WorkloadKey(name string, width, height, spp int) store.Digest {
 // tests use it to prove concurrent callers share one build.
 var buildCount atomic.Int64
 
-// CachedWorkload returns the workload for a library scene, building and
-// memoising it in the process-wide artifact store (store.Default) on first
-// use. Experiments re-trace the same frames dozens of times; the store
-// makes the functional trace a one-time cost, mirroring how Zatel profiles
-// a scene once and reuses the result.
+// CachedWorkloadContext returns the workload for a library scene, building
+// and memoising it in the process-wide artifact store (store.Default) on
+// first use. Experiments re-trace the same frames dozens of times; the
+// store makes the functional trace a one-time cost, mirroring how Zatel
+// profiles a scene once and reuses the result.
 //
 // The build is coalesced by the store: concurrent callers for the same key
 // share one BuildWorkload execution instead of each paying the full
 // path-trace cost. Failed builds are not cached, so a later call retries.
-func CachedWorkload(name string, width, height, spp int) (*Workload, error) {
-	return CachedWorkloadContext(context.Background(), name, width, height, spp)
-}
-
-// CachedWorkloadContext is CachedWorkload honouring ctx: cancellation
-// interrupts both a build this caller runs and a wait on another caller's
-// in-flight build (which keeps running for the callers still interested).
-// Its build closure is where a prediction builds its scene, once per
-// workload build; the scene is garbage once the trace ends.
+// Cancelling ctx interrupts both a build this caller runs and a wait on
+// another caller's in-flight build (which keeps running for the callers
+// still interested). Its build closure is where a prediction builds its
+// scene, once per workload build; the scene is garbage once the trace ends.
 func CachedWorkloadContext(ctx context.Context, name string, width, height, spp int) (*Workload, error) {
 	v, _, err := store.Default().GetOrBuild(ctx, WorkloadKey(name, width, height, spp),
 		func(ctx context.Context) (any, int64, error) {

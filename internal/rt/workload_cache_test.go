@@ -27,7 +27,7 @@ func TestCachedWorkloadSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			got[i], errs[i] = CachedWorkload("SPRNG", w, h, spp)
+			got[i], errs[i] = CachedWorkloadContext(context.Background(), "SPRNG", w, h, spp)
 		}(i)
 	}
 	close(start)
@@ -46,7 +46,7 @@ func TestCachedWorkloadSingleflight(t *testing.T) {
 	}
 
 	// A later call hits the memoised value without building again.
-	again, err := CachedWorkload("SPRNG", w, h, spp)
+	again, err := CachedWorkloadContext(context.Background(), "SPRNG", w, h, spp)
 	if err != nil || again != got[0] {
 		t.Errorf("warm call: %v, same pointer %v", err, again == got[0])
 	}
@@ -83,11 +83,11 @@ func TestCachedWorkloadContextCancelled(t *testing.T) {
 // (and keeps failing) instead of poisoning the cache.
 func TestCachedWorkloadErrorNotCached(t *testing.T) {
 	for i := 0; i < 2; i++ {
-		if _, err := CachedWorkload("NO-SUCH-SCENE", 8, 8, 1); err == nil {
+		if _, err := CachedWorkloadContext(context.Background(), "NO-SUCH-SCENE", 8, 8, 1); err == nil {
 			t.Fatalf("call %d: unknown scene accepted", i)
 		}
 	}
-	if _, err := CachedWorkload("SPRNG", 0, 8, 1); err == nil {
+	if _, err := CachedWorkloadContext(context.Background(), "SPRNG", 0, 8, 1); err == nil {
 		t.Fatal("invalid dimensions accepted")
 	}
 }
